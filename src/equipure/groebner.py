@@ -9,34 +9,47 @@ monomial, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .orders import exp_coprime, exp_div, exp_divides, exp_lcm, exp_mul
 from .poly import Polynomial, PolynomialRing, poly_from_dict
+
+
+def _neg_key(key):
+    """Negate an order key entry by entry, so that heapq (a min-heap) pops
+    the biggest monomial first. All keys of one order have the same shape,
+    so the negation exactly reverses their comparison."""
+    if type(key) is int:
+        return -key
+    return tuple([-k if type(k) is int else _neg_key(k) for k in key])
 
 
 def normal_form(f: Polynomial, basis, order, track=False):
     """Remainder of f under multivariate division by `basis`.
 
     Fully reduced: no remainder term is divisible by any leading term of the
-    basis. With track=True also returns quotients q with
+    basis. Terms are popped largest-first from a heap of negated order keys
+    (Monagan & Pearce); a term enters the heap when its exponent enters the
+    working dict, and a popped exponent no longer in that dict was cancelled
+    and is skipped. With track=True also returns quotients q with
     f == sum(q_i * g_i) + r exactly.
     """
     ring = f.ring
     fld = ring.field
     if not basis:
         return (f, []) if track else f
-    ordered = sorted(
-        (i for i in range(len(basis)) if not basis[i].is_zero()),
-        key=lambda i: (order.key(basis[i].leading(order)[0]), basis[i].terms),
-    )
-    if not ordered:
+    lead = {i: g.leading(order) for i, g in enumerate(basis) if not g.is_zero()}
+    if not lead:
         return (f, [ring.zero() for _ in basis]) if track else f
-    lead = {i: basis[i].leading(order) for i in ordered}
+    ordered = sorted(lead, key=lambda i: (order.key(lead[i][0]), basis[i].terms))
     work = dict(f.terms)
+    heap = [(_neg_key(order.key(e)), e) for e in work]
+    heapify(heap)
     remainder = {}
     quotients = [dict() for _ in basis] if track else None
-    while work:
-        exp = max(work, key=order.key)
-        coeff = work.pop(exp)
+    while heap:
+        exp = heappop(heap)[1]
+        coeff = work.pop(exp, None)
         if not coeff:
             continue
         hit = None
@@ -59,11 +72,13 @@ def normal_form(f: Polynomial, basis, order, track=False):
                 continue
             ne = exp_mul(e, mult_exp)
             delta = fld.mul(c, mult_coeff)
-            cur = work.get(ne, fld.zero)
-            new = fld.sub(cur, delta)
+            cur = work.get(ne)
+            new = fld.sub(fld.zero if cur is None else cur, delta)
             if new:
+                if cur is None:
+                    heappush(heap, (_neg_key(order.key(ne)), ne))
                 work[ne] = new
-            elif ne in work:
+            elif cur is not None:
                 del work[ne]
     r = poly_from_dict(ring, remainder)
     if track:

@@ -11,11 +11,16 @@ everything the package needs:
     elimination).
 
 The product criterion is not sound for modules, so module Buchberger runs
-with no pair-skipping shortcuts; all corpus modules are small.
+with no pair-skipping shortcuts. Its pending pairs sit in a heap keyed on
+the lcm of leading terms that are computed once per basis vector, and the
+normal form pops terms largest-first from a heap, as in the ideal case.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
+from .groebner import _neg_key
 from .orders import GREVLEX, exp_div, exp_divides, exp_lcm, exp_mul
 from .poly import PolynomialRing, poly_from_dict
 
@@ -112,35 +117,29 @@ def _canonical_vec_key(v):
 
 
 def module_normal_form(v, basis, order: ModuleOrder, track=False):
-    """Fully reduced normal form of vector v against module `basis`."""
+    """Fully reduced normal form of vector v against module `basis`.
+
+    Terms are popped largest-first from a heap of (negated key, position,
+    exponent) entries; a popped term no longer in the working dicts was
+    cancelled and is skipped."""
     if vec_is_zero(v) or not basis:
         return (v, [None] * len(basis)) if track else v
     ring = v[0].ring
     fld = ring.field
     live = [i for i in range(len(basis)) if not vec_is_zero(basis[i])]
     leads = {i: vec_leading(basis[i], order) for i in live}
-    live.sort(key=lambda i: (leads[i][0][0], order.key(*leads[i][0]))[::-1])
     live.sort(key=lambda i: (order.key(*leads[i][0]), _canonical_vec_key(basis[i])))
     rank = len(v)
     work = [dict(f.terms) for f in v]
+    heap = [(_neg_key(order.key(pos, exp)), pos, exp)
+            for pos in range(rank) for exp in work[pos]]
+    heapify(heap)
     remainder = [dict() for _ in range(rank)]
     quotients = [dict() for _ in basis] if track else None
 
-    def current_leading():
-        best = None
-        for pos in range(rank):
-            for exp in work[pos]:
-                k = order.key(pos, exp)
-                if best is None or k > best[0]:
-                    best = (k, pos, exp)
-        return best
-
-    while True:
-        top = current_leading()
-        if top is None:
-            break
-        _, pos, exp = top
-        coeff = work[pos].pop(exp)
+    while heap:
+        _, pos, exp = heappop(heap)
+        coeff = work[pos].pop(exp, None)
         if not coeff:
             continue
         hit = None
@@ -159,17 +158,20 @@ def module_normal_form(v, basis, order: ModuleOrder, track=False):
             q = quotients[i]
             q[mexp] = fld.add(q.get(mexp, fld.zero), mcoeff)
         for bpos, bpoly in enumerate(basis[i]):
+            bwork = work[bpos]
             for e, c in bpoly.terms:
                 if bpos == pos and e == lexp:
                     continue
                 ne = exp_mul(e, mexp)
                 delta = fld.mul(c, mcoeff)
-                cur = work[bpos].get(ne, fld.zero)
-                new = fld.sub(cur, delta)
+                cur = bwork.get(ne)
+                new = fld.sub(fld.zero if cur is None else cur, delta)
                 if new:
-                    work[bpos][ne] = new
-                elif ne in work[bpos]:
-                    del work[bpos][ne]
+                    if cur is None:
+                        heappush(heap, (_neg_key(order.key(bpos, ne)), bpos, ne))
+                    bwork[ne] = new
+                elif cur is not None:
+                    del bwork[ne]
     r = tuple(poly_from_dict(ring, d) for d in remainder)
     if track:
         return r, [poly_from_dict(ring, q) for q in quotients]
@@ -178,24 +180,19 @@ def module_normal_form(v, basis, order: ModuleOrder, track=False):
 
 def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
     """Reduced module Groebner basis. No product criterion (unsound for
-    modules); plain pair processing."""
+    modules). Pairs are taken smallest `_pair_key` first from a heap."""
     basis = [v for v in vectors if not vec_is_zero(v)]
     if not basis:
         return []
     fld = ring.field
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    idx = 0
-    while idx < len(pairs):
-        # deterministic FIFO with lcm-size preference among the unprocessed tail
-        best = min(
-            range(idx, len(pairs)),
-            key=lambda t: _pair_key(basis, pairs[t], order),
-        )
-        pairs[idx], pairs[best] = pairs[best], pairs[idx]
-        i, j = pairs[idx]
-        idx += 1
-        (pi, ei), ci = vec_leading(basis[i], order)
-        (pj, ej), cj = vec_leading(basis[j], order)
+    leads = [vec_leading(v, order) for v in basis]
+    pairs = [_pair_key(leads, i, j, order)
+             for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapify(pairs)
+    while pairs:
+        i, j = heappop(pairs)[-2:]
+        (pi, ei), ci = leads[i]
+        (pj, ej), cj = leads[j]
         if pi != pj:
             continue
         lcm = exp_lcm(ei, ej)
@@ -206,15 +203,18 @@ def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
         if vec_is_zero(r):
             continue
         basis.append(r)
+        leads.append(vec_leading(r, order))
         new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
+        for k in range(new):
+            heappush(pairs, _pair_key(leads, k, new, order))
     return reduce_module_basis(basis, order, ring)
 
 
-def _pair_key(basis, pair, order):
-    i, j = pair
-    (pi, ei), _ = vec_leading(basis[i], order)
-    (pj, ej), _ = vec_leading(basis[j], order)
+def _pair_key(leads, i, j, order):
+    """Pairs in different positions have no S-vector and sort last; the rest
+    sort by the key of their lcm, ties broken by index."""
+    (pi, ei), _ = leads[i]
+    (pj, ej), _ = leads[j]
     if pi != pj:
         return (1, i, j)
     return (0, order.key(pi, exp_lcm(ei, ej)), i, j)

@@ -251,21 +251,21 @@ def _is_module_finite(morphism: Morphism) -> bool:
 def pure_at(morphism: Morphism, p: Point) -> bool:
     """True iff the splitting ideal is not contained in p: some generator
     stays outside the point's defining ideal."""
+    return witness_outside(morphism, p) is not None
+
+
+def witness_outside(morphism: Morphism, p: Point, handle: IdealHandle = None):
+    """The first splitting-ideal generator outside p's defining ideal, or
+    None when the splitting ideal lies inside p. `handle` reuses a splitting
+    ideal already computed for this morphism."""
     if not _is_module_finite(morphism):
         raise NotModuleFinite("pure_at needs a module-finite map")
     if p.kind not in (RATIONAL, GENERIC):
         from .errors import UnsupportedPointKind
 
         raise UnsupportedPointKind(f"unsupported point kind {p.kind}")
-    handle, _, _ = splitting_ideal(morphism)
-    for g in handle.generators:
-        if not p.ideal.contains(g):
-            return True
-    return False
-
-
-def witness_outside(morphism: Morphism, p: Point):
-    handle, _, _ = splitting_ideal(morphism)
+    if handle is None:
+        handle, _, _ = splitting_ideal(morphism)
     for g in handle.generators:
         if not p.ideal.contains(g):
             return g
@@ -444,11 +444,12 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
         if imf(g):
             zc = g.image_point_coords(probe.coords)
             zp = rational_point(g.target, zc)
-            is_pure = pure_at(g, zp)
+            witness = witness_outside(g, zp)
+            is_pure = witness is not None
             record["finite_leg"] = {
                 "module_finite": True,
                 "pure_at_image": is_pure,
-                "witness": str(witness_outside(g, zp)) if is_pure else None,
+                "witness": str(witness) if is_pure else None,
             }
             if not is_pure:
                 raise HypothesisFailed("finite-leg-purity",

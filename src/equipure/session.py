@@ -141,18 +141,15 @@ def parse_session(text: str, options=None) -> Session:
     session = Session(options)
     for line, stmt in _statements(text):
         head = stmt.split(None, 1)[0]
-        if head == "field":
-            _parse_field(session, stmt, line)
-        elif head == "ring":
-            _parse_ring(session, stmt, line)
-        elif head == "ideal":
-            _parse_ideal(session, stmt, line)
-        elif head == "point":
-            _parse_point(session, stmt, line)
-        elif head == "morphism":
-            _parse_morphism(session, stmt, line)
-        else:
+        declare = _DECLARATIONS.get(head)
+        if declare is None:
             session.commands.append((line, stmt))
+            continue
+        # the constructors reject bad input (F4, Q[x,x], ...) with ValueError
+        try:
+            declare(session, stmt, line)
+        except ValueError as exc:
+            raise SessionError(str(exc), line)
     return session
 
 
@@ -322,6 +319,15 @@ def _parse_morphism(session, stmt, line):
     session._declare(session.morphisms, name, phi, line)
 
 
+_DECLARATIONS = {
+    "field": _parse_field,
+    "ring": _parse_ring,
+    "ideal": _parse_ideal,
+    "point": _parse_point,
+    "morphism": _parse_morphism,
+}
+
+
 # -- command execution ---------------------------------------------------------
 
 
@@ -411,11 +417,11 @@ def _dispatch(session, line, command, seed) -> Report:
                       certificate=split_certificate_obj(cert), seed=seed)
 
     if head == "pure-at":
-        from .purity import pure_at, witness_outside
+        from .purity import witness_outside
 
         phi, p = _phi_at_point(session, parts, line)
-        verdict = pure_at(phi, p)
-        witness = witness_outside(phi, p) if verdict else None
+        witness = witness_outside(phi, p)
+        verdict = witness is not None
         return Report(command, "pure" if verdict else "not-pure",
                       EXIT_OK if verdict else EXIT_REFUTED,
                       certificate=pure_at_certificate_obj(phi, p, verdict, witness),

@@ -1,8 +1,11 @@
 """Session parsing, command dispatch, canonical reports, the verifier and
 the CLI: determinism is byte-level, tampering is caught by name."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from equipure.session import SessionError, parse_session, run_session
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA, "corpus.eqp")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_corpus(seed=1):
@@ -186,3 +190,23 @@ def test_cli_verify_catches_tampering(tmp_path):
     tampered.write_text(json.dumps(payload))
     rc = main(["verify", str(tampered)])
     assert rc == 1
+
+
+def test_corpus_report_bytes_are_pinned(tmp_path):
+    # seed-1 digest recorded when the benchmark was defined; a speed change
+    # must leave these bytes identical
+    out = tmp_path / "reports.json"
+    main(["run", CORPUS, "--seed", "1", "--json", str(out)])
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "fe277adfd3586e14fa1d5aa26189d569"
+
+
+@pytest.mark.parametrize("text", ["field k = F4;", "ring R = Q[x,x];"])
+def test_parse_time_value_errors_exit_2(tmp_path, text):
+    path = tmp_path / "bad.eqp"
+    path.write_text(text + "\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "equipure.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: line 1: ")
