@@ -19,7 +19,6 @@ from .errors import (
     NotEquidimensionalBase,
     NotHypersurface,
 )
-from .groebner import normal_form
 from .ideals import IdealHandle, krull_dim, radical_membership
 from .poly import Polynomial
 from .schemes import (
@@ -156,6 +155,10 @@ class TCVerdict:
 
     def recheck(self, ctx: FrobeniusContext) -> bool:
         """Re-verify the recorded memberships from scratch."""
+        # a level outside 1..bound was never tested, and its bracket power
+        # can be too large to compute
+        if any(not 1 <= e <= self.bound for e, _ in self.levels):
+            return False
         if self.status == self.MEMBER:
             return _membership_mod(self.algebra, self.ideal.generators, self.z)
         for e, inside in self.levels:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 all verdicts positive, 1 some verdict refuted, 2 error,
 3 inconclusive. `run --json` writes the canonical report list; `verify`
-re-derives every certificate in a report file from scratch and names any
-violated identity.
+replays the producer of every certificate in a report file, diffs the whole
+payload and names the first differing path, and runs the identity checks
+that hold of the recorded outputs, naming any that fails.
 """
 
 from __future__ import annotations

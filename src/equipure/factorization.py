@@ -564,21 +564,12 @@ def _generic_point_in_stratum(stratum, morphism, y, e) -> bool:
 
 
 def verify_factorization(cert: FactorizationCertificate):
-    """Re-derive every predicate from the stored raw data, bypassing caches.
+    """Verify a certificate the way `equipure verify` does: replay
+    `build_factorization` on its recorded inputs and diff the payload.
+    Returns (ok, failures)."""
+    from .reports import factorization_certificate_obj, verify_certificate
 
-    Returns (ok, failed_names). Uses only poly-core primitives on fresh
-    handles; never trusts the recorded evidence.
-    """
-    try:
-        fresh = build_factorization(
-            cert.morphism, cert.y, cert.x0,
-            probes=cert.probes, seed=cert.seed)
-    except PreconditionFailed as exc:
-        return False, [str(exc)]
-    if [str(s) for s in fresh.lifted] != [str(s) for s in cert.lifted]:
-        return False, ["lifted-elements-differ"]
-    failed = [p.name for p in fresh.predicates if not p.ok]
-    return not failed, failed
+    return verify_certificate(factorization_certificate_obj(cert))
 
 
 # -- equidimensionality reports ------------------------------------------------

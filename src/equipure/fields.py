@@ -94,9 +94,6 @@ class FieldSpec:
     def __repr__(self):
         return "QQ" if self.char == 0 else f"GF({self.char})"
 
-    def coeff_str(self, a) -> str:
-        return str(a)
-
 
 QQ = FieldSpec(0)
 

@@ -208,7 +208,3 @@ def is_groebner(basis, order) -> bool:
             if not normal_form(s, basis, order).is_zero():
                 return False
     return True
-
-
-def leading_exponents(basis, order):
-    return [g.leading(order)[0] for g in basis]

@@ -100,14 +100,6 @@ class IdealHandle:
         return IdealHandle(self.ring, list(self.generators) + list(extra))
 
 
-def ideal(ring, gens) -> IdealHandle:
-    return IdealHandle(ring, gens)
-
-
-def ideal_membership(f: Polynomial, handle: IdealHandle) -> bool:
-    return handle.contains(f)
-
-
 # -- elimination -------------------------------------------------------------
 
 def eliminate(handle: IdealHandle, front_vars) -> IdealHandle:

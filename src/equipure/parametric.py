@@ -21,16 +21,11 @@ from __future__ import annotations
 from .groebner import normal_form
 from .ideals import IdealHandle
 from .orders import GREVLEX, exp_coprime, exp_div, exp_divides, exp_lcm, exp_mul
-from .poly import Polynomial, PolynomialRing, poly_from_dict
+from .poly import Polynomial, PolynomialRing
 
 
 class ParamBudgetError(Exception):
     pass
-
-
-class BranchNeeded(Exception):
-    def __init__(self, coeff):
-        self.coeff = coeff
 
 
 class CoeffDomain:
@@ -96,11 +91,6 @@ class ParamPoly:
             acc[e] = acc[e] - c if e in acc else -c
         return ParamPoly.build(self.main, self.domain, acc.items())
 
-    def coeff_mul(self, c: Polynomial):
-        return ParamPoly.build(
-            self.main, self.domain, ((e, k * c) for e, k in self.terms.items())
-        )
-
     def term_mul(self, exp, c: Polynomial):
         return ParamPoly.build(
             self.main,
@@ -139,21 +129,6 @@ def split_poly(f: Polynomial, main: PolynomialRing, domain: CoeffDomain,
         pexp = tuple(e[i] for i in param_idx)
         raw.append((mexp, Polynomial(domain.ring, ((pexp, c),))))
     return ParamPoly.build(main, domain, raw)
-
-
-def join_poly(pp: ParamPoly, combined: PolynomialRing, main_idx, param_idx) -> Polynomial:
-    """Inverse of split_poly into the combined ring."""
-    acc = {}
-    n = combined.nvars
-    for mexp, coeff in pp.terms.items():
-        for pexp, c in coeff.terms:
-            e = [0] * n
-            for k, i in enumerate(main_idx):
-                e[i] = mexp[k]
-            for k, i in enumerate(param_idx):
-                e[i] = pexp[k]
-            acc[tuple(e)] = acc.get(tuple(e), combined.field.zero) + c
-    return poly_from_dict(combined, acc)
 
 
 class DenominatorLog:

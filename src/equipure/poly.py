@@ -9,8 +9,6 @@ leading terms through the active order on demand.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fields import FieldSpec
 
 

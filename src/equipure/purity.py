@@ -146,12 +146,12 @@ class SplitCertificate:
         return f"SplitCertificate(splits={self.sigma is not None})"
 
 
-def splitting_ideal(morphism: Morphism, presentation: ModulePresentation = None):
+def splitting_ideal(morphism: Morphism):
     """Image of evaluation-at-1 on Hom_A(B, A), as an ideal of A represented
     in the ambient ring (the target's relations are included)."""
     from .modules import syzygy_restricted, vec_zero
 
-    pres = presentation or module_presentation(morphism)
+    pres = module_presentation(morphism)
     tring = morphism.target.ring
     m = pres.rank
     cols = pres.relations
@@ -254,18 +254,16 @@ def pure_at(morphism: Morphism, p: Point) -> bool:
     return witness_outside(morphism, p) is not None
 
 
-def witness_outside(morphism: Morphism, p: Point, handle: IdealHandle = None):
+def witness_outside(morphism: Morphism, p: Point):
     """The first splitting-ideal generator outside p's defining ideal, or
-    None when the splitting ideal lies inside p. `handle` reuses a splitting
-    ideal already computed for this morphism."""
+    None when the splitting ideal lies inside p."""
     if not _is_module_finite(morphism):
         raise NotModuleFinite("pure_at needs a module-finite map")
     if p.kind not in (RATIONAL, GENERIC):
         from .errors import UnsupportedPointKind
 
         raise UnsupportedPointKind(f"unsupported point kind {p.kind}")
-    if handle is None:
-        handle, _, _ = splitting_ideal(morphism)
+    handle, _, _ = splitting_ideal(morphism)
     for g in handle.generators:
         if not p.ideal.contains(g):
             return g

@@ -4,9 +4,13 @@ Serialization rules: keys sorted, every integer rendered as a decimal
 string, polynomials as ordered term arrays in the canonical storage order.
 Two runs with the same session and seed produce byte-identical files.
 
-`verify_certificate` re-derives every certificate from its raw data using
-only the core operations on fresh handles; recorded evidence is never
-trusted. A failed re-check names the violated identity.
+`verify_certificate` replays the producer that wrote a certificate on the
+inputs the payload records, diffs the whole canonical payload and names the
+first differing path. It also runs the identity checks that hold of the
+recorded outputs themselves (a Groebner basis reducing its generators, the
+sigma identities of a splitting, a purity witness inside the splitting ideal
+and outside the point, the recorded Frobenius memberships) and names any
+that fails.
 """
 
 from __future__ import annotations
@@ -15,15 +19,35 @@ import json
 from fractions import Fraction
 
 from . import __version__
+from .charp import (
+    FrobeniusContext,
+    TCVerdict,
+    f_rational_descent_check,
+    f_rational_probe,
+    fedder_f_pure,
+    tc_member_certificate,
+)
+from .errors import HypothesisFailed, NotHypersurface, PreconditionFailed
+from .factorization import build_factorization, verify_equidimensional_at
 from .fields import FieldSpec
 from .groebner import is_groebner, normal_form
 from .ideals import IdealHandle, krull_dim
 from .orders import GREVLEX, LEX, MonomialOrder, block_order
 from .poly import Polynomial, PolynomialRing
+from .purity import (
+    ModulePresentation,
+    SplitCertificate,
+    splinter_probe,
+    splits,
+    splitting_ideal,
+    strong_purity_certificate,
+    witness_outside,
+)
 from .schemes import (
     Algebra,
     Morphism,
     Point,
+    fiber_dim_at,
 )
 
 
@@ -148,7 +172,8 @@ def point_to_obj(p: Point):
 def point_from_obj(obj) -> Point:
     alg = algebra_from_obj(obj["algebra"])
     ideal = ideal_from_obj(alg.ring, obj["ideal"])
-    comp = ideal_from_obj(alg.ring, obj["component"]) if obj.get("component") else None
+    comp = (ideal_from_obj(alg.ring, obj["component"])
+            if obj.get("component") is not None else None)
     coords = None
     if obj.get("coords") is not None:
         coords = tuple(coeff_from_str(alg.field, c) for c in obj["coords"])
@@ -318,258 +343,307 @@ def strong_purity_certificate_obj(cert):
     }
 
 
-# -- verification -----------------------------------------------------------------
+# -- producers ---------------------------------------------------------------------
+#
+# One per certificate kind (plus `fiber-dim`, which emits no certificate).
+# `session.run_command` calls a producer on the objects a command names and
+# `verify_certificate` calls it again on the objects a payload records.
+# Each returns (verdict, exit class, certificate payload or None,
+# assumptions). Every call passes `seed` and `bound`; a producer whose
+# certificate does not record them ignores them.
 
 
-def verify_certificate(payload):
-    """Re-derive a certificate from scratch. Returns (ok, failures)."""
-    kind = payload.get("kind")
-    checker = _CHECKERS.get(kind)
-    if checker is None:
-        return False, [f"unknown certificate kind {kind!r}"]
+PSEUDO_PRIME_NOTE = {
+    "status": "assumed",
+    "text": "component covers are pseudo-prime: leaves carry no primality certificate",
+}
+TEST_ELEMENT_NOTE = {
+    "status": "assumed",
+    "text": "multiplier candidates are treated as test elements; negative closure verdicts are conditional on that",
+}
+
+
+def produce_groebner(ideal, order=GREVLEX, **_):
+    cert = groebner_certificate(ideal, order)
+    return f"basis-size-{len(cert['basis'])}", EXIT_OK, cert, []
+
+
+def produce_dimension(ideal, **_):
+    cert = dimension_certificate(ideal)
+    return str(cert["dim"]), EXIT_OK, cert, []
+
+
+def produce_fiber_dim(morphism, x, **_):
+    return str(fiber_dim_at(morphism, x)), EXIT_OK, None, [PSEUDO_PRIME_NOTE]
+
+
+def produce_equidim(morphism, x, probes=(), **_):
+    report = verify_equidimensional_at(morphism, x, probes)
+    exit_class = {"certified-at-probes": EXIT_OK,
+                  "refuted": EXIT_REFUTED}.get(report.verdict, EXIT_INCONCLUSIVE)
+    return (report.verdict, exit_class,
+            equidim_certificate_obj(morphism, x, probes, report), [PSEUDO_PRIME_NOTE])
+
+
+def produce_factorization(morphism, y, x0, seed, probes=(), **_):
     try:
-        return checker(payload)
-    except Exception as exc:  # verification must report, not crash
-        return False, [f"verification error: {type(exc).__name__}: {exc}"]
+        cert = build_factorization(morphism, y, x0, probes=probes, seed=seed)
+    except PreconditionFailed as exc:
+        return f"precondition-failed: {exc}", EXIT_ERROR, None, []
+    return ("certificate-emitted", EXIT_OK, factorization_certificate_obj(cert),
+            [PSEUDO_PRIME_NOTE])
 
 
-def _check_groebner(payload):
-    ring = ring_from_obj(payload["ring"])
-    handle = ideal_from_obj(ring, payload["generators"])
-    order = order_from_obj(payload["order"])
-    claimed = [poly_from_obj(ring, g) for g in payload["basis"]]
+def produce_split(morphism, **_):
+    ok, cert = splits(morphism)
+    return ("splits" if ok else "does-not-split", EXIT_OK if ok else EXIT_REFUTED,
+            split_certificate_obj(cert), [])
+
+
+def produce_pure_at(morphism, point, **_):
+    witness = witness_outside(morphism, point)
+    pure = witness is not None
+    return ("pure" if pure else "not-pure", EXIT_OK if pure else EXIT_REFUTED,
+            pure_at_certificate_obj(morphism, point, pure, witness), [])
+
+
+def produce_splinter(base, covers, **_):
+    report = splinter_probe(base, covers)
+    ok = report.verdict == "all-probed-covers-split"
+    return (report.verdict, EXIT_OK if ok else EXIT_REFUTED,
+            splinter_certificate_obj(report, covers),
+            [PSEUDO_PRIME_NOTE,
+             {"status": "verified",
+              "text": "cover surjectivity evidenced by dominance plus module-finiteness"}])
+
+
+def produce_strong_purity(morphism, base_class, probes, seed, **_):
+    try:
+        cert = strong_purity_certificate(morphism, base_class, probes, seed=seed)
+    except HypothesisFailed as exc:
+        return f"hypothesis-failed: {exc.hypothesis}", EXIT_ERROR, None, []
+    return ("certificate-emitted", EXIT_OK, strong_purity_certificate_obj(cert),
+            cert.assumptions)
+
+
+def produce_fedder(algebra, point, **_):
+    gb = algebra.relations.groebner()
+    if len(gb) != 1:
+        raise NotHypersurface("fedder needs a hypersurface ring")
+    ctx = FrobeniusContext(algebra)
+    f_pure = fedder_f_pure(gb[0], point, ctx)
+    return ("F-pure" if f_pure else "not-F-pure", EXIT_OK if f_pure else EXIT_REFUTED,
+            fedder_certificate_obj(gb[0], point, ctx, f_pure), [])
+
+
+def produce_tc(algebra, z, ideal, multiplier, bound, **_):
+    ctx = FrobeniusContext(algebra)
+    verdict = tc_member_certificate(z, ideal, multiplier, bound, ctx)
+    exit_class = {TCVerdict.MEMBER: EXIT_OK, TCVerdict.NOT_IN_CLOSURE: EXIT_REFUTED}.get(
+        verdict.status, EXIT_INCONCLUSIVE)
+    return (verdict.status, exit_class, tc_certificate_obj(verdict, ctx),
+            [TEST_ELEMENT_NOTE])
+
+
+def produce_f_rational(algebra, sops, bound, **_):
+    report = f_rational_probe(algebra, sops, bound, FrobeniusContext(algebra))
+    exit_class = EXIT_OK if report.clean() else (
+        EXIT_REFUTED if report.verdict == "NotFRational" else EXIT_INCONCLUSIVE)
+    return (report.verdict, exit_class, f_rational_certificate_obj(report, sops, bound),
+            [TEST_ELEMENT_NOTE,
+             {"status": "assumed",
+              "text": "dimension-drop parameter test valid for the equidimensional catenary corpus"}])
+
+
+def produce_descent(morphism, y, probes, bound, **_):
+    try:
+        report = f_rational_descent_check(morphism, y, probes, bound)
+    except HypothesisFailed as exc:
+        return f"refused: {exc}", EXIT_ERROR, None, []
+    ok = report.verdict == "consistent"
+    return (report.verdict, EXIT_OK if ok else EXIT_REFUTED,
+            descent_certificate_obj(report, y, probes, bound), report.assumptions)
+
+
+# -- verification -----------------------------------------------------------------
+#
+# A certificate is verified by replay: its producer runs again on the inputs
+# the payload records, and the whole fresh payload must equal the recorded
+# one. The identity checks below hold of the recorded outputs themselves,
+# so a failure names the identity as well as the first differing path.
+
+
+# decoders of the inputs a payload records under the producer's parameter name
+_INPUT_CODECS = {
+    "morphism": morphism_from_obj,
+    "base": algebra_from_obj,
+    "covers": lambda objs: [morphism_from_obj(o) for o in objs],
+    "x": point_from_obj, "y": point_from_obj, "x0": point_from_obj,
+    "point": point_from_obj,
+    "probes": lambda objs: [point_from_obj(o) for o in objs],
+    "seed": int, "bound": int,
+}
+
+
+def _recorded(*keys):
+    return lambda p: {key: _INPUT_CODECS[key](p[key]) for key in keys}
+
+
+def _ideal_inputs(p):
+    return {"ideal": ideal_from_obj(ring_from_obj(p["ring"]), p["generators"])}
+
+
+def _groebner_inputs(p):
+    return dict(_ideal_inputs(p), order=order_from_obj(p["order"]))
+
+
+def _strong_purity_inputs(p):
+    # each probe record holds the factorization built at that probe alone
+    facts = [rec["factorization"] for rec in p["probes"]]
+    return {"morphism": morphism_from_obj(p["morphism"]), "base_class": p["base_class"],
+            "probes": [point_from_obj(q) for f in facts for q in f["probes"]],
+            "seed": int(facts[0]["seed"]) if facts else 0}
+
+
+def _fedder_inputs(p):
+    ring = ring_from_obj(p["ring"])
+    return {"algebra": Algebra(ring, IdealHandle(ring, [poly_from_obj(ring, p["defining"])])),
+            "point": point_from_obj(p["point"])}
+
+
+def _tc_inputs(p):
+    alg = algebra_from_obj(p["algebra"])
+    return {"algebra": alg, "z": poly_from_obj(alg.ring, p["z"]),
+            "ideal": ideal_from_obj(alg.ring, p["ideal"]),
+            "multiplier": poly_from_obj(alg.ring, p["multiplier"]),
+            "bound": int(p["bound"])}
+
+
+def _f_rational_inputs(p):
+    alg = algebra_from_obj(p["algebra"])
+    return {"algebra": alg, "bound": int(p["bound"]),
+            "sops": [[poly_from_obj(alg.ring, s) for s in seq] for seq in p["sops"]]}
+
+
+def _groebner_identities(p, inputs):
+    ring, order = inputs["ideal"].ring, inputs["order"]
+    claimed = [poly_from_obj(ring, g) for g in p["basis"]]
     failures = []
-    fresh = IdealHandle(ring, list(handle.generators)).groebner(order)
-    if [g.terms for g in fresh] != [g.terms for g in claimed]:
-        failures.append("recomputed-basis-differs")
     if not is_groebner(claimed, order):
         failures.append("s-polynomial-reduces-to-nonzero")
-    for g in claimed:
-        if not handle.contains(g):
-            failures.append("basis-element-outside-ideal")
-            break
-    for g in handle.generators:
+    for g in inputs["ideal"].generators:
         reduces = normal_form(g, claimed, order).is_zero() if claimed else g.is_zero()
         if not reduces:
             failures.append("generator-not-reduced-by-basis")
             break
-    return not failures, failures
+    return failures
 
 
-def _check_dimension(payload):
-    ring = ring_from_obj(payload["ring"])
-    handle = ideal_from_obj(ring, payload["generators"])
-    ok = krull_dim(handle) == int(payload["dim"])
-    return ok, [] if ok else ["dimension-differs"]
-
-
-def _check_split(payload):
-    from .purity import module_presentation, splitting_ideal
-
-    phi = morphism_from_obj(payload["morphism"])
+def _sigma_identities(p, inputs):
+    if p["sigma"] is None:
+        return []
+    phi = inputs["morphism"]
     tring = phi.target.ring
-    pres = module_presentation(phi)
-    claimed_gens = [poly_from_obj(phi.source.ring, g) for g in payload["generators"]]
-    failures = []
-    if [g.terms for g in pres.generators] != [g.terms for g in claimed_gens]:
-        failures.append("module-generators-differ")
-    handle, _, _ = splitting_ideal(phi, pres)
-    claimed_split = bool(payload["splits"])
-    if handle.is_unit() != claimed_split:
-        failures.append("splitting-ideal-unit-status-differs")
-    claimed_ideal = ideal_from_obj(tring, payload["splitting_ideal"])
-    if not claimed_ideal.same_ideal(handle):
-        failures.append("splitting-ideal-differs")
-    if payload["sigma"] is not None:
-        sigma = [poly_from_obj(tring, s) for s in payload["sigma"]]
-        one_ix = pres.one_index()
-        if phi.target.reduce(sigma[one_ix]) != tring.one():
-            failures.append("sigma-evaluation-at-1")
-        for col in pres.relations:
-            acc = tring.zero()
-            for s, c in zip(sigma, col):
-                acc = acc + s * c
-            if not phi.target.reduce(acc).is_zero():
-                failures.append("sigma-annihilates-relations")
-                break
-    return not failures, failures
+    pres = ModulePresentation(
+        phi, [poly_from_obj(phi.source.ring, g) for g in p["generators"]],
+        [[poly_from_obj(tring, c) for c in col] for col in p["relation_columns"]], None)
+    cert = SplitCertificate(phi, None, [poly_from_obj(tring, s) for s in p["sigma"]], pres)
+    at_one, annihilates = cert.sigma_identities()
+    return ([] if at_one else ["sigma-evaluation-at-1"]) + (
+        [] if annihilates else ["sigma-annihilates-relations"])
 
 
-def _check_factorization(payload):
-    from .factorization import FactorizationCertificate, verify_factorization
-
-    phi = morphism_from_obj(payload["morphism"])
-    y = point_from_obj(payload["y"])
-    x0 = point_from_obj(payload["x0"])
-    probes = [point_from_obj(p) for p in payload["probes"]]
-    lifted = [poly_from_obj(phi.source.ring, s) for s in payload["lifted"]]
-    cert = FactorizationCertificate(
-        phi, y, x0, int(payload["e"]), lifted, None, [], int(payload["seed"]),
-        payload.get("notes", []), probes=probes)
-    ok, failures = verify_factorization(cert)
-    failures = list(failures)
-    if int(payload["e"]) != len(lifted):
-        failures.append("tag-count-differs")
-        ok = False
-    claimed_failed = [p["name"] for p in payload["predicates"] if not p["ok"]]
-    if claimed_failed:
-        ok = False
-        failures.append("certificate-records-failed-predicate")
-    return ok, failures
-
-
-def _check_tc(payload):
-    from .charp import FrobeniusContext, TCVerdict, tc_member_certificate
-
-    alg = algebra_from_obj(payload["algebra"])
-    ctx = FrobeniusContext(alg)
-    z = poly_from_obj(alg.ring, payload["z"])
-    ideal = ideal_from_obj(alg.ring, payload["ideal"])
-    mult = poly_from_obj(alg.ring, payload["multiplier"])
-    fresh = tc_member_certificate(z, ideal, mult, int(payload["bound"]), ctx)
-    failures = []
-    if fresh.status != payload["status"]:
-        failures.append("status-differs")
-    if payload["status"] == TCVerdict.NOT_IN_CLOSURE:
-        we = payload.get("witness_exponent")
-        if we is None or fresh.witness_exponent != int(we):
-            failures.append("witness-exponent-differs")
-    recorded = TCVerdict(alg, z, ideal, mult, int(payload["bound"]),
-                         payload["status"],
-                         witness_exponent=int(payload["witness_exponent"])
-                         if payload.get("witness_exponent") is not None else None,
-                         levels=[(int(e), bool(f)) for e, f in payload["levels"]])
-    if not recorded.recheck(ctx):
-        failures.append("recorded-membership-fails-recheck")
-    return not failures, failures
-
-
-def _check_fedder(payload):
-    from .charp import FrobeniusContext, fedder_f_pure
-
-    ring = ring_from_obj(payload["ring"])
-    f = poly_from_obj(ring, payload["defining"])
-    m = point_from_obj(payload["point"])
-    alg = Algebra(ring, IdealHandle(ring, [f]))
-    ctx = FrobeniusContext(alg)
-    ok = fedder_f_pure(f, m, ctx) == bool(payload["f_pure"])
-    return ok, [] if ok else ["f-purity-verdict-differs"]
-
-
-def _check_pure_at(payload):
-    from .purity import splitting_ideal, witness_outside
-
-    phi = morphism_from_obj(payload["morphism"])
-    p = point_from_obj(payload["point"])
+def _witness_identities(p, inputs):
+    if p["witness"] is None:
+        return []
+    phi, point = inputs["morphism"], inputs["point"]
+    w = poly_from_obj(phi.target.ring, p["witness"])
     handle, _, _ = splitting_ideal(phi)
-    verdict = witness_outside(phi, p, handle) is not None
+    return ([] if handle.contains(w) else ["witness-not-in-splitting-ideal"]) + (
+        ["witness-inside-point"] if point.ideal.contains(w) else [])
+
+
+def _tc_recheck(p, inputs):
+    we = p["witness_exponent"]
+    recorded = TCVerdict(inputs["algebra"], inputs["z"], inputs["ideal"],
+                         inputs["multiplier"], inputs["bound"], p["status"],
+                         witness_exponent=int(we) if we is not None else None,
+                         levels=[(int(e), bool(f)) for e, f in p["levels"]])
+    ok = recorded.recheck(FrobeniusContext(inputs["algebra"]))
+    return [] if ok else ["recorded-membership-fails-recheck"]
+
+
+def _factorization_records(p, inputs):
     failures = []
-    if verdict != bool(payload["pure"]):
-        failures.append("purity-verdict-differs")
-    if payload.get("witness") is not None:
-        w = poly_from_obj(phi.target.ring, payload["witness"])
-        if not handle.contains(w):
-            failures.append("witness-not-in-splitting-ideal")
-        if p.ideal.contains(w):
-            failures.append("witness-inside-point")
-    return not failures, failures
+    if int(p["e"]) != len(p["lifted"]):
+        failures.append("tag-count-differs")
+    if any(not rec["ok"] for rec in p["predicates"]):
+        failures.append("certificate-records-failed-predicate")
+    return failures
 
 
-def _check_equidim(payload):
-    from .factorization import verify_equidimensional_at
-
-    phi = morphism_from_obj(payload["morphism"])
-    x = point_from_obj(payload["x"])
-    probes = [point_from_obj(p) for p in payload["probes"]]
-    report = verify_equidimensional_at(phi, x, probes)
-    failures = []
-    if report.verdict != payload["verdict"]:
-        failures.append("verdict-differs")
-    if payload.get("e") is not None and report.e != int(payload["e"]):
-        failures.append("dimension-differs")
-    return not failures, failures
+def _no_identities(p, inputs):
+    return []
 
 
-def _check_strong_purity(payload):
-    from .purity import strong_purity_certificate
-
-    phi = morphism_from_obj(payload["morphism"])
-    probes = []
-    for rec in payload["probes"]:
-        fact = rec["factorization"]
-        probes.extend(point_from_obj(p) for p in fact["probes"])
-    try:
-        fresh = strong_purity_certificate(phi, payload["base_class"], probes)
-    except Exception as exc:
-        return False, [f"reconstruction-failed: {exc}"]
-    ok = len(fresh.probe_records) == len(payload["probes"])
-    return ok, [] if ok else ["probe-count-differs"]
-
-
-def _check_splinter(payload):
-    from .purity import splinter_probe
-
-    base = algebra_from_obj(payload["base"])
-    covers = [morphism_from_obj(c) for c in payload["covers"]]
-    report = splinter_probe(base, covers)
-    failures = []
-    if report.verdict != payload["verdict"]:
-        failures.append("splinter-verdict-differs")
-    fresh = [(v["cover"], v["splits"]) for v in report.verdicts]
-    claimed = [(v["cover"], bool(v["splits"])) for v in payload["verdicts"]]
-    if fresh != claimed:
-        failures.append("per-cover-verdicts-differ")
-    return not failures, failures
-
-
-def _check_f_rational(payload):
-    from .charp import FrobeniusContext, f_rational_probe
-
-    alg = algebra_from_obj(payload["algebra"])
-    ctx = FrobeniusContext(alg)
-    sops = [[poly_from_obj(alg.ring, s) for s in seq] for seq in payload["sops"]]
-    report = f_rational_probe(alg, sops, int(payload["bound"]), ctx)
-    failures = []
-    if report.verdict != payload["verdict"]:
-        failures.append("f-rational-verdict-differs")
-    if payload.get("witness") and (report.witness or {}).get("z") != payload["witness"]["z"]:
-        failures.append("witness-differs")
-    return not failures, failures
-
-
-def _check_descent(payload):
-    from .charp import f_rational_descent_check
-
-    phi = morphism_from_obj(payload["morphism"])
-    y = point_from_obj(payload["y"])
-    probes = [point_from_obj(p) for p in payload["probes"]]
-    report = f_rational_descent_check(phi, y, probes, int(payload["bound"]))
-    failures = []
-    if report.verdict != payload["verdict"]:
-        failures.append("descent-verdict-differs")
-    if report.source_report.verdict != payload["source_verdict"]:
-        failures.append("source-verdict-differs")
-    if report.target_report.verdict != payload["target_verdict"]:
-        failures.append("target-verdict-differs")
-    return not failures, failures
-
-
-_CHECKERS = {
-    "groebner-basis": _check_groebner,
-    "dimension": _check_dimension,
-    "split": _check_split,
-    "factorization": _check_factorization,
-    "tc-verdict": _check_tc,
-    "fedder": _check_fedder,
-    "pure-at": _check_pure_at,
-    "equidim": _check_equidim,
-    "strong-purity": _check_strong_purity,
-    "splinter-probe": _check_splinter,
-    "f-rational-probe": _check_f_rational,
-    "descent": _check_descent,
+# kind -> (producer, inputs decoded from the payload, identity checks)
+_REPLAY = {
+    "groebner-basis": (produce_groebner, _groebner_inputs, _groebner_identities),
+    "dimension": (produce_dimension, _ideal_inputs, _no_identities),
+    "split": (produce_split, _recorded("morphism"), _sigma_identities),
+    "factorization": (produce_factorization,
+                      _recorded("morphism", "y", "x0", "probes", "seed"),
+                      _factorization_records),
+    "tc-verdict": (produce_tc, _tc_inputs, _tc_recheck),
+    "fedder": (produce_fedder, _fedder_inputs, _no_identities),
+    "pure-at": (produce_pure_at, _recorded("morphism", "point"), _witness_identities),
+    "equidim": (produce_equidim, _recorded("morphism", "x", "probes"), _no_identities),
+    "strong-purity": (produce_strong_purity, _strong_purity_inputs, _no_identities),
+    "splinter-probe": (produce_splinter, _recorded("base", "covers"), _no_identities),
+    "f-rational-probe": (produce_f_rational, _f_rational_inputs, _no_identities),
+    "descent": (produce_descent, _recorded("morphism", "y", "probes", "bound"),
+                _no_identities),
 }
 
-VERIFIABLE_KINDS = sorted(_CHECKERS)
+
+def verify_certificate(payload):
+    """Replay the producer of a certificate on the inputs it records and
+    diff the whole payload, then run the kind's identity checks. Returns
+    (ok, failures); a replay that differs fails with
+    `payload-differs-at <path>`, the first differing path in sorted key
+    order."""
+    kind = payload.get("kind")
+    if kind not in _REPLAY:
+        return False, [f"unknown certificate kind {kind!r}"]
+    producer, decode, identities = _REPLAY[kind]
+    failures = []
+    try:
+        inputs = decode(payload)
+        path = _first_difference(_stringify(producer(**inputs)[2]), _stringify(payload))
+        if path is not None:
+            failures.append(f"payload-differs-at {path}")
+        failures.extend(identities(payload, inputs))
+    except Exception as exc:  # verification must report, not crash
+        failures.append(f"verification error: {type(exc).__name__}: {exc}")
+    return not failures, failures
+
+
+def _first_difference(fresh, recorded, path="$"):
+    """The first path, in sorted key order, where two canonical payloads
+    differ (a list of another length differs at the list), or None."""
+    if isinstance(fresh, dict) and isinstance(recorded, dict):
+        missing = object()
+        pairs = [(f"{path}.{key}", fresh.get(key, missing), recorded.get(key, missing))
+                 for key in sorted(set(fresh) | set(recorded))]
+    elif isinstance(fresh, list) and isinstance(recorded, list) and len(fresh) == len(recorded):
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(fresh, recorded))]
+    else:
+        return None if fresh == recorded else path
+    for sub, a, b in pairs:
+        found = _first_difference(a, b, sub)
+        if found is not None:
+            return found
+    return None
 
 
 # -- reports ------------------------------------------------------------------------

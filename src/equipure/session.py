@@ -16,6 +16,7 @@ Grammar (statements end with ';', '#' starts a comment):
     factorize f at Y from X0 probes (P);
     splits f;        pure-at f at P;
     splinter-probe R covers (f, g);
+    strong-purity f base normal-Q-hypersurface probes (P);
     fedder R at P;
     tc-member (z^2) in I mult (x^2) in R;
     f-rational-probe R sops ((x, y), (u, v));
@@ -31,33 +32,30 @@ from __future__ import annotations
 
 import re
 
-from .errors import EquipureError, HypothesisFailed, PreconditionFailed
+from .errors import EquipureError
 from .fields import GF, QQ, FieldSpec
-from .ideals import IdealHandle, krull_dim
+from .ideals import IdealHandle
 from .orders import GREVLEX, LEX
-from .poly import PolyParseError, PolynomialRing, parse_poly
+from .poly import PolynomialRing, parse_poly
 from .reports import (
     EXIT_ERROR,
-    EXIT_INCONCLUSIVE,
-    EXIT_OK,
-    EXIT_REFUTED,
     Report,
-    descent_certificate_obj,
-    dimension_certificate,
-    equidim_certificate_obj,
-    f_rational_certificate_obj,
-    factorization_certificate_obj,
-    fedder_certificate_obj,
-    groebner_certificate,
-    pure_at_certificate_obj,
-    splinter_certificate_obj,
-    split_certificate_obj,
-    strong_purity_certificate_obj,
-    tc_certificate_obj,
+    produce_descent,
+    produce_dimension,
+    produce_equidim,
+    produce_f_rational,
+    produce_factorization,
+    produce_fedder,
+    produce_fiber_dim,
+    produce_groebner,
+    produce_pure_at,
+    produce_split,
+    produce_splinter,
+    produce_strong_purity,
+    produce_tc,
 )
 from .schemes import (
     decompose_components,
-    fiber_dim_at,
     generic_point_of,
     make_algebra,
     make_morphism,
@@ -69,16 +67,6 @@ class SessionError(EquipureError):
     def __init__(self, message, line=None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
-
-
-PSEUDO_PRIME_NOTE = {
-    "status": "assumed",
-    "text": "component covers are pseudo-prime: leaves carry no primality certificate",
-}
-TEST_ELEMENT_NOTE = {
-    "status": "assumed",
-    "text": "multiplier candidates are treated as test elements; negative closure verdicts are conditional on that",
-}
 
 
 class Session:
@@ -145,7 +133,8 @@ def parse_session(text: str, options=None) -> Session:
         if declare is None:
             session.commands.append((line, stmt))
             continue
-        # the constructors reject bad input (F4, Q[x,x], ...) with ValueError
+        # the constructors and the polynomial parser reject bad input (F4,
+        # Q[x,x], x^-1, a point off the variety, ...) with ValueError
         try:
             declare(session, stmt, line)
         except ValueError as exc:
@@ -184,10 +173,7 @@ def _parse_ring(session, stmt, line):
     rels = []
     if rel_str and rel_str.strip():
         for piece in _split_top(rel_str):
-            try:
-                rels.append(parse_poly(ring, piece))
-            except PolyParseError as exc:
-                raise SessionError(str(exc), line)
+            rels.append(parse_poly(ring, piece))
     try:
         alg = make_algebra(field, variables, rels, name=name)
     except EquipureError as exc:
@@ -224,10 +210,7 @@ def _parse_ideal(session, stmt, line):
     for piece in _split_top(gens_str):
         if not piece:
             continue
-        try:
-            gens.append(parse_poly(alg.ring, piece))
-        except PolyParseError as exc:
-            raise SessionError(str(exc), line)
+        gens.append(parse_poly(alg.ring, piece))
     session._declare(session.ideals, name, (IdealHandle(alg.ring, gens), ring_name), line)
 
 
@@ -241,18 +224,11 @@ def _parse_point(session, stmt, line):
         alg = session._lookup(session.algebras, mc.group(1), "ring", line)
         coords = []
         for piece in _split_top(mc.group(2)):
-            try:
-                val = parse_poly(alg.ring, piece)
-            except PolyParseError as exc:
-                raise SessionError(str(exc), line)
+            val = parse_poly(alg.ring, piece)
             if not val.is_constant():
                 raise SessionError(f"coordinate {piece!r} is not a constant", line)
             coords.append(val.constant_value())
-        try:
-            pt = rational_point(alg, coords, name=name)
-        except ValueError as exc:
-            raise SessionError(str(exc), line)
-        session._declare(session.points, name, pt, line)
+        session._declare(session.points, name, rational_point(alg, coords, name=name), line)
         return
     mg = re.fullmatch(r"generic\s*\(\s*(\w+)\s*(?:,\s*(\w+)\s*,\s*(\d+)\s*)?\)", rhs)
     if mg:
@@ -305,10 +281,7 @@ def _parse_morphism(session, stmt, line):
         gen, expr = am.groups()
         if gen not in tgt.ring.vars:
             raise SessionError(f"{gen!r} is not a generator of {tgt_name}", line)
-        try:
-            images[gen] = parse_poly(src.ring, expr)
-        except PolyParseError as exc:
-            raise SessionError(str(exc), line)
+        images[gen] = parse_poly(src.ring, expr)
     missing = [v for v in tgt.ring.vars if v not in images]
     if missing:
         raise SessionError(f"missing images for generators {missing}", line)
@@ -329,6 +302,120 @@ _DECLARATIONS = {
 
 
 # -- command execution ---------------------------------------------------------
+#
+# A grammar is matched in full. `<name:kind>` is a slot (`<kind>` when the
+# name is the kind) and its name is the producer's parameter; `[...]` is
+# optional; a space stands for whitespace, which may be empty next to a
+# parenthesis. Polynomials and ideals of a command live in its `ring` slot.
+
+_SEP = r"(?:(?<=[()])\s*|\s*(?=[()])|\s+)"
+_NAME = r"\w+"
+_LIST = r"\(.*?\)"
+
+
+def _named(table, what):
+    return lambda session, text, line, alg: session._lookup(
+        getattr(session, table), text, what, line)
+
+
+def _named_list(table, what):
+    one = _named(table, what)
+    return lambda session, text, line, alg: [
+        one(session, name, line, alg) for name in _split_top(text[1:-1])]
+
+
+def _ideal(session, name, line, alg):
+    handle, owner = session._lookup(session.ideals, name, "ideal", line)
+    if alg is not None and session.algebras[owner] is not alg:
+        raise SessionError("ideal and ring mismatch", line)
+    return handle
+
+
+def _ideal_in_ring(session, name, line, alg):
+    # an ideal declared "in R" is measured inside R: fold in the relations
+    handle, owner = session._lookup(session.ideals, name, "ideal", line)
+    return handle.with_extra(session.algebras[owner].relations.generators)
+
+
+def _poly(session, text, line, alg):
+    return parse_poly(alg.ring, text[1:-1])
+
+
+def _sequences(session, text, line, alg):
+    sops = []
+    for seq in _split_top(text[1:-1]):
+        if not (seq.startswith("(") and seq.endswith(")")):
+            raise SessionError(f"bad parameter sequence {seq!r}", line)
+        sops.append([parse_poly(alg.ring, s) for s in _split_top(seq[1:-1])])
+    return sops
+
+
+# slot kind -> (pattern, resolver(session, text, line, ring of the command))
+_SLOT_KINDS = {
+    "morphism": (_NAME, _named("morphisms", "morphism")),
+    "point": (_NAME, _named("points", "point")),
+    "ring": (_NAME, _named("algebras", "ring")),
+    "ideal": (_NAME, _ideal),
+    "ideal-in-ring": (_NAME, _ideal_in_ring),
+    "order": (r"lex|grevlex",
+              lambda session, text, line, alg: LEX if text == "lex" else GREVLEX),
+    "word": (r"[\w-]+", lambda session, text, line, alg: text),
+    "morphisms": (_LIST, _named_list("morphisms", "morphism")),
+    "points": (_LIST, _named_list("points", "point")),
+    "poly": (_LIST, _poly),
+    "sequences": (_LIST, _sequences),
+}
+
+
+class Command:
+    """One command: its grammar and the producer of its certificate kind."""
+
+    def __init__(self, grammar, producer):
+        self.grammar = grammar
+        self.producer = producer
+        self.slots = {}     # slot name -> kind, in grammar order
+        pattern = []
+        for piece in re.split(r"(<[^>]*>|\[|\]| )", grammar):
+            slot = re.fullmatch(r"<(\w+)(?::([\w-]+))?>", piece)
+            if slot:
+                name, kind = slot.group(1), slot.group(2) or slot.group(1)
+                self.slots[name] = kind
+                pattern.append(f"(?P<{name}>{_SLOT_KINDS[kind][0]})")
+            else:
+                pattern.append({"[": "(?:", "]": ")?", " ": _SEP}.get(piece, re.escape(piece)))
+        self.pattern = "".join(pattern)     # compiled on first use, by re's cache
+
+    def resolve(self, session, command, line):
+        """The producer's arguments named by `command`."""
+        m = re.fullmatch(self.pattern, command, re.S)
+        if m is None:
+            raise SessionError(f"bad command {command!r}; expected {self.grammar!r}", line)
+        rings = [m.group(name) for name, kind in self.slots.items() if kind == "ring"]
+        alg = session._lookup(session.algebras, rings[0], "ring", line) if rings else None
+        return {name: _SLOT_KINDS[kind][1](session, m.group(name), line, alg)
+                for name, kind in self.slots.items() if m.group(name) is not None}
+
+
+COMMANDS = {c.grammar.split()[0]: c for c in (
+    Command("gb <ideal>[ <order>]", produce_groebner),
+    Command("dim <ideal:ideal-in-ring>", produce_dimension),
+    Command("fiber-dim <morphism> at <x:point>", produce_fiber_dim),
+    Command("equidim-check <morphism> at <x:point>[ probes <probes:points>]",
+            produce_equidim),
+    Command("factorize <morphism> at <y:point> from <x0:point>[ probes <probes:points>]",
+            produce_factorization),
+    Command("splits <morphism>", produce_split),
+    Command("pure-at <morphism> at <point>", produce_pure_at),
+    Command("splinter-probe <base:ring> covers <covers:morphisms>", produce_splinter),
+    Command("strong-purity <morphism> base <base_class:word> probes <probes:points>",
+            produce_strong_purity),
+    Command("fedder <algebra:ring> at <point>", produce_fedder),
+    Command("tc-member <z:poly> in <ideal> mult <multiplier:poly> in <algebra:ring>",
+            produce_tc),
+    Command("f-rational-probe <algebra:ring> sops <sops:sequences>", produce_f_rational),
+    Command("descend-check <morphism> at <y:point> probes <probes:points>",
+            produce_descent),
+)}
 
 
 def run_session(session: Session):
@@ -338,227 +425,15 @@ def run_session(session: Session):
 
 def run_command(session: Session, line: int, command: str) -> Report:
     seed = int(session.options.get("seed", 0))
+    bound = int(session.options.get("frobenius_bound", 3))
     try:
-        return _dispatch(session, line, command, seed)
+        head = command.split()[0]
+        entry = COMMANDS.get(head)
+        if entry is None:
+            raise SessionError(f"unknown command {head!r}", line)
+        verdict, exit_class, cert, assumptions = entry.producer(
+            **entry.resolve(session, command, line), seed=seed, bound=bound)
     except (EquipureError, SessionError, ValueError) as exc:
         return Report(command, f"error: {exc}", EXIT_ERROR, seed=seed)
-
-
-def _dispatch(session, line, command, seed) -> Report:
-    bound = int(session.options.get("frobenius_bound", 3))
-    parts = command.split()
-    head = parts[0]
-
-    if head == "gb":
-        handle, _ = session._lookup(session.ideals, parts[1], "ideal", line)
-        order = GREVLEX
-        if len(parts) > 2:
-            order = {"lex": LEX, "grevlex": GREVLEX}.get(parts[2])
-            if order is None:
-                raise SessionError(f"unknown order {parts[2]!r}", line)
-        cert = groebner_certificate(handle, order)
-        return Report(command, f"basis-size-{len(cert['basis'])}", EXIT_OK,
-                      certificate=cert, seed=seed)
-
-    if head == "dim":
-        handle, owner = session._lookup(session.ideals, parts[1], "ideal", line)
-        alg = session._lookup(session.algebras, owner, "ring", line)
-        # an ideal declared "in R" is measured inside R: fold in the relations
-        total = handle.with_extra(alg.relations.generators)
-        d = krull_dim(total)
-        return Report(command, str(d), EXIT_OK,
-                      certificate=dimension_certificate(total), seed=seed)
-
-    if head == "fiber-dim":
-        phi, x = _phi_at_point(session, parts, line)
-        d = fiber_dim_at(phi, x)
-        return Report(command, str(d), EXIT_OK,
-                      assumptions=[PSEUDO_PRIME_NOTE], seed=seed)
-
-    if head == "equidim-check":
-        from .factorization import verify_equidimensional_at
-
-        phi, x = _phi_at_point(session, parts, line)
-        probes = _probe_list(session, command, line)
-        report = verify_equidimensional_at(phi, x, probes)
-        exit_class = {"certified-at-probes": EXIT_OK,
-                      "refuted": EXIT_REFUTED}.get(report.verdict, EXIT_INCONCLUSIVE)
-        return Report(command, report.verdict, exit_class,
-                      certificate=equidim_certificate_obj(phi, x, probes, report),
-                      assumptions=[PSEUDO_PRIME_NOTE], seed=seed)
-
-    if head == "factorize":
-        from .factorization import build_factorization
-
-        m = re.fullmatch(r"factorize\s+(\w+)\s+at\s+(\w+)\s+from\s+(\w+)"
-                         r"(?:\s+probes\s*\((.*)\))?", command, re.S)
-        if not m:
-            raise SessionError(f"bad factorize command: {command!r}", line)
-        phi = session._lookup(session.morphisms, m.group(1), "morphism", line)
-        y = session._lookup(session.points, m.group(2), "point", line)
-        x0 = session._lookup(session.points, m.group(3), "point", line)
-        probes = [session._lookup(session.points, p.strip(), "point", line)
-                  for p in _split_top(m.group(4))] if m.group(4) else []
-        try:
-            cert = build_factorization(phi, y, x0, probes=probes, seed=seed)
-        except PreconditionFailed as exc:
-            return Report(command, f"precondition-failed: {exc}", EXIT_ERROR, seed=seed)
-        return Report(command, "certificate-emitted", EXIT_OK,
-                      certificate=factorization_certificate_obj(cert),
-                      assumptions=[PSEUDO_PRIME_NOTE], seed=seed)
-
-    if head == "splits":
-        from .purity import splits as do_splits
-
-        phi = session._lookup(session.morphisms, parts[1], "morphism", line)
-        ok, cert = do_splits(phi)
-        return Report(command, "splits" if ok else "does-not-split",
-                      EXIT_OK if ok else EXIT_REFUTED,
-                      certificate=split_certificate_obj(cert), seed=seed)
-
-    if head == "pure-at":
-        from .purity import witness_outside
-
-        phi, p = _phi_at_point(session, parts, line)
-        witness = witness_outside(phi, p)
-        verdict = witness is not None
-        return Report(command, "pure" if verdict else "not-pure",
-                      EXIT_OK if verdict else EXIT_REFUTED,
-                      certificate=pure_at_certificate_obj(phi, p, verdict, witness),
-                      seed=seed)
-
-    if head == "splinter-probe":
-        from .purity import splinter_probe
-
-        m = re.fullmatch(r"splinter-probe\s+(\w+)\s+covers\s*\((.*)\)", command, re.S)
-        if not m:
-            raise SessionError(f"bad splinter-probe command: {command!r}", line)
-        base = session._lookup(session.algebras, m.group(1), "ring", line)
-        covers = [session._lookup(session.morphisms, c.strip(), "morphism", line)
-                  for c in _split_top(m.group(2))]
-        report = splinter_probe(base, covers)
-        ok = report.verdict == "all-probed-covers-split"
-        return Report(command, report.verdict, EXIT_OK if ok else EXIT_REFUTED,
-                      certificate=splinter_certificate_obj(report, covers),
-                      assumptions=[PSEUDO_PRIME_NOTE,
-                                   {"status": "verified",
-                                    "text": "cover surjectivity evidenced by dominance plus module-finiteness"}],
-                      seed=seed)
-
-    if head == "fedder":
-        from .charp import FrobeniusContext, fedder_f_pure
-        from .errors import NotHypersurface
-
-        phi_alg, p = _phi_at_point(session, parts, line, table="algebras")
-        gb = phi_alg.relations.groebner()
-        if len(gb) != 1:
-            raise NotHypersurface("fedder needs a hypersurface ring")
-        ctx = FrobeniusContext(phi_alg)
-        verdict = fedder_f_pure(gb[0], p, ctx)
-        return Report(command, "F-pure" if verdict else "not-F-pure",
-                      EXIT_OK if verdict else EXIT_REFUTED,
-                      certificate=fedder_certificate_obj(gb[0], p, ctx, verdict),
-                      seed=seed)
-
-    if head == "tc-member":
-        from .charp import FrobeniusContext, tc_member_certificate
-
-        m = re.fullmatch(r"tc-member\s*\((.*?)\)\s*in\s+(\w+)\s+mult\s*\((.*?)\)\s*in\s+(\w+)",
-                         command, re.S)
-        if not m:
-            raise SessionError(f"bad tc-member command: {command!r}", line)
-        alg = session._lookup(session.algebras, m.group(4), "ring", line)
-        handle, owner = session._lookup(session.ideals, m.group(2), "ideal", line)
-        if owner != m.group(4):
-            raise SessionError("ideal and ring mismatch", line)
-        z = parse_poly(alg.ring, m.group(1))
-        mult = parse_poly(alg.ring, m.group(3))
-        ctx = FrobeniusContext(alg)
-        verdict = tc_member_certificate(z, handle, mult, bound, ctx)
-        exit_class = {"Member": EXIT_OK, "NotInClosure": EXIT_REFUTED}.get(
-            verdict.status, EXIT_INCONCLUSIVE)
-        return Report(command, verdict.status, exit_class,
-                      certificate=tc_certificate_obj(verdict, ctx),
-                      assumptions=[TEST_ELEMENT_NOTE], seed=seed)
-
-    if head == "f-rational-probe":
-        from .charp import FrobeniusContext, f_rational_probe
-
-        m = re.fullmatch(r"f-rational-probe\s+(\w+)\s+sops\s*\((.*)\)", command, re.S)
-        if not m:
-            raise SessionError(f"bad f-rational-probe command: {command!r}", line)
-        alg = session._lookup(session.algebras, m.group(1), "ring", line)
-        sops = []
-        for seq_str in _split_top(m.group(2)):
-            inner = seq_str.strip()
-            if not (inner.startswith("(") and inner.endswith(")")):
-                raise SessionError(f"bad parameter sequence {seq_str!r}", line)
-            sops.append([parse_poly(alg.ring, s) for s in _split_top(inner[1:-1])])
-        ctx = FrobeniusContext(alg)
-        report = f_rational_probe(alg, sops, bound, ctx)
-        exit_class = EXIT_OK if report.clean() else (
-            EXIT_REFUTED if report.verdict == "NotFRational" else EXIT_INCONCLUSIVE)
-        return Report(command, report.verdict, exit_class,
-                      certificate=f_rational_certificate_obj(report, sops, bound),
-                      assumptions=[TEST_ELEMENT_NOTE,
-                                   {"status": "assumed",
-                                    "text": "dimension-drop parameter test valid for the equidimensional catenary corpus"}],
-                      seed=seed)
-
-    if head == "descend-check":
-        from .charp import f_rational_descent_check
-
-        m = re.fullmatch(r"descend-check\s+(\w+)\s+at\s+(\w+)\s+probes\s*\((.*)\)",
-                         command, re.S)
-        if not m:
-            raise SessionError(f"bad descend-check command: {command!r}", line)
-        phi = session._lookup(session.morphisms, m.group(1), "morphism", line)
-        y = session._lookup(session.points, m.group(2), "point", line)
-        probes = [session._lookup(session.points, p.strip(), "point", line)
-                  for p in _split_top(m.group(3))]
-        try:
-            report = f_rational_descent_check(phi, y, probes, bound)
-        except HypothesisFailed as exc:
-            return Report(command, f"refused: {exc}", EXIT_ERROR, seed=seed)
-        ok = report.verdict == "consistent"
-        return Report(command, report.verdict, EXIT_OK if ok else EXIT_REFUTED,
-                      certificate=descent_certificate_obj(report, y, probes, bound),
-                      assumptions=report.assumptions, seed=seed)
-
-    if head == "strong-purity":
-        from .purity import strong_purity_certificate
-
-        m = re.fullmatch(r"strong-purity\s+(\w+)\s+base\s+([\w-]+)\s+probes\s*\((.*)\)",
-                         command, re.S)
-        if not m:
-            raise SessionError(f"bad strong-purity command: {command!r}", line)
-        phi = session._lookup(session.morphisms, m.group(1), "morphism", line)
-        probes = [session._lookup(session.points, p.strip(), "point", line)
-                  for p in _split_top(m.group(3))]
-        try:
-            cert = strong_purity_certificate(phi, m.group(2), probes, seed=seed)
-        except HypothesisFailed as exc:
-            return Report(command, f"hypothesis-failed: {exc.hypothesis}", EXIT_ERROR,
-                          seed=seed)
-        return Report(command, "certificate-emitted", EXIT_OK,
-                      certificate=strong_purity_certificate_obj(cert),
-                      assumptions=cert.assumptions, seed=seed)
-
-    raise SessionError(f"unknown command {head!r}", line)
-
-
-def _phi_at_point(session, parts, line, table="morphisms"):
-    if len(parts) < 4 or parts[2] != "at":
-        raise SessionError(f"expected '<name> at <point>': {' '.join(parts)!r}", line)
-    obj = session._lookup(getattr(session, table), parts[1],
-                          "morphism" if table == "morphisms" else "ring", line)
-    point = session._lookup(session.points, parts[3], "point", line)
-    return obj, point
-
-
-def _probe_list(session, command, line):
-    m = re.search(r"probes\s*\((.*)\)", command, re.S)
-    if not m:
-        return []
-    return [session._lookup(session.points, p.strip(), "point", line)
-            for p in _split_top(m.group(1))]
+    return Report(command, verdict, exit_class, certificate=cert,
+                  assumptions=assumptions, seed=seed)

@@ -4,13 +4,21 @@ the CLI: determinism is byte-level, tampering is caught by name."""
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 from equipure.cli import main
-from equipure.reports import Report, canonical_json, verify_certificate
+from equipure.reports import (
+    Report,
+    canonical_json,
+    point_from_obj,
+    point_to_obj,
+    verify_certificate,
+)
 from equipure.session import SessionError, parse_session, run_session
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -74,6 +82,19 @@ def test_error_report_for_bad_command():
     reports = run_session(session)
     assert reports[0].exit_class == 2
     assert "unknown ideal" in reports[0].verdict
+
+
+@pytest.mark.parametrize("command", [
+    "dim I extra", "gb Circle lex junk", "splits ver please",
+    "pure-at nu at cuspO now", "fedder F at fO twice", "fiber-dim ver at sO extra",
+])
+def test_trailing_words_are_rejected(command):
+    with open(CORPUS, "r", encoding="utf-8") as fh:
+        session = parse_session(fh.read())
+    session.commands = [(42, command)]
+    (rep,) = run_session(session)
+    assert rep.exit_class == 2
+    assert rep.verdict.startswith("error: line 42: ")
 
 
 def test_corpus_runs_and_exit_classes(corpus_reports):
@@ -210,3 +231,89 @@ def test_parse_time_value_errors_exit_2(tmp_path, text):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("parse error: line 1: ")
+
+
+# a generic-point factorization (its y has a zero-ideal component) and a
+# blow-up chart checked at a probe
+FIBERS = """
+ring T = Q[t,s];
+ring U = Q[u,v];
+point eta = generic(T);
+ring P0 = Q[t,s,x,y];
+morphism p0 : T -> P0 = [t -> t + 3*x*y, s -> s*x^2 + y];
+point g0 = fiber-point(p0, eta, 0);
+ring C0 = Q[u,x,z];
+morphism c0 : U -> C0 = [u -> u, v -> u^2*x + z];
+point co0 = closed(C0 : 0, 0, 0);
+point cp0 = closed(C0 : 1, 4, 2);
+factorize p0 at eta from g0;
+equidim-check c0 at co0 probes (cp0);
+"""
+
+
+def _nodes(node):
+    yield node
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for child in children:
+        yield from _nodes(child)
+
+
+def test_points_round_trip(corpus_reports):
+    fibers = run_session(parse_session(FIBERS))
+    points = [node for rep in corpus_reports + fibers if rep.certificate
+              for node in _nodes(json.loads(canonical_json(rep.certificate)))
+              if isinstance(node, dict) and "comp_dim" in node]
+    assert any(p["component"] == [] for p in points)
+    for obj in points:
+        assert json.loads(canonical_json(point_to_obj(point_from_obj(obj)))) == obj
+    for rep in fibers:
+        ok, failures = verify_certificate(rep.certificate)
+        assert ok, (rep.command, failures)
+
+
+# payload paths a replay decodes as the producer's inputs; every other leaf
+# is an output of the producer
+REPLAY_INPUTS = {
+    "groebner-basis": r"ring|generators|order",
+    "dimension": r"ring|generators",
+    "split": r"morphism",
+    "factorization": r"morphism|y|x0|probes|seed",
+    "equidim": r"morphism|x|probes",
+    "pure-at": r"morphism|point",
+    "splinter-probe": r"base|covers",
+    "strong-purity": r"morphism|base_class|probes\[\d+\]\.factorization\.(probes|seed)",
+    "fedder": r"ring|defining|point",
+    "tc-verdict": r"algebra|z|ideal|multiplier|bound",
+    "f-rational-probe": r"algebra|sops|bound",
+    "descent": r"morphism|y|probes|bound",
+}
+
+
+def _scalar_leaves(node, path="$"):
+    """(path, container, key) of every string, bool and null leaf."""
+    keys = sorted(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        child = node[key]
+        sub = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        if isinstance(child, (dict, list)):
+            yield from _scalar_leaves(child, sub)
+        else:
+            yield sub, node, key
+
+
+def test_every_output_edit_is_rejected_at_its_path(corpus_reports):
+    edits = 0
+    for rep in corpus_reports:
+        if rep.certificate is None:
+            continue
+        payload = json.loads(canonical_json(rep.certificate))
+        inputs = re.compile(rf"\$\.(kind|{REPLAY_INPUTS[payload['kind']]})(\.|\[|$)")
+        outputs = [leaf for leaf in _scalar_leaves(payload) if not inputs.match(leaf[0])]
+        for path, node, key in random.Random(rep.command).sample(outputs, min(5, len(outputs))):
+            value = node[key]
+            node[key] = (not value) if isinstance(value, bool) else (value or "") + "7"
+            ok, failures = verify_certificate(payload)
+            node[key] = value
+            assert not ok and f"payload-differs-at {path}" in failures, (rep.command, path)
+            edits += 1
+    assert edits >= 60
