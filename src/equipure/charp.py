@@ -31,6 +31,11 @@ from .schemes import (
 
 DEFAULT_FROBENIUS_BOUND = 3
 
+# Largest Frobenius power p^bound a tight-closure probe may reach. Each
+# level raises exponents to p^e, so the cost grows steeply with the level:
+# on the corpus's F7 cubic, bound 4 (7^4) takes seconds and bound 5 minutes.
+MAX_FROBENIUS_POWER = 7 ** 4
+
 
 class FrobeniusContext:
     def __init__(self, algebra: Algebra):
@@ -189,6 +194,11 @@ def tc_member_certificate(z: Polynomial, ideal: IdealHandle, multiplier: Polynom
     """
     if bound < 1:
         raise ValueError("Frobenius bound must be at least 1")
+    # p >= 2, so a bound past the limit's bit length is over the limit; the
+    # first test keeps p ** bound from being computed for such a bound
+    if bound > MAX_FROBENIUS_POWER.bit_length() or ctx.p ** bound > MAX_FROBENIUS_POWER:
+        raise ValueError(f"Frobenius bound {bound}: {ctx.p}^{bound} exceeds the limit "
+                         f"{MAX_FROBENIUS_POWER}")
     if multiplier.is_zero():
         raise ValueError("multiplier must be nonzero")
     alg = ctx.algebra

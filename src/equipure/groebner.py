@@ -1,8 +1,9 @@
 """Buchberger's algorithm and multivariate division.
 
-The pair queue uses the normal selection strategy (smallest lcm in the
-active order, ties broken by index), with Buchberger's two classical
-criteria: the coprime leading-term criterion and the chain criterion.
+The pair queue is a heap under the normal selection strategy (smallest
+lcm in the active order, ties broken by index), with Buchberger's two
+classical criteria: the coprime leading-term criterion and the chain
+criterion.
 Output is always the unique reduced Groebner basis, sorted by leading
 monomial, so repeated runs are byte-identical.
 """
@@ -113,10 +114,6 @@ def buchberger(generators, order, ring: PolynomialRing = None,
     ring = gens[0].ring if ring is None else ring
     basis = list(gens)
     sugars = [g.total_degree() for g in basis]
-    pending = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pending.add((i, j))
     leads = [g.leading(order)[0] for g in basis]
 
     def pair_sugar(i, j):
@@ -131,8 +128,13 @@ def buchberger(generators, order, ring: PolynomialRing = None,
             return (pair_sugar(i, j), lcm_key, i, j)
         return (lcm_key, i, j)
 
-    while pending:
-        i, j = min(pending, key=pair_sort_key)
+    # the heap orders the pairs; `pending` answers the chain criterion's
+    # membership tests
+    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    heap = [pair_sort_key(p) for p in pending]
+    heapify(heap)
+    while heap:
+        i, j = heappop(heap)[-2:]
         pending.discard((i, j))
         li, lj = leads[i], leads[j]
         if exp_coprime(li, lj):
@@ -163,6 +165,7 @@ def buchberger(generators, order, ring: PolynomialRing = None,
         new = len(basis) - 1
         for k in range(new):
             pending.add((k, new))
+            heappush(heap, pair_sort_key((k, new)))
     return reduce_basis(basis, order)
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import EquipureError
 from .groebner import buchberger, normal_form
 from .orders import GREVLEX, MonomialOrder, block_order, permuted_grevlex
 from .poly import Polynomial, PolynomialRing
 
 
-class IdealError(Exception):
+class IdealError(EquipureError):
     pass
 
 

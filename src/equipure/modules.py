@@ -12,12 +12,14 @@ everything the package needs:
 
 The product criterion is not sound for modules, so module Buchberger runs
 with no pair-skipping shortcuts. Its pending pairs sit in a heap keyed on
-the lcm of leading terms that are computed once per basis vector, and the
-normal form pops terms largest-first from a heap, as in the ideal case.
+the lcm of leading terms that are computed once per basis vector, the
+divisor list the normal form tries is kept sorted as the basis grows, and
+the normal form pops terms largest-first from a heap, as in the ideal case.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heapify, heappop, heappush
 
 from .groebner import _neg_key
@@ -116,19 +118,32 @@ def _canonical_vec_key(v):
     return tuple(f.terms for f in v)
 
 
-def module_normal_form(v, basis, order: ModuleOrder, track=False):
+def _divisor(basis, leads, i, order):
+    """Entry of basis vector i in a divisor list: divisors are tried
+    smallest leading term first, ties broken by the vector's terms, then by
+    index."""
+    return (order.key(*leads[i][0]), _canonical_vec_key(basis[i])), i, leads[i]
+
+
+def _divisors(basis, order):
+    """The sorted divisor list of every nonzero vector of `basis`."""
+    leads = {i: vec_leading(v, order) for i, v in enumerate(basis) if not vec_is_zero(v)}
+    return sorted(_divisor(basis, leads, i, order) for i in leads)
+
+
+def module_normal_form(v, basis, order: ModuleOrder, track=False, divisors=None):
     """Fully reduced normal form of vector v against module `basis`.
 
-    Terms are popped largest-first from a heap of (negated key, position,
-    exponent) entries; a popped term no longer in the working dicts was
-    cancelled and is skipped."""
+    `divisors` is the sorted divisor list of `basis` (see `_divisors`) when
+    the caller already holds it. Terms are popped largest-first from a heap
+    of (negated key, position, exponent) entries; a popped term no longer in
+    the working dicts was cancelled and is skipped."""
     if vec_is_zero(v) or not basis:
         return (v, [None] * len(basis)) if track else v
     ring = v[0].ring
     fld = ring.field
-    live = [i for i in range(len(basis)) if not vec_is_zero(basis[i])]
-    leads = {i: vec_leading(basis[i], order) for i in live}
-    live.sort(key=lambda i: (order.key(*leads[i][0]), _canonical_vec_key(basis[i])))
+    if divisors is None:
+        divisors = _divisors(basis, order)
     rank = len(v)
     work = [dict(f.terms) for f in v]
     heap = [(_neg_key(order.key(pos, exp)), pos, exp)
@@ -143,8 +158,7 @@ def module_normal_form(v, basis, order: ModuleOrder, track=False):
         if not coeff:
             continue
         hit = None
-        for i in live:
-            (lpos, lexp), lcoeff = leads[i]
+        for _, i, ((lpos, lexp), lcoeff) in divisors:
             if lpos == pos and exp_divides(lexp, exp):
                 hit = (i, lexp, lcoeff)
                 break
@@ -186,6 +200,7 @@ def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
         return []
     fld = ring.field
     leads = [vec_leading(v, order) for v in basis]
+    divisors = sorted(_divisor(basis, leads, i, order) for i in range(len(basis)))
     pairs = [_pair_key(leads, i, j, order)
              for i in range(len(basis)) for j in range(i + 1, len(basis))]
     heapify(pairs)
@@ -199,12 +214,13 @@ def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
         left = vec_term_mul(basis[i], exp_div(lcm, ei), fld.inv(ci))
         right = vec_term_mul(basis[j], exp_div(lcm, ej), fld.inv(cj))
         s = vec_sub(left, right)
-        r = module_normal_form(s, basis, order)
+        r = module_normal_form(s, basis, order, divisors=divisors)
         if vec_is_zero(r):
             continue
         basis.append(r)
         leads.append(vec_leading(r, order))
         new = len(basis) - 1
+        insort(divisors, _divisor(basis, leads, new, order))
         for k in range(new):
             heappush(pairs, _pair_key(leads, k, new, order))
     return reduce_module_basis(basis, order, ring)
@@ -239,11 +255,12 @@ def reduce_module_basis(basis, order: ModuleOrder, ring: PolynomialRing):
         if not dominated:
             keep.append(i)
     minimal = [basis[i] for i in keep]
+    divisors = _divisors(minimal, order)
     out = []
     fld = ring.field
     for i, v in enumerate(minimal):
-        others = [w for j, w in enumerate(minimal) if j != i]
-        r = module_normal_form(v, others, order) if others else v
+        others = [d for d in divisors if d[1] != i]
+        r = module_normal_form(v, minimal, order, divisors=others) if others else v
         if vec_is_zero(r):
             continue
         _, c = vec_leading(r, order)

@@ -18,14 +18,17 @@ ideal, so all outputs are byte-stable.
 
 from __future__ import annotations
 
-from .groebner import normal_form
+from heapq import heapify, heappop, heappush
+
+from .errors import EquipureError
+from .groebner import _neg_key, normal_form
 from .ideals import IdealHandle
 from .orders import GREVLEX, exp_coprime, exp_div, exp_divides, exp_lcm, exp_mul
 from .poly import Polynomial, PolynomialRing
 
 
-class ParamBudgetError(Exception):
-    pass
+class ParamBudgetError(EquipureError):
+    """A parametric reduction or Buchberger run exceeded its step budget."""
 
 
 class CoeffDomain:
@@ -163,36 +166,41 @@ def generic_oracle(domain: CoeffDomain, log: DenominatorLog):
     return is_invertible
 
 
-def param_normal_form(f: ParamPoly, basis, order, is_invertible):
-    """Fraction-free full reduction. The remainder equals (product of logged
-    leading coefficients) times the true normal form over the fraction field,
-    so zero-ness and leading monomials are faithful."""
+def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible):
+    """Fraction-free full reduction of f by `basis`, whose leading
+    (exponent, coefficient) pairs are `leads`. The remainder equals (product
+    of logged leading coefficients) times the true normal form over the
+    fraction field, so zero-ness and leading monomials are faithful.
+
+    Terms are popped largest-first from a heap of negated order keys
+    (Monagan & Pearce); an exponent is pushed when it enters the working
+    dict, and only a pop takes it out again."""
     domain = f.domain
+    zero = domain.ring.zero()
     work = dict(f.terms)
+    heap = [(_neg_key(order.key(e)), e) for e in work]
+    heapify(heap)
     remainder = {}
-    live = [g for g in basis if not g.is_zero()]
-    leads = [g.leading(order) for g in live]
     sort_idx = sorted(
-        range(len(live)), key=lambda i: (order.key(leads[i][0]), repr(leads[i][1]))
+        range(len(basis)), key=lambda i: (order.key(leads[i][0]), repr(leads[i][1]))
     )
     guard = 0
-    while work:
+    while heap:
         guard += 1
         if guard > 20000:
             raise ParamBudgetError("parametric reduction budget exceeded")
-        exp = max(work, key=order.key)
-        coeff = work.pop(exp)
-        coeff = domain.reduce(coeff)
+        exp = heappop(heap)[1]
+        coeff = domain.reduce(work.pop(exp))
         if coeff.is_zero():
             continue
         hit = None
         for i in sort_idx:
             lexp, lcoeff = leads[i]
             if exp_divides(lexp, exp) and is_invertible(lcoeff):
-                hit = (live[i], lexp, lcoeff)
+                hit = (basis[i], lexp, lcoeff)
                 break
         if hit is None:
-            remainder[exp] = remainder.get(exp, domain.ring.zero()) + coeff
+            remainder[exp] = remainder.get(exp, zero) + coeff
             continue
         g, lexp, lcoeff = hit
         mexp = exp_div(exp, lexp)
@@ -205,8 +213,11 @@ def param_normal_form(f: ParamPoly, basis, order, is_invertible):
             if e == lexp:
                 continue
             ne = exp_mul(e, mexp)
-            delta = c * coeff
-            work[ne] = work.get(ne, domain.ring.zero()) - delta
+            cur = work.get(ne)
+            if cur is None:
+                heappush(heap, (_neg_key(order.key(ne)), ne))
+                cur = zero
+            work[ne] = cur - c * coeff
     return ParamPoly.build(f.main, domain, remainder.items())
 
 
@@ -214,67 +225,73 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
     """Fraction-free Buchberger over the coefficient domain. Over the fraction
     field of the domain (or over each point of a stratum where the assumed
     coefficients stay nonzero), the output monomials are those of a Groebner
-    basis of the extended ideal."""
+    basis of the extended ideal.
+
+    Each basis element's leading term is computed once, into `leads`; the
+    pairs wait in a heap keyed on the order key of their lcm, ties broken by
+    index."""
     basis = []
+    leads = []
     for g in gens:
         g = g.renormalize(domain)
         if not g.is_zero():
             # a leading term is only a leading term where its coefficient is
             # nonzero: certify (or branch on) every basis element's lc
-            is_invertible(g.leading(order)[1])
+            lead = g.leading(order)
+            is_invertible(lead[1])
             basis.append(g)
+            leads.append(lead)
     if not basis:
         return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    pairs = [_pair_key(leads, i, j, order)
+             for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapify(pairs)
     steps = 0
     while pairs:
         steps += 1
         if steps > budget:
             raise ParamBudgetError("parametric Buchberger budget exceeded")
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                order.key(
-                    exp_lcm(basis[p[0]].leading(order)[0], basis[p[1]].leading(order)[0])
-                ),
-                p,
-            ),
-        )
-        pairs.discard((i, j))
-        ei, ci = basis[i].leading(order)
-        ej, cj = basis[j].leading(order)
+        _, i, j = heappop(pairs)
+        ei, ci = leads[i]
+        ej, cj = leads[j]
         if exp_coprime(ei, ej):
             continue
         lcm = exp_lcm(ei, ej)
         left = basis[i].term_mul(exp_div(lcm, ei), cj)
         right = basis[j].term_mul(exp_div(lcm, ej), ci)
         s = left.sub(right)
-        r = param_normal_form(s, basis, order, is_invertible)
+        r = param_normal_form(s, basis, leads, order, is_invertible)
         if r.is_zero():
             continue
-        is_invertible(r.leading(order)[1])
+        lead = r.leading(order)
+        is_invertible(lead[1])
         basis.append(r)
+        leads.append(lead)
         new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
-    return _param_minimalize(basis, order)
+        for k in range(new):
+            heappush(pairs, _pair_key(leads, k, new, order))
+    return _param_minimalize(basis, leads, order)
 
 
-def _param_minimalize(basis, order):
-    leads = [g.leading(order)[0] for g in basis]
+def _pair_key(leads, i, j, order):
+    return (order.key(exp_lcm(leads[i][0], leads[j][0])), i, j)
+
+
+def _param_minimalize(basis, leads, order):
+    lexps = [lexp for lexp, _ in leads]
     keep = []
     for i in range(len(basis)):
         dominated = False
         for j in range(len(basis)):
             if i == j:
                 continue
-            if exp_divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i):
+            if exp_divides(lexps[j], lexps[i]) and (lexps[j] != lexps[i] or j < i):
                 dominated = True
                 break
         if not dominated:
             keep.append(i)
-    out = [basis[i] for i in keep]
-    out.sort(key=lambda g: (order.key(g.leading(order)[0]), repr(g)))
-    return out
+    keep.sort(key=lambda i: (order.key(lexps[i]), repr(basis[i])))
+    return [basis[i] for i in keep]
 
 
 # -- derived queries -----------------------------------------------------------

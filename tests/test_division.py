@@ -1,5 +1,6 @@
 """Heap-ordered division, checked against the acceptance suite's textbook
-division loop (a full scan for the biggest term at every step)."""
+division loop (a full scan for the biggest term at every step), and the
+parametric engine's fraction-free division against its scanning form."""
 
 import random
 
@@ -13,7 +14,15 @@ from equipure.modules import (
     module_normal_form,
     vec_leading,
 )
-from equipure.orders import GREVLEX, LEX, block_order, exp_divides
+from equipure.ideals import IdealHandle
+from equipure.orders import GREVLEX, LEX, block_order, exp_div, exp_divides, exp_mul
+from equipure.parametric import (
+    CoeffDomain,
+    DenominatorLog,
+    ParamPoly,
+    generic_oracle,
+    param_normal_form,
+)
 from equipure.poly import PolynomialRing, parse_poly, poly_from_dict
 
 from test_acceptance import oracle_divide
@@ -106,3 +115,75 @@ def test_module_heap_division_reconstructs_under_elim_order(field):
                 for exp, _ in comp.terms:
                     assert not any(lpos == pos and exp_divides(lexp, exp)
                                    for lpos, lexp in leads)
+
+
+def scan_param_normal_form(f, basis, order, is_invertible):
+    """Fraction-free reduction as it ran before heap selection: the biggest
+    term is found by a scan of the working dict at every step, and the
+    leads are recomputed from the basis."""
+    domain = f.domain
+    work = dict(f.terms)
+    remainder = {}
+    leads = [g.leading(order) for g in basis]
+    sort_idx = sorted(
+        range(len(basis)), key=lambda i: (order.key(leads[i][0]), repr(leads[i][1]))
+    )
+    while work:
+        exp = max(work, key=order.key)
+        coeff = domain.reduce(work.pop(exp))
+        if coeff.is_zero():
+            continue
+        hit = None
+        for i in sort_idx:
+            lexp, lcoeff = leads[i]
+            if exp_divides(lexp, exp) and is_invertible(lcoeff):
+                hit = (basis[i], lexp, lcoeff)
+                break
+        if hit is None:
+            remainder[exp] = remainder.get(exp, domain.ring.zero()) + coeff
+            continue
+        g, lexp, lcoeff = hit
+        mexp = exp_div(exp, lexp)
+        for e in list(work):
+            work[e] = work[e] * lcoeff
+        for e in list(remainder):
+            remainder[e] = remainder[e] * lcoeff
+        for e, c in g.terms.items():
+            if e == lexp:
+                continue
+            ne = exp_mul(e, mexp)
+            work[ne] = work.get(ne, domain.ring.zero()) - c * coeff
+    return ParamPoly.build(f.main, domain, remainder.items())
+
+
+def random_param_poly(main, domain, rng, nterms, maxdeg):
+    raw = []
+    for _ in range(nterms):
+        exp = tuple(rng.randint(0, maxdeg) for _ in range(main.nvars))
+        coeff = random_poly(domain.ring, rng, nterms=2, maxdeg=1)
+        raw.append((exp, coeff))
+    return ParamPoly.build(main, domain, raw)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+@pytest.mark.parametrize("constraint", ["", "t^2 - s"], ids=["Q[t,s]", "Q[t,s]/q"])
+def test_param_heap_division_matches_scan(constraint, order):
+    rng = random.Random(f"param-{constraint}-{order!r}")
+    params = PolynomialRing(QQ, ["t", "s"])
+    main = PolynomialRing(QQ, ["x", "y", "z"])
+    gens = [parse_poly(params, constraint)] if constraint else []
+    domain = CoeffDomain(params, IdealHandle(params, gens))
+    for _ in range(12):
+        size = rng.randint(1, 3)
+        basis = []
+        while len(basis) < size:
+            g = random_param_poly(main, domain, rng, nterms=3, maxdeg=2)
+            if not g.is_zero():
+                basis.append(g)
+        f = random_param_poly(main, domain, rng, nterms=5, maxdeg=3)
+        heap_log, scan_log = DenominatorLog(domain), DenominatorLog(domain)
+        r = param_normal_form(f, basis, [g.leading(order) for g in basis], order,
+                              generic_oracle(domain, heap_log))
+        expected = scan_param_normal_form(f, basis, order, generic_oracle(domain, scan_log))
+        assert r.terms == expected.terms
+        assert heap_log.entries == scan_log.entries

@@ -1,6 +1,7 @@
 """Session parsing, command dispatch, canonical reports, the verifier and
 the CLI: determinism is byte-level, tampering is caught by name."""
 
+import functools
 import hashlib
 import json
 import os
@@ -8,10 +9,14 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
+from equipure import factorization
 from equipure.cli import main
+from equipure.errors import EquipureError
+from equipure.ideals import IdealError
 from equipure.reports import (
     Report,
     canonical_json,
@@ -221,6 +226,45 @@ def test_corpus_report_bytes_are_pinned(tmp_path):
     assert hashlib.md5(out.read_bytes()).hexdigest() == "fe277adfd3586e14fa1d5aa26189d569"
 
 
+def test_fibers_report_bytes_are_pinned(tmp_path):
+    # the benchmark's fibers session at seed 1 (generic-point factorizations
+    # through the parametric engine); digest recorded with the benchmark
+    out = tmp_path / "reports.json"
+    main(["run", os.path.join(DATA, "fibers.eqp"), "--seed", "1", "--json", str(out)])
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "6fda2c20306e3bef7b869d079862409f"
+
+
+TC_SESSION = """
+ring F = F7[x,y,z] / (x^3 + y^3 + z^3);
+ideal Fxy = (x, y) in F;
+tc-member (z^2) in Fxy mult (x^2) in F;
+"""
+
+
+def test_frobenius_bound_over_the_limit_exits_2(tmp_path):
+    path = tmp_path / "tc.eqp"
+    path.write_text(TC_SESSION)
+    out = tmp_path / "reports.json"
+    assert main(["run", str(path), "--frobenius-bound", "5", "--json", str(out)]) == 2
+    [rep] = json.loads(out.read_text())
+    assert rep["exit_class"] == "2"
+    assert rep["verdict"] == "error: Frobenius bound 5: 7^5 exceeds the limit 2401"
+
+
+@pytest.mark.parametrize("bound", [5, 10 ** 9])
+def test_edited_frobenius_bound_fails_verify_quickly(corpus_reports, bound):
+    [rep] = [r for r in corpus_reports if r.command.startswith("tc-member (z^2)")]
+    payload = json.loads(canonical_json(rep.certificate))
+    assert payload["bound"] == "3"
+    payload["bound"] = str(bound)
+    started = time.perf_counter()
+    ok, failures = verify_certificate(payload)
+    assert not ok
+    assert failures == [f"verification error: ValueError: Frobenius bound {bound}: "
+                        f"7^{bound} exceeds the limit 2401"]
+    assert time.perf_counter() - started < 5
+
+
 @pytest.mark.parametrize("text", ["field k = F4;", "ring R = Q[x,x];"])
 def test_parse_time_value_errors_exit_2(tmp_path, text):
     path = tmp_path / "bad.eqp"
@@ -269,6 +313,16 @@ def test_points_round_trip(corpus_reports):
     for rep in fibers:
         ok, failures = verify_certificate(rep.certificate)
         assert ok, (rep.command, failures)
+
+
+def test_exhausted_parametric_budget_is_an_error_report(monkeypatch):
+    assert issubclass(IdealError, EquipureError)
+    monkeypatch.setattr(factorization, "param_buchberger",
+                        functools.partial(factorization.param_buchberger, budget=1))
+    [rep] = [r for r in run_session(parse_session(FIBERS))
+             if r.command.startswith("factorize")]
+    assert rep.exit_class == 2
+    assert rep.verdict == "error: parametric Buchberger budget exceeded"
 
 
 # payload paths a replay decodes as the producer's inputs; every other leaf
