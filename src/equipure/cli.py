@@ -102,13 +102,20 @@ def _verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if isinstance(data, dict):
+    if not isinstance(data, list):
         data = [data]
+    bad = next((i for i, entry in enumerate(data)
+                if not isinstance(entry, dict)
+                or not isinstance(entry.get("certificate"), (dict, type(None)))), None)
+    if bad is not None:
+        print(f"cannot read report: entry {bad} is not a report or certificate object",
+              file=sys.stderr)
+        return EXIT_ERROR
     worst = EXIT_OK
     checked = 0
     for entry in data:
         cert = entry.get("certificate") if "certificate" in entry else entry
-        if cert is None or "kind" not in (cert or {}):
+        if cert is None or "kind" not in cert:
             continue
         checked += 1
         ok, failures = verify_certificate(cert)

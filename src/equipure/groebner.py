@@ -6,6 +6,13 @@ classical criteria: the coprime leading-term criterion and the chain
 criterion.
 Output is always the unique reduced Groebner basis, sorted by leading
 monomial, so repeated runs are byte-identical.
+
+Each engine's public entry point (`buchberger` here,
+`modules.module_buchberger`, `parametric.param_buchberger`) and
+`ideals.IdealHandle.contains` compute a result once per process: `_memoized`
+stores it under a key holding the full content of the inputs, and an
+identical later call gets the stored result back. Every engine is
+deterministic, so a stored result is what recomputation would return.
 """
 
 from __future__ import annotations
@@ -14,6 +21,26 @@ from heapq import heapify, heappop, heappush
 
 from .orders import exp_coprime, exp_div, exp_divides, exp_lcm, exp_mul
 from .poly import Polynomial, PolynomialRing, poly_from_dict
+
+
+# key -> result, for the life of the process; see `_memoized`
+_MEMO = {}
+
+
+def _memoized(key, compute, reuse=None):
+    """The result stored under `key`, or `compute()` stored under it.
+
+    A key holds the full content of a computation's inputs, so equal keys
+    mean equal results. `reuse(stored)`, when given, decides whether a
+    stored result may be returned; when it says no, the result is computed
+    afresh and replaces the stored one. A computation that raises stores
+    nothing. Private, so that a tracer wrapping public functions leaves it
+    unwrapped and a hit's time stays with the entry point that made it."""
+    stored = _MEMO.get(key)
+    if stored is not None and (reuse is None or reuse(stored)):
+        return stored
+    stored = _MEMO[key] = compute()
+    return stored
 
 
 def _neg_key(key):
@@ -105,13 +132,22 @@ def buchberger(generators, order, ring: PolynomialRing = None,
     active order; "sugar" orders by the classical sugar degree first. The
     output basis is identical either way (it is the reduced basis); only the
     route differs.
+
+    Computed once per process for each (generators, order, strategy); the
+    generators are keyed as Polynomials, which compare by ring and terms, so
+    `ring` adds nothing to the key and does not enter the result.
     """
     if strategy not in ("normal", "sugar"):
         raise ValueError(f"unknown selection strategy {strategy!r}")
+    gens = tuple(generators)
+    key = ("buchberger", gens, order, strategy)
+    return list(_memoized(key, lambda: tuple(_buchberger(gens, order, strategy))))
+
+
+def _buchberger(generators, order, strategy):
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
-    ring = gens[0].ring if ring is None else ring
     basis = list(gens)
     sugars = [g.total_degree() for g in basis]
     leads = [g.leading(order)[0] for g in basis]

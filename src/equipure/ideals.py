@@ -1,7 +1,8 @@
 """Ideal handles and the operations layered on Groebner bases.
 
 An IdealHandle owns a generator list and a per-order cache of reduced
-Groebner bases (write-once per order). Conventions, fixed once so nothing
+Groebner bases (write-once per order); membership answers are stored for
+the process, keyed by content. Conventions, fixed once so nothing
 downstream has to guess: the zero ideal's reduced basis is the empty list,
 the unit ideal's is [1], and the unit ideal has dimension -1.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import EquipureError
-from .groebner import buchberger, normal_form
+from .groebner import _memoized, buchberger, normal_form
 from .orders import GREVLEX, MonomialOrder, block_order, permuted_grevlex
 from .poly import Polynomial, PolynomialRing
 
@@ -85,6 +86,12 @@ class IdealHandle:
         return bool(gb) and gb[0].is_constant()
 
     def contains(self, f: Polynomial) -> bool:
+        """Ideal membership, decided once per process for each (ring,
+        generators, f): any Groebner basis gives the same answer."""
+        return _memoized(("contains", self.ring, self.generators, f),
+                         lambda: self._contains(f))
+
+    def _contains(self, f):
         if f.is_zero():
             return True
         basis, order = self.groebner_any()

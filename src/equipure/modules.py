@@ -22,13 +22,16 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heapify, heappop, heappush
 
-from .groebner import _neg_key
+from .groebner import _memoized, _neg_key
 from .orders import GREVLEX, exp_div, exp_divides, exp_lcm, exp_mul
 from .poly import PolynomialRing, poly_from_dict
 
 
 class ModuleOrder:
-    """Sort key on (position, exponent) pairs; bigger key = bigger monomial."""
+    """Sort key on (position, exponent) pairs; bigger key = bigger monomial.
+
+    The tag names the constructor and every parameter it was given, so two
+    orders are equal, and hash alike, exactly when their tags are."""
 
     def __init__(self, keyfn, tag):
         self._keyfn = keyfn
@@ -37,13 +40,19 @@ class ModuleOrder:
     def key(self, pos, exp):
         return self._keyfn(pos, exp)
 
+    def __eq__(self, other):
+        return isinstance(other, ModuleOrder) and self.tag == other.tag
+
+    def __hash__(self):
+        return hash(("ModuleOrder", self.tag))
+
     def __repr__(self):
         return f"ModuleOrder({self.tag})"
 
 
 def pot_order(mono_order=GREVLEX) -> ModuleOrder:
     """Plain position-over-term: position 0 is the biggest."""
-    return ModuleOrder(lambda pos, exp: (-pos, mono_order.key(exp)), "pot")
+    return ModuleOrder(lambda pos, exp: (-pos, mono_order.key(exp)), f"pot,{mono_order!r}")
 
 
 def graph_kernel_order(lead_positions: int, mono_order=GREVLEX) -> ModuleOrder:
@@ -53,7 +62,7 @@ def graph_kernel_order(lead_positions: int, mono_order=GREVLEX) -> ModuleOrder:
     def keyfn(pos, exp):
         return (1 if pos < lead_positions else 0, -pos, mono_order.key(exp))
 
-    return ModuleOrder(keyfn, f"graph<{lead_positions}")
+    return ModuleOrder(keyfn, f"graph<{lead_positions},{mono_order!r}")
 
 
 def graph_kernel_elim_order(lead_positions: int, front_vars, nvars) -> ModuleOrder:
@@ -70,7 +79,7 @@ def graph_kernel_elim_order(lead_positions: int, front_vars, nvars) -> ModuleOrd
         bkey = (sum(bpart), tuple(-e for e in reversed(bpart)))
         return (1 if pos < lead_positions else 0, fkey, -pos, bkey)
 
-    return ModuleOrder(keyfn, f"graph-elim<{lead_positions}")
+    return ModuleOrder(keyfn, f"graph-elim<{lead_positions},front{list(front)},nvars={nvars}")
 
 
 # -- vector helpers ------------------------------------------------------------
@@ -194,7 +203,16 @@ def module_normal_form(v, basis, order: ModuleOrder, track=False, divisors=None)
 
 def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
     """Reduced module Groebner basis. No product criterion (unsound for
-    modules). Pairs are taken smallest `_pair_key` first from a heap."""
+    modules). Pairs are taken smallest `_pair_key` first from a heap.
+
+    Computed once per process for each (vectors, order, ring); vectors are
+    tuples of Polynomials, which compare by ring and terms."""
+    vectors = tuple(tuple(v) for v in vectors)
+    key = ("module_buchberger", vectors, order, ring)
+    return list(_memoized(key, lambda: tuple(_module_buchberger(vectors, order, ring))))
+
+
+def _module_buchberger(vectors, order, ring):
     basis = [v for v in vectors if not vec_is_zero(v)]
     if not basis:
         return []

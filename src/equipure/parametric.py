@@ -18,10 +18,11 @@ ideal, so all outputs are byte-stable.
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heapify, heappop, heappush
 
 from .errors import EquipureError
-from .groebner import _neg_key, normal_form
+from .groebner import _memoized, _neg_key, normal_form
 from .ideals import IdealHandle
 from .orders import GREVLEX, exp_coprime, exp_div, exp_divides, exp_lcm, exp_mul
 from .poly import Polynomial, PolynomialRing
@@ -166,24 +167,37 @@ def generic_oracle(domain: CoeffDomain, log: DenominatorLog):
     return is_invertible
 
 
-def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible):
+def _divisor(leads, i, order):
+    """Entry of basis element i in a divisor list: divisors are tried
+    smallest leading monomial first, ties broken by the printed leading
+    coefficient, then by index."""
+    lexp, lcoeff = leads[i]
+    return (order.key(lexp), repr(lcoeff)), i, leads[i]
+
+
+def _divisors(leads, order):
+    """The sorted divisor list of a basis whose leading terms are `leads`."""
+    return sorted(_divisor(leads, i, order) for i in range(len(leads)))
+
+
+def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible, divisors=None):
     """Fraction-free full reduction of f by `basis`, whose leading
     (exponent, coefficient) pairs are `leads`. The remainder equals (product
     of logged leading coefficients) times the true normal form over the
     fraction field, so zero-ness and leading monomials are faithful.
 
-    Terms are popped largest-first from a heap of negated order keys
-    (Monagan & Pearce); an exponent is pushed when it enters the working
-    dict, and only a pop takes it out again."""
+    `divisors` is the sorted divisor list of `basis` (see `_divisors`) when
+    the caller already holds it. Terms are popped largest-first from a heap
+    of negated order keys (Monagan & Pearce); an exponent is pushed when it
+    enters the working dict, and only a pop takes it out again."""
     domain = f.domain
     zero = domain.ring.zero()
+    if divisors is None:
+        divisors = _divisors(leads, order)
     work = dict(f.terms)
     heap = [(_neg_key(order.key(e)), e) for e in work]
     heapify(heap)
     remainder = {}
-    sort_idx = sorted(
-        range(len(basis)), key=lambda i: (order.key(leads[i][0]), repr(leads[i][1]))
-    )
     guard = 0
     while heap:
         guard += 1
@@ -194,8 +208,7 @@ def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible):
         if coeff.is_zero():
             continue
         hit = None
-        for i in sort_idx:
-            lexp, lcoeff = leads[i]
+        for _, i, (lexp, lcoeff) in divisors:
             if exp_divides(lexp, exp) and is_invertible(lcoeff):
                 hit = (basis[i], lexp, lcoeff)
                 break
@@ -229,7 +242,50 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
 
     Each basis element's leading term is computed once, into `leads`; the
     pairs wait in a heap keyed on the order key of their lcm, ties broken by
-    index."""
+    index, and the divisor list is kept sorted as the basis grows.
+
+    Computed once per process for each (gens, order, domain, budget): the
+    key holds each generator's ring and terms in order, the coefficient
+    ring, the constraint generators and `budget`. The oracle has effects (a
+    `DenominatorLog` entry, or a `BranchSignal`), so the stored basis keeps
+    the distinct coefficients the oracle was asked about, with its answers,
+    in first-occurrence order. An identical later call asks its own oracle
+    the same questions in the same order. If every answer matches, it gets
+    copies of the stored basis on its own `domain`; if one differs, the
+    basis is computed afresh; if the oracle raises, the raise propagates.
+    This rests on an oracle's answer being a function of its argument, and
+    on a repeated question adding no effect (`DenominatorLog` keeps each
+    entry once); both oracles in the package meet it. The replay then has
+    exactly the effects of the oracle calls a fresh run would make."""
+    gens = list(gens)
+    key = ("param_buchberger", _content(gens), order, domain.ring,
+           domain.constraint.generators, budget)
+
+    def compute():
+        answers = {}
+
+        def recording(c):
+            answer = is_invertible(c)
+            answers.setdefault(c, answer)
+            return answer
+
+        basis = _param_buchberger(gens, order, domain, recording, budget)
+        return _content(basis), tuple(answers.items())
+
+    def reuse(stored):
+        return all(is_invertible(c) == answer for c, answer in stored[1])
+
+    basis, _ = _memoized(key, compute, reuse)
+    return [ParamPoly(main, domain, terms) for main, terms in basis]
+
+
+def _content(polys):
+    """(main ring, terms in order) of each ParamPoly: everything but the
+    domain."""
+    return tuple((g.main, tuple(g.terms.items())) for g in polys)
+
+
+def _param_buchberger(gens, order, domain, is_invertible, budget):
     basis = []
     leads = []
     for g in gens:
@@ -243,6 +299,7 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
             leads.append(lead)
     if not basis:
         return []
+    divisors = _divisors(leads, order)
     pairs = [_pair_key(leads, i, j, order)
              for i in range(len(basis)) for j in range(i + 1, len(basis))]
     heapify(pairs)
@@ -260,7 +317,7 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
         left = basis[i].term_mul(exp_div(lcm, ei), cj)
         right = basis[j].term_mul(exp_div(lcm, ej), ci)
         s = left.sub(right)
-        r = param_normal_form(s, basis, leads, order, is_invertible)
+        r = param_normal_form(s, basis, leads, order, is_invertible, divisors)
         if r.is_zero():
             continue
         lead = r.leading(order)
@@ -268,6 +325,7 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
         basis.append(r)
         leads.append(lead)
         new = len(basis) - 1
+        insort(divisors, _divisor(leads, new, order))
         for k in range(new):
             heappush(pairs, _pair_key(leads, k, new, order))
     return _param_minimalize(basis, leads, order)

@@ -613,7 +613,7 @@ def verify_certificate(payload):
     `payload-differs-at <path>`, the first differing path in sorted key
     order."""
     kind = payload.get("kind")
-    if kind not in _REPLAY:
+    if not isinstance(kind, str) or kind not in _REPLAY:
         return False, [f"unknown certificate kind {kind!r}"]
     producer, decode, identities = _REPLAY[kind]
     failures = []

@@ -234,6 +234,32 @@ def test_fibers_report_bytes_are_pinned(tmp_path):
     assert hashlib.md5(out.read_bytes()).hexdigest() == "6fda2c20306e3bef7b869d079862409f"
 
 
+@pytest.mark.parametrize("hashseed", ["0", "12345"])
+@pytest.mark.parametrize("name, digest", [
+    ("corpus.eqp", "fe277adfd3586e14fa1d5aa26189d569"),
+    ("fibers.eqp", "6fda2c20306e3bef7b869d079862409f"),
+])
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path, name, digest, hashseed):
+    # results are stored in hash-keyed dicts for the life of a process; the
+    # pinned bytes must not depend on the interpreter's string hashing
+    out = tmp_path / "reports.json"
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hashseed)
+    proc = subprocess.run([sys.executable, "-m", "equipure.cli", "run",
+                           os.path.join(DATA, name), "--seed", "1", "--json", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text", ["[1]", "[null]", '["x"]', '[{"certificate": 5}]'])
+def test_verify_of_a_non_object_entry_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "cannot read report: entry 0 is not a report or certificate object"]
+
+
 TC_SESSION = """
 ring F = F7[x,y,z] / (x^3 + y^3 + z^3);
 ideal Fxy = (x, y) in F;
