@@ -24,6 +24,11 @@ class RecursionBudgetExceeded(EquipureError):
     pass
 
 
+class RootSearchBudgetExceeded(EquipureError):
+    """Trial division for rational root candidates stopped at its cap below
+    the square root of the number, so roots could be missed."""
+
+
 class NormalizationBudgetExceeded(EquipureError):
     pass
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import EquipureError
+from .errors import EquipureError, RootSearchBudgetExceeded
 from .groebner import _memoized, buchberger, normal_form
 from .orders import GREVLEX, MonomialOrder, block_order, permuted_grevlex
 from .poly import Polynomial, PolynomialRing
@@ -270,7 +270,9 @@ def linear_roots(f: Polynomial):
 
     Returns (var_index, [roots]) or None when f is not univariate. Over a
     prime field all p values are tried; over Q, candidate rationals come from
-    divisors of the cleared leading and constant coefficients.
+    divisors of the cleared leading and constant coefficients, and
+    RootSearchBudgetExceeded is raised when one of those is too large to
+    factor within MAX_TRIAL_DIVISOR.
     """
     sup = f.support_vars()
     if len(sup) != 1:
@@ -321,10 +323,21 @@ def _gcd(a, b):
     return a
 
 
-def _divisors(n, cap=2000):
+# the largest trial divisor `_divisors` tries: the budget of the rational
+# root search in `linear_roots`
+MAX_TRIAL_DIVISOR = 2000
+
+
+def _divisors(n):
+    """The positive divisors of n, found by trial division up to sqrt(n).
+    Raises RootSearchBudgetExceeded when sqrt(n) is above MAX_TRIAL_DIVISOR."""
+    if (MAX_TRIAL_DIVISOR + 1) ** 2 <= n:
+        raise RootSearchBudgetExceeded(
+            f"budget MAX_TRIAL_DIVISOR exhausted: the divisors of {n} "
+            f"need trial division above {MAX_TRIAL_DIVISOR}")
     out = []
     d = 1
-    while d * d <= n and d <= cap:
+    while d * d <= n:
         if n % d == 0:
             out.append(d)
             if d != n // d:

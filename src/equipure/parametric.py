@@ -6,7 +6,11 @@ This is the engine behind two features:
     component V(q) lives over the fraction field of k[params]/q. Rather than
     implementing fraction-field arithmetic, reductions run fraction-free over
     the domain and every leading coefficient that would have been inverted is
-    logged as a denominator, each one certified nonzero modulo q;
+    logged as a denominator, each one certified nonzero modulo q. A leading
+    coefficient that is a field constant is not multiplied through: it joins
+    one deferred constant scale that the remainder takes once, at the end,
+    and each divisor's leading coefficient is put to the oracle once per
+    reduction;
   * quasi-finite strata: the same loop run with branching instead of
     certification. When a leading coefficient is neither zero modulo the
     branch constraints nor assumed nonzero, the computation forks on the two
@@ -186,11 +190,26 @@ def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible, divisors
     of logged leading coefficients) times the true normal form over the
     fraction field, so zero-ness and leading monomials are faithful.
 
+    The true working value and remainder are `scale` times the stored ones,
+    for one running field constant `scale`. A step by a field-constant
+    leading coefficient lc sets `scale <- scale*lc` and subtracts
+    (coeff/lc)*x^m*g from the stored work, touching only the terms of g;
+    only a non-constant lc multiplies every stored coefficient. The
+    remainder is multiplied by `scale` once, at the end. `domain.reduce` is
+    linear and a nonzero constant changes no zero test, so the pops, the
+    oracle questions and the remainder are those of rescaling at every step.
+
+    Each divisor's `is_invertible` answer is kept for the rest of the call,
+    so the oracle is asked about a divisor once, at its first use. That
+    rests on the contract stated under `param_buchberger`: an answer is a
+    function of its argument, and a repeated question has no effect.
+
     `divisors` is the sorted divisor list of `basis` (see `_divisors`) when
     the caller already holds it. Terms are popped largest-first from a heap
     of negated order keys (Monagan & Pearce); an exponent is pushed when it
     enters the working dict, and only a pop takes it out again."""
     domain = f.domain
+    field = domain.ring.field
     zero = domain.ring.zero()
     if divisors is None:
         divisors = _divisors(leads, order)
@@ -198,6 +217,8 @@ def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible, divisors
     heap = [(_neg_key(order.key(e)), e) for e in work]
     heapify(heap)
     remainder = {}
+    scale = field.one
+    answers = {}
     guard = 0
     while heap:
         guard += 1
@@ -209,19 +230,29 @@ def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible, divisors
             continue
         hit = None
         for _, i, (lexp, lcoeff) in divisors:
-            if exp_divides(lexp, exp) and is_invertible(lcoeff):
-                hit = (basis[i], lexp, lcoeff)
-                break
+            if exp_divides(lexp, exp):
+                ok = answers.get(i)
+                if ok is None:
+                    ok = answers[i] = is_invertible(lcoeff)
+                if ok:
+                    hit = (basis[i], lexp, lcoeff)
+                    break
         if hit is None:
             remainder[exp] = remainder.get(exp, zero) + coeff
             continue
         g, lexp, lcoeff = hit
         mexp = exp_div(exp, lexp)
-        # work <- lcoeff*work - coeff*x^mexp*g ; scale remainder alongside
-        for e in list(work):
-            work[e] = work[e] * lcoeff
-        for e in list(remainder):
-            remainder[e] = remainder[e] * lcoeff
+        if lcoeff.is_constant():
+            # true work <- lc*true work - coeff*x^mexp*g, kept as a scale
+            lc = lcoeff.constant_value()
+            scale = field.mul(scale, lc)
+            coeff = coeff.scale(field.inv(lc))
+        else:
+            # work <- lcoeff*work - coeff*x^mexp*g ; scale remainder alongside
+            for e in list(work):
+                work[e] = work[e] * lcoeff
+            for e in list(remainder):
+                remainder[e] = remainder[e] * lcoeff
         for e, c in g.terms.items():
             if e == lexp:
                 continue
@@ -231,7 +262,8 @@ def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible, divisors
                 heappush(heap, (_neg_key(order.key(ne)), ne))
                 cur = zero
             work[ne] = cur - c * coeff
-    return ParamPoly.build(f.main, domain, remainder.items())
+    return ParamPoly.build(f.main, domain,
+                           ((e, r.scale(scale)) for e, r in remainder.items()))
 
 
 def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=4000):

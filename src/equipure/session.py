@@ -134,10 +134,13 @@ def parse_session(text: str, options=None) -> Session:
             session.commands.append((line, stmt))
             continue
         # the constructors and the polynomial parser reject bad input (F4,
-        # Q[x,x], x^-1, a point off the variety, ...) with ValueError
+        # Q[x,x], x^-1, a point off the variety, ...) with ValueError; a
+        # generic point's component splitting can exhaust a budget
         try:
             declare(session, stmt, line)
-        except ValueError as exc:
+        except SessionError:
+            raise
+        except (EquipureError, ValueError) as exc:
             raise SessionError(str(exc), line)
     return session
 

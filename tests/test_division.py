@@ -187,3 +187,84 @@ def test_param_heap_division_matches_scan(constraint, order):
         expected = scan_param_normal_form(f, basis, order, generic_oracle(domain, scan_log))
         assert r.terms == expected.terms
         assert heap_log.entries == scan_log.entries
+
+
+def recording_oracle(oracle, questions):
+    """`oracle`, with every coefficient it is asked about appended to
+    `questions`."""
+    def ask(c):
+        questions.append(c)
+        return oracle(c)
+    return ask
+
+
+def refusing_oracle(domain):
+    """Certifies a coefficient only when its normal form is free of s: an
+    answer that depends on the argument alone, and is sometimes no."""
+    s = domain.ring.vars.index("s")
+
+    def is_invertible(c):
+        red = domain.reduce(c)
+        return not red.is_zero() and all(e[s] == 0 for e, _ in red.terms)
+
+    return is_invertible
+
+
+def with_lead_coeff(g, order, coeff):
+    """g with its leading coefficient under `order` replaced by `coeff`."""
+    terms = dict(g.terms)
+    terms[g.leading(order)[0]] = coeff
+    return ParamPoly.build(g.main, g.domain, terms.items())
+
+
+# constants a leading coefficient is set to, as (numerator, denominator);
+# each is nonzero in Q and in GF(7)
+LEAD_CONSTANTS = [(1, 1), (1, 1), (2, 1), (-3, 1), (3, 4)]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+@pytest.mark.parametrize("constraint", ["", "t^2 - s"], ids=["free", "t^2-s"])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("leads", ["constant", "mixed"])
+def test_param_deferred_scale_matches_scan(leads, field, constraint, order):
+    # Bases whose leading coefficients are field constants (1 among them),
+    # alone or mixed with non-constant ones: the deferred scale must give
+    # the remainder, the logged denominators and the distinct oracle
+    # questions, in first-occurrence order, of rescaling at every step.
+    rng = random.Random(f"scale-{leads}-{field.char}-{constraint}-{order!r}")
+    params = PolynomialRing(field, ["t", "s"])
+    main = PolynomialRing(field, ["x", "y", "z"])
+    gens = [parse_poly(params, constraint)] if constraint else []
+    domain = CoeffDomain(params, IdealHandle(params, gens))
+    lead_kinds = set()
+    for _ in range(10):
+        size = rng.randint(2, 3)
+        basis = []
+        while len(basis) < size:
+            g = random_param_poly(main, domain, rng, nterms=3, maxdeg=2)
+            if g.is_zero():
+                continue
+            if leads == "constant" or rng.random() < 0.5:
+                lead = params.const(field.of(*rng.choice(LEAD_CONSTANTS)))
+            else:
+                lead = params.var(rng.randint(0, 1)) + params.const(field.of(rng.randint(1, 3)))
+            basis.append(with_lead_coeff(g, order, lead))
+        lead_terms = [g.leading(order) for g in basis]
+        lead_kinds.update(c.is_constant() for _, c in lead_terms)
+        f = random_param_poly(main, domain, rng, nterms=6, maxdeg=3)
+        for kind in ("generic", "refusing"):
+            heap_log, scan_log = DenominatorLog(domain), DenominatorLog(domain)
+            heap_qs, scan_qs = [], []
+            if kind == "generic":
+                heap_oracle = generic_oracle(domain, heap_log)
+                scan_oracle = generic_oracle(domain, scan_log)
+            else:
+                heap_oracle = scan_oracle = refusing_oracle(domain)
+            r = param_normal_form(f, basis, lead_terms, order,
+                                  recording_oracle(heap_oracle, heap_qs))
+            expected = scan_param_normal_form(f, basis, order,
+                                              recording_oracle(scan_oracle, scan_qs))
+            assert r.terms == expected.terms
+            assert heap_log.entries == scan_log.entries
+            assert list(dict.fromkeys(heap_qs)) == list(dict.fromkeys(scan_qs))
+    assert lead_kinds == ({True} if leads == "constant" else {True, False})

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from equipure.errors import RootSearchBudgetExceeded
 from equipure.fields import GF, QQ
 from equipure.groebner import normal_form
 from equipure.ideals import (
@@ -151,6 +152,17 @@ def test_linear_roots():
     Rp = PolynomialRing(GF(5), ["x"])
     _, roots5 = linear_roots(parse_poly(Rp, "x^2 - 1"))
     assert roots5 == [1, 4]
+
+
+def test_linear_roots_refuses_a_search_cut_by_its_trial_divisor_cap():
+    # 2003*2011 has no divisor but 1 up to the cap of 2000: a search cut
+    # there finds neither root
+    R = PolynomialRing(QQ, ["x"])
+    with pytest.raises(RootSearchBudgetExceeded, match="MAX_TRIAL_DIVISOR"):
+        linear_roots(parse_poly(R, "(x - 2003)*(x - 2011)"))
+    # 1999*2003 < 2001^2: trial division up to the cap reaches its square root
+    assert linear_roots(parse_poly(R, "(x - 1999)*(x - 2003)")) == (
+        0, [QQ.of(1999), QQ.of(2003)])
 
 
 def test_radical_envelope(R2):

@@ -303,6 +303,20 @@ def test_parse_time_value_errors_exit_2(tmp_path, text):
     assert proc.stderr.startswith("parse error: line 1: ")
 
 
+def test_root_search_beyond_its_budget_exits_2(tmp_path):
+    # splitting R into its two components needs the rational roots of
+    # (x - 2003)*(x - 2011), whose constant has no divisor up to the cap
+    path = tmp_path / "roots.eqp"
+    path.write_text("field k = Q;\nring R = k[x,y] / ((x-2003)*(x-2011));\n"
+                    "point eta = generic(R);\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "equipure.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: line 3: budget MAX_TRIAL_DIVISOR exhausted")
+
+
 # a generic-point factorization (its y has a zero-ideal component) and a
 # blow-up chart checked at a probe
 FIBERS = """
