@@ -5,7 +5,9 @@ lcm in the active order, ties broken by index), with Buchberger's two
 classical criteria: the coprime leading-term criterion and the chain
 criterion.
 Output is always the unique reduced Groebner basis, sorted by leading
-monomial, so repeated runs are byte-identical.
+monomial, so repeated runs are byte-identical. Division, S-polynomials, the
+criteria and inter-reduction run on packed monomials (`orders.Packing`); the
+module engine runs the same packed loops.
 
 Each engine's public entry point (`buchberger` here,
 `modules.module_buchberger`, `parametric.param_buchberger`) and
@@ -17,10 +19,11 @@ deterministic, so a stored result is what recomputation would return.
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heapify, heappop, heappush
 
-from .orders import exp_coprime, exp_div, exp_divides, exp_lcm, exp_mul
-from .poly import Polynomial, PolynomialRing, poly_from_dict
+from .orders import PackingOverflow, _packed_run, exp_div, exp_lcm
+from .poly import Polynomial, PolynomialRing, _poly_from_packed
 
 
 # key -> result, for the life of the process; see `_memoized`
@@ -43,75 +46,94 @@ def _memoized(key, compute, reuse=None):
     return stored
 
 
-def _neg_key(key):
-    """Negate an order key entry by entry, so that heapq (a min-heap) pops
-    the biggest monomial first. All keys of one order have the same shape,
-    so the negation exactly reverses their comparison."""
-    if type(key) is int:
-        return -key
-    return tuple([-k if type(k) is int else _neg_key(k) for k in key])
-
-
 def normal_form(f: Polynomial, basis, order, track=False):
     """Remainder of f under multivariate division by `basis`.
 
     Fully reduced: no remainder term is divisible by any leading term of the
-    basis. Terms are popped largest-first from a heap of negated order keys
-    (Monagan & Pearce); a term enters the heap when its exponent enters the
-    working dict, and a popped exponent no longer in that dict was cancelled
-    and is skipped. With track=True also returns quotients q with
-    f == sum(q_i * g_i) + r exactly.
+    basis. With track=True also returns quotients q with
+    f == sum(q_i * g_i) + r exactly. The division runs on packed monomials;
+    see `_reduce`.
     """
     ring = f.ring
-    fld = ring.field
     if not basis:
         return (f, []) if track else f
-    lead = {i: g.leading(order) for i, g in enumerate(basis) if not g.is_zero()}
-    if not lead:
+    if all(g.is_zero() for g in basis):
         return (f, [ring.zero() for _ in basis]) if track else f
-    ordered = sorted(lead, key=lambda i: (order.key(lead[i][0]), basis[i].terms))
-    work = dict(f.terms)
-    heap = [(_neg_key(order.key(e)), e) for e in work]
+
+    def run(packing):
+        divisors = sorted(_divisor(g, i, packing) for i, g in enumerate(basis) if g.terms)
+        work = dict(f._packed(packing)[0])
+        quotients = [dict() for _ in basis] if track else None
+        r = _poly_from_packed(ring, packing, _reduce(work, divisors, packing, ring.field,
+                                                     quotients))
+        if track:
+            return r, [_poly_from_packed(ring, packing, q) for q in quotients]
+        return r
+
+    return _packed_run(order.packing(ring.nvars), run)
+
+
+def _divisor(g, i, packing):
+    """Entry of basis element i in a sorted divisor list: divisors are tried
+    smallest leading term first, ties broken by terms, then by index. The
+    entry carries what `_reduce` needs: K(lead) - one, the leading
+    coefficient, the other packed terms and the leading coefficient's
+    inverse."""
+    pterms, lead = g._packed(packing)
+    klead, lc = pterms[lead]
+    return (klead, g.terms, i, klead - packing.one, lc,
+            pterms[:lead] + pterms[lead + 1:], g.ring.field.inv(lc))
+
+
+def _reduce(work, divisors, packing, fld, quotients=None):
+    """Fully reduce the packed dict `work` (K -> coefficient, emptied on the
+    way) by `divisors` (see `_divisor`); the packed remainder.
+
+    Terms are popped largest-first from a heap of -K (Monagan & Pearce); a
+    term enters the heap when its K enters the working dict, and a popped K
+    no longer in that dict was cancelled and is skipped. The first divisor
+    whose leading term divides the popped one is used; the quotient's K is
+    the difference D of the divisibility test, and its terms land at
+    K + D - one. `quotients[i]`, when given, collects divisor i's
+    multipliers."""
+    one, guard, mask = packing.one, packing.guard, packing.divmask
+    zero = fld.zero
+    heap = [-k for k in work]
     heapify(heap)
     remainder = {}
-    quotients = [dict() for _ in basis] if track else None
     while heap:
-        exp = heappop(heap)[1]
-        coeff = work.pop(exp, None)
+        k = -heappop(heap)
+        coeff = work.pop(k, None)
         if not coeff:
             continue
-        hit = None
-        for i in ordered:
-            lexp, lcoeff = lead[i]
-            if exp_divides(lexp, exp):
-                hit = (i, lexp, lcoeff)
+        for entry in divisors:
+            d = k - entry[3]
+            if not d & mask:
                 break
-        if hit is None:
-            remainder[exp] = fld.add(remainder.get(exp, fld.zero), coeff)
+        else:
+            remainder[k] = fld.add(remainder.get(k, zero), coeff)
             continue
-        i, lexp, lcoeff = hit
-        mult_exp = exp_div(exp, lexp)
-        mult_coeff = fld.div(coeff, lcoeff)
-        if track:
-            q = quotients[i]
-            q[mult_exp] = fld.add(q.get(mult_exp, fld.zero), mult_coeff)
-        for e, c in basis[i].terms:
-            if e == lexp:
-                continue
-            ne = exp_mul(e, mult_exp)
-            delta = fld.mul(c, mult_coeff)
+        mc = fld.mul(coeff, entry[6])
+        if quotients is not None:
+            q = quotients[entry[2]]
+            q[d] = fld.add(q.get(d, zero), mc)
+        shift = d - one
+        for ke, c in entry[5]:
+            ne = ke + shift
+            delta = fld.mul(c, mc)
             cur = work.get(ne)
-            new = fld.sub(fld.zero if cur is None else cur, delta)
-            if new:
-                if cur is None:
-                    heappush(heap, (_neg_key(order.key(ne)), ne))
-                work[ne] = new
-            elif cur is not None:
-                del work[ne]
-    r = poly_from_dict(ring, remainder)
-    if track:
-        return r, [poly_from_dict(ring, q) for q in quotients]
-    return r
+            if cur is None:
+                if ne & guard:
+                    raise PackingOverflow("a product leaves its fields")
+                heappush(heap, -ne)
+                work[ne] = fld.sub(zero, delta)
+            else:
+                new = fld.sub(cur, delta)
+                if new:
+                    work[ne] = new
+                else:
+                    del work[ne]
+    return remainder
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
@@ -148,39 +170,59 @@ def _buchberger(generators, order, strategy):
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
-    basis = list(gens)
-    sugars = [g.total_degree() for g in basis]
-    leads = [g.leading(order)[0] for g in basis]
+    return _packed_run(order.packing(gens[0].ring.nvars),
+                       lambda packing: _packed_buchberger(gens, order, packing, strategy))
 
-    def pair_sugar(i, j):
-        lcm = exp_lcm(leads[i], leads[j])
-        return max(sugars[i] + sum(lcm) - sum(leads[i]),
-                   sugars[j] + sum(lcm) - sum(leads[j]))
 
-    def pair_sort_key(pair):
-        i, j = pair
-        lcm_key = order.key(exp_lcm(leads[i], leads[j]))
+def _packed_buchberger(gens, order, packing, strategy):
+    ring = gens[0].ring
+    fld = ring.field
+    guard = packing.guard
+    basis = []
+    sugars = []
+    leads = []      # leading exponent vectors
+    supports = []   # bit v set when variable v divides the lead
+    entries = []    # the divisor entry of each basis element, see `_divisor`
+    divisors = []   # the same entries, sorted
+
+    def add(g, sugar):
+        lexp = g.terms[g._packed(packing)[1]][0]
+        entry = _divisor(g, len(basis), packing)
+        basis.append(g)
+        sugars.append(sugar)
+        leads.append(lexp)
+        supports.append(sum(1 << v for v, e in enumerate(lexp) if e))
+        entries.append(entry)
+        insort(divisors, entry)
+
+    def pair(i, j):
+        lcm = tuple(map(max, leads[i], leads[j]))
+        klcm = packing.encode(lcm)
+        deg = sum(lcm)
+        sugar = max(sugars[i] + deg - sum(leads[i]), sugars[j] + deg - sum(leads[j]))
         if strategy == "sugar":
-            return (pair_sugar(i, j), lcm_key, i, j)
-        return (lcm_key, i, j)
+            return (sugar, klcm, i, j)
+        return (klcm, i, j, sugar)
 
+    for g in gens:
+        add(g, g.total_degree())
     # the heap orders the pairs; `pending` answers the chain criterion's
     # membership tests
     pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    heap = [pair_sort_key(p) for p in pending]
+    heap = [pair(i, j) for i, j in pending]
     heapify(heap)
     while heap:
-        i, j = heappop(heap)[-2:]
+        item = heappop(heap)
+        if strategy == "sugar":
+            s_sugar, klcm, i, j = item
+        else:
+            klcm, i, j, s_sugar = item
         pending.discard((i, j))
-        li, lj = leads[i], leads[j]
-        if exp_coprime(li, lj):
+        if not supports[i] & supports[j]:
             continue
-        lcm_ij = exp_lcm(li, lj)
         chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if not exp_divides(leads[k], lcm_ij):
+        for k, entry in enumerate(entries):
+            if k == i or k == j or (klcm - entry[3]) & guard:
                 continue
             if (min(i, k), max(i, k)) in pending:
                 continue
@@ -190,19 +232,72 @@ def _buchberger(generators, order, strategy):
             break
         if chain:
             continue
-        s_sugar = pair_sugar(i, j)
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
-        if r.is_zero():
+        work = _s_work(entries[i], entries[j], klcm, packing, fld)
+        rem = _reduce(work, divisors, packing, fld)
+        if not rem:
             continue
-        basis.append(r)
-        leads.append(r.leading(order)[0])
-        sugars.append(max(s_sugar, r.total_degree()))
+        r = _poly_from_packed(ring, packing, rem)
+        add(r, max(s_sugar, r.total_degree()))
         new = len(basis) - 1
         for k in range(new):
             pending.add((k, new))
-            heappush(heap, pair_sort_key((k, new)))
-    return reduce_basis(basis, order)
+            heappush(heap, pair(k, new))
+    return _reduce_basis(basis, packing, order)
+
+
+def _s_work(fentry, gentry, klcm, packing, fld):
+    """The packed S-polynomial of two divisor entries (see `_divisor`) with
+    lcm K `klcm`, as a working dict: the other terms of f moved up to the
+    lcm over f's leading coefficient, minus those of g over g's. The
+    leading terms cancel and are left out."""
+    guard = packing.guard
+    work = {}
+    shift = klcm - fentry[3] - packing.one
+    inv = fentry[6]
+    for k, c in fentry[5]:
+        ne = k + shift
+        if ne & guard:
+            raise PackingOverflow("a product leaves its fields")
+        work[ne] = fld.mul(c, inv)
+    zero = fld.zero
+    shift = klcm - gentry[3] - packing.one
+    inv = gentry[6]
+    for k, c in gentry[5]:
+        ne = k + shift
+        if ne & guard:
+            raise PackingOverflow("a product leaves its fields")
+        new = fld.sub(work.get(ne, zero), fld.mul(c, inv))
+        if new:
+            work[ne] = new
+        else:
+            work.pop(ne, None)
+    return work
+
+
+def _inter_reduce(entries, packing, fld):
+    """The packed terms of the reduced basis of divisor entries:
+    entries whose leading term another one divides are dropped (the later
+    one of two equal leads), each survivor is reduced by the others and
+    made monic."""
+    mask = packing.divmask
+    keep = sorted(
+        e for e in entries
+        if not any(d is not e and not (e[0] - d[3]) & mask
+                   and (d[0] != e[0] or d[2] < e[2]) for d in entries))
+    out = []
+    for entry in keep:
+        work = dict(entry[5])
+        work[entry[0]] = entry[4]
+        others = [d for d in keep if d is not entry]
+        rem = _reduce(work, others, packing, fld) if others else work
+        if not rem:
+            continue
+        lc = rem[max(rem)]
+        if lc != fld.one:
+            inv = fld.inv(lc)
+            rem = {k: fld.mul(c, inv) for k, c in rem.items()}
+        out.append(rem)
+    return out
 
 
 def reduce_basis(basis, order):
@@ -210,31 +305,19 @@ def reduce_basis(basis, order):
     basis = [g for g in basis if not g.is_zero()]
     if not basis:
         return []
+    return _packed_run(order.packing(basis[0].ring.nvars),
+                       lambda packing: _reduce_basis(basis, packing, order))
+
+
+def _reduce_basis(basis, packing, order):
     # A nonzero constant makes it the unit ideal.
     for g in basis:
         if g.is_constant():
             return [g.ring.one()]
-    leads = [g.leading(order)[0] for g in basis]
-    keep = []
-    for i in range(len(basis)):
-        dominated = False
-        for j in range(len(basis)):
-            if i == j:
-                continue
-            if exp_divides(leads[j], leads[i]) and (
-                leads[j] != leads[i] or j < i
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = [h for j, h in enumerate(minimal) if j != i]
-        r = normal_form(g, others, order) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic(order))
+    ring = basis[0].ring
+    reduced = [_poly_from_packed(ring, packing, rem) for rem in _inter_reduce(
+        [_divisor(g, i, packing) for i, g in enumerate(basis)], packing, ring.field)]
+    # the output order is stated by the order's key, at the boundary
     reduced.sort(key=lambda g: (order.key(g.leading(order)[0]), g.terms))
     return reduced
 

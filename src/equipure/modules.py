@@ -10,11 +10,15 @@ everything the package needs:
     positions (coefficient restriction to a subring, i.e. module
     elimination).
 
-The product criterion is not sound for modules, so module Buchberger runs
-with no pair-skipping shortcuts. Its pending pairs sit in a heap keyed on
-the lcm of leading terms that are computed once per basis vector, the
-divisor list the normal form tries is kept sorted as the basis grows, and
-the normal form pops terms largest-first from a heap, as in the ideal case.
+Each ModuleOrder also packs a module monomial into one int K, its position
+as one more field (see `orders.Packing`), so module division and module
+Buchberger run the ideal engine's packed loops (`groebner._reduce`,
+`groebner._s_work`, `groebner._inter_reduce`) on the terms of all positions
+at once. The product criterion is not sound for modules, so module
+Buchberger runs with no pair-skipping shortcuts. Its pending pairs sit in a
+heap keyed on the K of the lcm of leading terms that are computed once per
+basis vector, and the divisor list the normal form tries is kept sorted as
+the basis grows.
 """
 
 from __future__ import annotations
@@ -22,23 +26,35 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heapify, heappop, heappush
 
-from .groebner import _memoized, _neg_key
-from .orders import GREVLEX, exp_div, exp_divides, exp_lcm, exp_mul
-from .poly import PolynomialRing, poly_from_dict
+from .groebner import _inter_reduce, _memoized, _reduce, _s_work
+from .orders import GREVLEX, PACKING_BITS, _grevlex_fields, _packed_run, _packing
+from .poly import PolynomialRing, _poly_from_packed
 
 
 class ModuleOrder:
     """Sort key on (position, exponent) pairs; bigger key = bigger monomial.
 
     The tag names the constructor and every parameter it was given, so two
-    orders are equal, and hash alike, exactly when their tags are."""
+    orders are equal, and hash alike, exactly when their tags are. `fields`
+    gives the packed fields of the key on a number of variables, position
+    fields included (see `orders.Packing`)."""
 
-    def __init__(self, keyfn, tag):
+    def __init__(self, keyfn, tag, fields):
         self._keyfn = keyfn
         self.tag = tag
+        self._fields = fields
+        self._packings = {}
 
     def key(self, pos, exp):
         return self._keyfn(pos, exp)
+
+    def packing(self, nvars):
+        """The first-width `Packing` of this order on `nvars` variables."""
+        p = self._packings.get(nvars)
+        if p is None:
+            p = self._packings[nvars] = _packing(self._fields(nvars), nvars,
+                                                 PACKING_BITS)
+        return p
 
     def __eq__(self, other):
         return isinstance(other, ModuleOrder) and self.tag == other.tag
@@ -52,7 +68,8 @@ class ModuleOrder:
 
 def pot_order(mono_order=GREVLEX) -> ModuleOrder:
     """Plain position-over-term: position 0 is the biggest."""
-    return ModuleOrder(lambda pos, exp: (-pos, mono_order.key(exp)), f"pot,{mono_order!r}")
+    return ModuleOrder(lambda pos, exp: (-pos, mono_order.key(exp)), f"pot,{mono_order!r}",
+                       lambda n: (("pos",),) + mono_order.fields(n))
 
 
 def graph_kernel_order(lead_positions: int, mono_order=GREVLEX) -> ModuleOrder:
@@ -62,7 +79,8 @@ def graph_kernel_order(lead_positions: int, mono_order=GREVLEX) -> ModuleOrder:
     def keyfn(pos, exp):
         return (1 if pos < lead_positions else 0, -pos, mono_order.key(exp))
 
-    return ModuleOrder(keyfn, f"graph<{lead_positions},{mono_order!r}")
+    return ModuleOrder(keyfn, f"graph<{lead_positions},{mono_order!r}",
+                       lambda n: (("lead", lead_positions), ("pos",)) + mono_order.fields(n))
 
 
 def graph_kernel_elim_order(lead_positions: int, front_vars, nvars) -> ModuleOrder:
@@ -79,7 +97,14 @@ def graph_kernel_elim_order(lead_positions: int, front_vars, nvars) -> ModuleOrd
         bkey = (sum(bpart), tuple(-e for e in reversed(bpart)))
         return (1 if pos < lead_positions else 0, fkey, -pos, bkey)
 
-    return ModuleOrder(keyfn, f"graph-elim<{lead_positions},front{list(front)},nvars={nvars}")
+    def fields(n):
+        if n != nvars:
+            raise ValueError(f"order built for {nvars} variables, not {n}")
+        return ((("lead", lead_positions),) + _grevlex_fields(front) + (("pos",),)
+                + _grevlex_fields(back))
+
+    return ModuleOrder(keyfn, f"graph-elim<{lead_positions},front{list(front)},nvars={nvars}",
+                       fields)
 
 
 # -- vector helpers ------------------------------------------------------------
@@ -112,93 +137,82 @@ def vec_scale(v, c):
 
 def vec_leading(v, order: ModuleOrder):
     """((pos, exp), coeff) of the leading module term."""
+    if vec_is_zero(v):
+        raise ValueError("leading term of zero vector")
+    _, pos, idx = _packed_run(order.packing(v[0].ring.nvars),
+                              lambda packing: _vec_lead(v, packing))
+    exp, c = v[pos].terms[idx]
+    return (pos, exp), c
+
+
+def _vec_lead(v, packing):
+    """(K, position, index in that position's terms) of the leading term of
+    a nonzero vector."""
     best = None
     for pos, f in enumerate(v):
-        for exp, c in f.terms:
-            k = order.key(pos, exp)
+        if f.terms:
+            pterms, lead = f._packed(packing)
+            k = packing.at(pos) + pterms[lead][0]
             if best is None or k > best[0]:
-                best = (k, pos, exp, c)
-    if best is None:
-        raise ValueError("leading term of zero vector")
-    return (best[1], best[2]), best[3]
+                best = (k, pos, lead)
+    return best
 
 
 def _canonical_vec_key(v):
     return tuple(f.terms for f in v)
 
 
-def _divisor(basis, leads, i, order):
-    """Entry of basis vector i in a divisor list: divisors are tried
-    smallest leading term first, ties broken by the vector's terms, then by
-    index."""
-    return (order.key(*leads[i][0]), _canonical_vec_key(basis[i])), i, leads[i]
+def _divisor(v, i, packing):
+    """Entry of basis vector i in a sorted divisor list, shaped as
+    `groebner._divisor`: divisors are tried smallest leading term first,
+    ties broken by the vector's terms, then by index."""
+    klead, pos, idx = _vec_lead(v, packing)
+    lc = v[pos].terms[idx][1]
+    tail = _vec_work(v, packing)
+    del tail[klead]
+    return (klead, _canonical_vec_key(v), i, klead - packing.one, lc, tuple(tail.items()),
+            v[pos].ring.field.inv(lc))
 
 
-def _divisors(basis, order):
-    """The sorted divisor list of every nonzero vector of `basis`."""
-    leads = {i: vec_leading(v, order) for i, v in enumerate(basis) if not vec_is_zero(v)}
-    return sorted(_divisor(basis, leads, i, order) for i in leads)
+def _vec_from_packed(ring, packing, d, rank):
+    """The vector of a dict of module K -> coefficient."""
+    parts = [{} for _ in range(rank)]
+    for k, c in d.items():
+        pos = packing.position(k)
+        parts[pos][k - packing.at(pos)] = c
+    return tuple(_poly_from_packed(ring, packing, part) for part in parts)
 
 
-def module_normal_form(v, basis, order: ModuleOrder, track=False, divisors=None):
-    """Fully reduced normal form of vector v against module `basis`.
-
-    `divisors` is the sorted divisor list of `basis` (see `_divisors`) when
-    the caller already holds it. Terms are popped largest-first from a heap
-    of (negated key, position, exponent) entries; a popped term no longer in
-    the working dicts was cancelled and is skipped."""
+def module_normal_form(v, basis, order: ModuleOrder, track=False):
+    """Fully reduced normal form of vector v against module `basis`, by the
+    packed division of `groebner._reduce`: a module term's K carries its
+    position, and a divisor's leading term divides a term only in the same
+    position."""
     if vec_is_zero(v) or not basis:
         return (v, [None] * len(basis)) if track else v
     ring = v[0].ring
-    fld = ring.field
-    if divisors is None:
-        divisors = _divisors(basis, order)
-    rank = len(v)
-    work = [dict(f.terms) for f in v]
-    heap = [(_neg_key(order.key(pos, exp)), pos, exp)
-            for pos in range(rank) for exp in work[pos]]
-    heapify(heap)
-    remainder = [dict() for _ in range(rank)]
-    quotients = [dict() for _ in basis] if track else None
 
-    while heap:
-        _, pos, exp = heappop(heap)
-        coeff = work[pos].pop(exp, None)
-        if not coeff:
-            continue
-        hit = None
-        for _, i, ((lpos, lexp), lcoeff) in divisors:
-            if lpos == pos and exp_divides(lexp, exp):
-                hit = (i, lexp, lcoeff)
-                break
-        if hit is None:
-            remainder[pos][exp] = fld.add(remainder[pos].get(exp, fld.zero), coeff)
-            continue
-        i, lexp, lcoeff = hit
-        mexp = exp_div(exp, lexp)
-        mcoeff = fld.div(coeff, lcoeff)
+    def run(packing):
+        divisors = sorted(_divisor(g, i, packing)
+                          for i, g in enumerate(basis) if not vec_is_zero(g))
+        quotients = [dict() for _ in basis] if track else None
+        r = _vec_from_packed(ring, packing, _reduce(_vec_work(v, packing), divisors, packing,
+                                                    ring.field, quotients), len(v))
         if track:
-            q = quotients[i]
-            q[mexp] = fld.add(q.get(mexp, fld.zero), mcoeff)
-        for bpos, bpoly in enumerate(basis[i]):
-            bwork = work[bpos]
-            for e, c in bpoly.terms:
-                if bpos == pos and e == lexp:
-                    continue
-                ne = exp_mul(e, mexp)
-                delta = fld.mul(c, mcoeff)
-                cur = bwork.get(ne)
-                new = fld.sub(fld.zero if cur is None else cur, delta)
-                if new:
-                    if cur is None:
-                        heappush(heap, (_neg_key(order.key(bpos, ne)), bpos, ne))
-                    bwork[ne] = new
-                elif cur is not None:
-                    del bwork[ne]
-    r = tuple(poly_from_dict(ring, d) for d in remainder)
-    if track:
-        return r, [poly_from_dict(ring, q) for q in quotients]
-    return r
+            return r, [_poly_from_packed(ring, packing, q) for q in quotients]
+        return r
+
+    return _packed_run(order.packing(ring.nvars), run)
+
+
+def _vec_work(v, packing):
+    """The packed terms of a vector, as a working dict."""
+    work = {}
+    for pos, f in enumerate(v):
+        at = packing.at(pos)
+        for k, c in f._packed(packing)[0]:
+            work[at + k] = c
+    return work
 
 
 def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
@@ -216,73 +230,62 @@ def _module_buchberger(vectors, order, ring):
     basis = [v for v in vectors if not vec_is_zero(v)]
     if not basis:
         return []
+    return _packed_run(order.packing(ring.nvars),
+                       lambda packing: _packed_module_buchberger(basis, order, packing, ring))
+
+
+def _packed_module_buchberger(basis, order, packing, ring):
+    basis = list(basis)
     fld = ring.field
-    leads = [vec_leading(v, order) for v in basis]
-    divisors = sorted(_divisor(basis, leads, i, order) for i in range(len(basis)))
-    pairs = [_pair_key(leads, i, j, order)
+    rank = len(basis[0])
+    entries = [_divisor(v, i, packing) for i, v in enumerate(basis)]
+    divisors = sorted(entries)
+    pairs = [_pair_key(entries, i, j, packing)
              for i in range(len(basis)) for j in range(i + 1, len(basis))]
     heapify(pairs)
     while pairs:
-        i, j = heappop(pairs)[-2:]
-        (pi, ei), ci = leads[i]
-        (pj, ej), cj = leads[j]
-        if pi != pj:
+        key = heappop(pairs)
+        if key[0]:
             continue
-        lcm = exp_lcm(ei, ej)
-        left = vec_term_mul(basis[i], exp_div(lcm, ei), fld.inv(ci))
-        right = vec_term_mul(basis[j], exp_div(lcm, ej), fld.inv(cj))
-        s = vec_sub(left, right)
-        r = module_normal_form(s, basis, order, divisors=divisors)
-        if vec_is_zero(r):
+        _, klcm, i, j = key
+        work = _s_work(entries[i], entries[j], klcm, packing, fld)
+        rem = _reduce(work, divisors, packing, fld)
+        if not rem:
             continue
+        r = _vec_from_packed(ring, packing, rem, rank)
+        new = len(basis)
         basis.append(r)
-        leads.append(vec_leading(r, order))
-        new = len(basis) - 1
-        insort(divisors, _divisor(basis, leads, new, order))
+        entries.append(_divisor(r, new, packing))
+        insort(divisors, entries[new])
         for k in range(new):
-            heappush(pairs, _pair_key(leads, k, new, order))
-    return reduce_module_basis(basis, order, ring)
+            heappush(pairs, _pair_key(entries, k, new, packing))
+    return _reduce_module_basis(basis, packing, order, ring)
 
 
-def _pair_key(leads, i, j, order):
+def _pair_key(entries, i, j, packing):
     """Pairs in different positions have no S-vector and sort last; the rest
-    sort by the key of their lcm, ties broken by index."""
-    (pi, ei), _ = leads[i]
-    (pj, ej), _ = leads[j]
-    if pi != pj:
+    sort by the K of their lcm, ties broken by index."""
+    ki, kj = entries[i][0], entries[j][0]
+    pos = packing.position(ki)
+    if packing.position(kj) != pos:
         return (1, i, j)
-    return (0, order.key(pi, exp_lcm(ei, ej)), i, j)
+    lcm = tuple(map(max, packing.decode(ki), packing.decode(kj)))
+    return (0, packing.at(pos) + packing.encode(lcm), i, j)
 
 
 def reduce_module_basis(basis, order: ModuleOrder, ring: PolynomialRing):
     basis = [v for v in basis if not vec_is_zero(v)]
     if not basis:
         return []
-    leads = [vec_leading(v, order) for v in basis]
-    keep = []
-    for i in range(len(basis)):
-        (pi, ei), _ = leads[i]
-        dominated = False
-        for j in range(len(basis)):
-            if i == j:
-                continue
-            (pj, ej), _ = leads[j]
-            if pj == pi and exp_divides(ej, ei) and (ej != ei or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    divisors = _divisors(minimal, order)
-    out = []
-    fld = ring.field
-    for i, v in enumerate(minimal):
-        others = [d for d in divisors if d[1] != i]
-        r = module_normal_form(v, minimal, order, divisors=others) if others else v
-        if vec_is_zero(r):
-            continue
-        _, c = vec_leading(r, order)
-        out.append(vec_scale(r, fld.inv(c)))
+    return _packed_run(order.packing(ring.nvars),
+                       lambda packing: _reduce_module_basis(basis, packing, order, ring))
+
+
+def _reduce_module_basis(basis, packing, order, ring):
+    rank = len(basis[0])
+    out = [_vec_from_packed(ring, packing, rem, rank) for rem in _inter_reduce(
+        [_divisor(v, i, packing) for i, v in enumerate(basis)], packing, ring.field)]
+    # the output order is stated by the order's key, at the boundary
     out.sort(key=lambda v: (order.key(*vec_leading(v, order)[0]), _canonical_vec_key(v)))
     return out
 

@@ -1,4 +1,4 @@
-"""Monomial orders on exponent vectors.
+"""Monomial orders on exponent vectors, and their packed monomials.
 
 Orders expose a sort key: `key(exp)` returns a tuple that compares the way
 the monomials do (bigger key == bigger monomial). Supported kinds:
@@ -14,9 +14,33 @@ the monomials do (bigger key == bigger monomial). Supported kinds:
 
 Variable priority is fixed by index at ring creation, which keeps every
 computed basis byte-reproducible.
+
+Packed monomials (Bachmann & Schoenemann, ISSAC 1998; Monagan & Pearce,
+J. Symb. Comp. 46, 2011). `order.packing(nvars)` is a `Packing`: it writes
+an exponent vector as one int K whose fields, most significant first, are
+the entries of the order key. A degree field holds the sum of a block of
+exponents, a lex entry holds an exponent, and a grevlex entry -e holds the
+complement top - e; a module order adds position fields. Every field is
+`bits` wide and its top bit is a guard that is 0 in every valid K, so K
+compares exactly as `key` does, and
+
+  * the product of a and b is K(a) + K(b) - one, with one = K(1);
+  * D = K(b) - K(a) + one has D & divmask == 0 exactly when a divides b
+    (and, for modules, sits in the same position), and then D = K(b / a).
+
+A field that would overflow sets a guard bit in the first key it spoils
+(or is refused by `encode`); the loops raise `PackingOverflow` there and
+`_packed_run` runs them again on a packing twice as wide. The division and
+Buchberger loops work on K only. Exponent tuples stay at the boundary:
+`Polynomial.terms`, the parser, printing and canonical JSON.
 """
 
 from __future__ import annotations
+
+from operator import mul
+
+# field width of a first packing; a run that overflows it doubles the width
+PACKING_BITS = 16
 
 
 def _grevlex_key(exp):
@@ -24,7 +48,7 @@ def _grevlex_key(exp):
 
 
 class MonomialOrder:
-    __slots__ = ("kind", "front", "perm")
+    __slots__ = ("kind", "front", "perm", "_packings")
 
     def __init__(self, kind: str = "grevlex", front=(), perm=None):
         if kind not in ("lex", "grevlex", "block", "grevlex-perm"):
@@ -36,6 +60,7 @@ class MonomialOrder:
             raise ValueError("block order needs a nonempty front set")
         if kind == "grevlex-perm" and self.perm is None:
             raise ValueError("grevlex-perm needs a permutation")
+        self._packings = {}
 
     def key(self, exp):
         if self.kind == "lex":
@@ -48,6 +73,25 @@ class MonomialOrder:
         fpart = tuple(exp[i] for i in front)
         bpart = tuple(e for i, e in enumerate(exp) if i not in front)
         return (_grevlex_key(fpart), _grevlex_key(bpart))
+
+    def fields(self, nvars):
+        """The packed fields of `key` on `nvars` variables; see `Packing`."""
+        if self.kind == "lex":
+            return tuple(("exp", i) for i in range(nvars))
+        if self.kind == "grevlex":
+            return _grevlex_fields(range(nvars))
+        if self.kind == "grevlex-perm":
+            return _grevlex_fields(self.perm)
+        back = [i for i in range(nvars) if i not in self.front]
+        return _grevlex_fields(self.front) + _grevlex_fields(back)
+
+    def packing(self, nvars):
+        """The first-width `Packing` of this order on `nvars` variables."""
+        p = self._packings.get(nvars)
+        if p is None:
+            p = self._packings[nvars] = _packing(self.fields(nvars), nvars,
+                                                 PACKING_BITS)
+        return p
 
     def __eq__(self, other):
         return (
@@ -66,6 +110,137 @@ class MonomialOrder:
         if self.kind == "grevlex-perm":
             return f"grevlex-perm{list(self.perm)}"
         return self.kind
+
+
+def _grevlex_fields(idx):
+    """Fields of a grevlex key on the variables `idx`: their degree, then
+    each exponent complemented, last variable first."""
+    idx = tuple(idx)
+    return (("deg", idx),) + tuple(("cexp", i) for i in reversed(idx))
+
+
+class PackingOverflow(ArithmeticError):
+    """A monomial does not fit the fields of a packing."""
+
+
+class Packing:
+    """One int per monomial for one order; see the module docstring.
+
+    `fields` lists the fields most significant first: ("deg", indices),
+    ("exp", i), ("cexp", i) (the complement top - e_i), and for module
+    orders ("pos",) (the complement top - position) and ("lead", L) (1 when
+    the position is below L). Each variable has exactly one exp or cexp
+    field. Built once per (fields, bits) by `_packing`."""
+
+    __slots__ = ("fields", "nvars", "bits", "top", "one", "guard", "divmask",
+                 "steps", "shifts", "_places", "_posshift", "_at", "_wider")
+
+    def __init__(self, fields, nvars, bits):
+        self.fields = fields
+        self.nvars = nvars
+        self.bits = bits
+        top = self.top = (1 << (bits - 1)) - 1
+        steps = [0] * nvars
+        shifts = [None] * nvars
+        one = guard = posmask = 0
+        places = []
+        for j, (kind, *arg) in enumerate(fields):
+            off = (len(fields) - 1 - j) * bits
+            guard |= 1 << (off + bits - 1)
+            if kind == "deg":
+                for i in arg[0]:
+                    steps[i] += 1 << off
+            elif kind in ("exp", "cexp"):
+                i = arg[0]
+                if shifts[i] is not None:
+                    raise ValueError(f"variable {i} packed twice")
+                shifts[i] = off
+                if kind == "exp":
+                    steps[i] += 1 << off
+                else:
+                    steps[i] -= 1 << off
+                    one += top << off
+            else:
+                posmask |= ((1 << bits) - 1) << off
+                places.append((kind, arg, off))
+        if None in shifts:
+            raise ValueError("every variable needs an exponent field")
+        self.one = one
+        self.guard = guard
+        self.divmask = guard | posmask
+        self.steps = tuple(steps)
+        self.shifts = tuple(shifts)
+        self._places = tuple(places)
+        self._posshift = next((off for kind, _, off in places if kind == "pos"), None)
+        self._at = {}
+        self._wider = None
+
+    def encode(self, exp):
+        """K of an exponent vector; PackingOverflow when a field would not
+        hold it. No field exceeds the total degree, so a vector of total
+        degree up to `top` always fits."""
+        if sum(exp) > self.top and not self._fits(exp):
+            raise PackingOverflow(f"{exp} needs fields wider than {self.bits} bits")
+        return self.one + sum(map(mul, exp, self.steps))
+
+    def _fits(self, exp):
+        top = self.top
+        return all(sum(exp[i] for i in arg[0]) <= top if kind == "deg"
+                   else kind not in ("exp", "cexp") or exp[arg[0]] <= top
+                   for kind, *arg in self.fields)
+
+    def decode(self, k):
+        """The exponent vector of K (positions are ignored)."""
+        x = k ^ self.one
+        top = self.top
+        return tuple([(x >> s) & top for s in self.shifts])
+
+    def at(self, pos):
+        """The position fields of `pos`: K(pos, e) = at(pos) + encode(e)."""
+        k = self._at.get(pos)
+        if k is None:
+            if pos > self.top:
+                raise PackingOverflow(f"position {pos} needs wider fields")
+            k = 0
+            for kind, arg, off in self._places:
+                k += (self.top - pos if kind == "pos" else int(pos < arg[0])) << off
+            self._at[pos] = k
+        return k
+
+    def position(self, k):
+        """The position of a module K."""
+        return self.top - ((k >> self._posshift) & self.top)
+
+    def wider(self):
+        """The packing with the same fields, twice as wide."""
+        if self._wider is None:
+            self._wider = _packing(self.fields, self.nvars, 2 * self.bits)
+        return self._wider
+
+
+# (fields, nvars, bits) -> Packing, so that equal orders share packings and
+# the per-polynomial caches keyed on them
+_PACKINGS = {}
+
+
+def _packing(fields, nvars, bits):
+    key = (fields, nvars, bits)
+    p = _PACKINGS.get(key)
+    if p is None:
+        p = _PACKINGS[key] = Packing(fields, nvars, bits)
+    return p
+
+
+def _packed_run(packing, run):
+    """run(packing), run again on a packing twice as wide for as long as it
+    raises PackingOverflow. A run is deterministic and depends on the
+    packing only through this exception, so the wider run redoes the same
+    steps and gets past the overflow."""
+    while True:
+        try:
+            return run(packing)
+        except PackingOverflow:
+            packing = packing.wider()
 
 
 LEX = MonomialOrder("lex")

@@ -17,7 +17,9 @@ This is the engine behind two features:
     cases, Suzuki--Sato style.
 
 Coefficients are stored as canonical normal forms modulo the constraint
-ideal, so all outputs are byte-stable.
+ideal, so all outputs are byte-stable. The loops run on packed monomials
+(see `orders.Packing`); a `ParamPoly`'s terms stay keyed by exponent tuples,
+because callers mutate its `terms` dict.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from bisect import insort
 from heapq import heapify, heappop, heappush
 
 from .errors import EquipureError
-from .groebner import _memoized, _neg_key, normal_form
+from .groebner import _memoized, normal_form
 from .ideals import IdealHandle
-from .orders import GREVLEX, exp_coprime, exp_div, exp_divides, exp_lcm, exp_mul
+from .orders import GREVLEX, PackingOverflow, _packed_run
 from .poly import Polynomial, PolynomialRing
 
 
@@ -90,7 +92,8 @@ class ParamPoly:
         return ParamPoly.build(self.main, domain, self.terms.items())
 
     def leading(self, order):
-        exp = max(self.terms, key=order.key)
+        exp = _packed_run(order.packing(self.main.nvars),
+                          lambda packing: max(self.terms, key=packing.encode))
         return exp, self.terms[exp]
 
     def sub(self, other):
@@ -99,15 +102,9 @@ class ParamPoly:
             acc[e] = acc[e] - c if e in acc else -c
         return ParamPoly.build(self.main, self.domain, acc.items())
 
-    def term_mul(self, exp, c: Polynomial):
-        return ParamPoly.build(
-            self.main,
-            self.domain,
-            ((exp_mul(e, exp), k * c) for e, k in self.terms.items()),
-        )
-
     def sorted_terms(self, order=GREVLEX):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        return _packed_run(order.packing(self.main.nvars), lambda packing: sorted(
+            self.terms.items(), key=lambda t: packing.encode(t[0]), reverse=True))
 
     def __repr__(self):
         if not self.terms:
@@ -171,24 +168,38 @@ def generic_oracle(domain: CoeffDomain, log: DenominatorLog):
     return is_invertible
 
 
-def _divisor(leads, i, order):
-    """Entry of basis element i in a divisor list: divisors are tried
-    smallest leading monomial first, ties broken by the printed leading
-    coefficient, then by index."""
-    lexp, lcoeff = leads[i]
-    return (order.key(lexp), repr(lcoeff)), i, leads[i]
+def _divisor(g, lead, i, packing):
+    """Entry of basis element i, with leading (exponent, coefficient)
+    `lead`, in a sorted divisor list: divisors are tried smallest leading
+    monomial first, ties broken by the printed leading coefficient, then by
+    index. The entry carries K(lead) - one, the leading coefficient and the
+    other packed terms, as `groebner._divisor` does."""
+    lexp, lcoeff = lead
+    klead = packing.encode(lexp)
+    tail = tuple((packing.encode(e), c) for e, c in g.terms.items() if e != lexp)
+    return (klead, repr(lcoeff), i, klead - packing.one, lcoeff, tail)
 
 
-def _divisors(leads, order):
-    """The sorted divisor list of a basis whose leading terms are `leads`."""
-    return sorted(_divisor(leads, i, order) for i in range(len(leads)))
-
-
-def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible, divisors=None):
+def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible):
     """Fraction-free full reduction of f by `basis`, whose leading
     (exponent, coefficient) pairs are `leads`. The remainder equals (product
     of logged leading coefficients) times the true normal form over the
-    fraction field, so zero-ness and leading monomials are faithful.
+    fraction field, so zero-ness and leading monomials are faithful. The
+    division runs on packed monomials; see `_reduce`."""
+
+    def run(packing):
+        divisors = sorted(_divisor(g, lead, i, packing)
+                          for i, (g, lead) in enumerate(zip(basis, leads)))
+        work = {packing.encode(e): c for e, c in f.terms.items()}
+        return _reduce(work, f.main, f.domain, divisors, packing, is_invertible)
+
+    return _packed_run(order.packing(f.main.nvars), run)
+
+
+def _reduce(work, main, domain, divisors, packing, is_invertible):
+    """Fraction-free full reduction of the packed dict `work` (K ->
+    coefficient) by `divisors` (see `_divisor`); the remainder as a
+    ParamPoly over `main`.
 
     The true working value and remainder are `scale` times the stored ones,
     for one running field constant `scale`. A step by a field-constant
@@ -204,66 +215,64 @@ def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible, divisors
     rests on the contract stated under `param_buchberger`: an answer is a
     function of its argument, and a repeated question has no effect.
 
-    `divisors` is the sorted divisor list of `basis` (see `_divisors`) when
-    the caller already holds it. Terms are popped largest-first from a heap
-    of negated order keys (Monagan & Pearce); an exponent is pushed when it
-    enters the working dict, and only a pop takes it out again."""
-    domain = f.domain
+    Terms are popped largest-first from a heap of -K (Monagan & Pearce); a
+    K is pushed when it enters the working dict, and only a pop takes it
+    out again. The divisibility test and the product are those of
+    `groebner._reduce`."""
     field = domain.ring.field
     zero = domain.ring.zero()
-    if divisors is None:
-        divisors = _divisors(leads, order)
-    work = dict(f.terms)
-    heap = [(_neg_key(order.key(e)), e) for e in work]
+    one, guard, mask = packing.one, packing.guard, packing.divmask
+    heap = [-k for k in work]
     heapify(heap)
     remainder = {}
     scale = field.one
     answers = {}
-    guard = 0
+    steps = 0
     while heap:
-        guard += 1
-        if guard > 20000:
+        steps += 1
+        if steps > 20000:
             raise ParamBudgetError("parametric reduction budget exceeded")
-        exp = heappop(heap)[1]
-        coeff = domain.reduce(work.pop(exp))
+        k = -heappop(heap)
+        coeff = domain.reduce(work.pop(k))
         if coeff.is_zero():
             continue
-        hit = None
-        for _, i, (lexp, lcoeff) in divisors:
-            if exp_divides(lexp, exp):
+        for entry in divisors:
+            d = k - entry[3]
+            if not d & mask:
+                i = entry[2]
                 ok = answers.get(i)
                 if ok is None:
-                    ok = answers[i] = is_invertible(lcoeff)
+                    ok = answers[i] = is_invertible(entry[4])
                 if ok:
-                    hit = (basis[i], lexp, lcoeff)
                     break
-        if hit is None:
-            remainder[exp] = remainder.get(exp, zero) + coeff
+        else:
+            remainder[k] = remainder.get(k, zero) + coeff
             continue
-        g, lexp, lcoeff = hit
-        mexp = exp_div(exp, lexp)
+        lcoeff = entry[4]
         if lcoeff.is_constant():
-            # true work <- lc*true work - coeff*x^mexp*g, kept as a scale
+            # true work <- lc*true work - coeff*x^m*g, kept as a scale
             lc = lcoeff.constant_value()
             scale = field.mul(scale, lc)
             coeff = coeff.scale(field.inv(lc))
         else:
-            # work <- lcoeff*work - coeff*x^mexp*g ; scale remainder alongside
+            # work <- lcoeff*work - coeff*x^m*g ; scale remainder alongside
             for e in list(work):
                 work[e] = work[e] * lcoeff
             for e in list(remainder):
                 remainder[e] = remainder[e] * lcoeff
-        for e, c in g.terms.items():
-            if e == lexp:
-                continue
-            ne = exp_mul(e, mexp)
+        shift = d - one
+        for ke, c in entry[5]:
+            ne = ke + shift
             cur = work.get(ne)
             if cur is None:
-                heappush(heap, (_neg_key(order.key(ne)), ne))
+                if ne & guard:
+                    raise PackingOverflow("a product leaves its fields")
+                heappush(heap, -ne)
                 cur = zero
             work[ne] = cur - c * coeff
-    return ParamPoly.build(f.main, domain,
-                           ((e, r.scale(scale)) for e, r in remainder.items()))
+    decode = packing.decode
+    return ParamPoly.build(main, domain,
+                           ((decode(k), r.scale(scale)) for k, r in remainder.items()))
 
 
 def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=4000):
@@ -272,9 +281,10 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
     coefficients stay nonzero), the output monomials are those of a Groebner
     basis of the extended ideal.
 
-    Each basis element's leading term is computed once, into `leads`; the
-    pairs wait in a heap keyed on the order key of their lcm, ties broken by
-    index, and the divisor list is kept sorted as the basis grows.
+    Each basis element's leading term is computed once, into `leads`, and
+    its packed divisor entry once, into `entries`; the pairs wait in a heap
+    keyed on the K of their lcm, ties broken by index, and the divisor list
+    is kept sorted as the basis grows.
 
     Computed once per process for each (gens, order, domain, budget): the
     key holds each generator's ring and terms in order, the coefficient
@@ -331,8 +341,21 @@ def _param_buchberger(gens, order, domain, is_invertible, budget):
             leads.append(lead)
     if not basis:
         return []
-    divisors = _divisors(leads, order)
-    pairs = [_pair_key(leads, i, j, order)
+    return _packed_run(order.packing(basis[0].main.nvars), lambda packing: (
+        _packed_param_buchberger(basis, leads, order, packing, is_invertible, budget)))
+
+
+def _packed_param_buchberger(basis, leads, order, packing, is_invertible, budget):
+    """The loop of `_param_buchberger` on one packing. A run that overflows
+    the packing asks a prefix of the questions the wider run asks again, so
+    by the oracle contract under `param_buchberger` it adds no effect."""
+    basis = list(basis)
+    leads = list(leads)
+    main, domain = basis[0].main, basis[0].domain
+    supports = [_support(lexp) for lexp, _ in leads]
+    entries = [_divisor(g, lead, i, packing) for i, (g, lead) in enumerate(zip(basis, leads))]
+    divisors = sorted(entries)
+    pairs = [_pair_key(leads, i, j, packing)
              for i in range(len(basis)) for j in range(i + 1, len(basis))]
     heapify(pairs)
     steps = 0
@@ -340,47 +363,74 @@ def _param_buchberger(gens, order, domain, is_invertible, budget):
         steps += 1
         if steps > budget:
             raise ParamBudgetError("parametric Buchberger budget exceeded")
-        _, i, j = heappop(pairs)
-        ei, ci = leads[i]
-        ej, cj = leads[j]
-        if exp_coprime(ei, ej):
+        klcm, i, j = heappop(pairs)
+        if not supports[i] & supports[j]:
             continue
-        lcm = exp_lcm(ei, ej)
-        left = basis[i].term_mul(exp_div(lcm, ei), cj)
-        right = basis[j].term_mul(exp_div(lcm, ej), ci)
-        s = left.sub(right)
-        r = param_normal_form(s, basis, leads, order, is_invertible, divisors)
+        work = _s_work(entries[i], entries[j], klcm, packing, domain)
+        r = _reduce(work, main, domain, divisors, packing, is_invertible)
         if r.is_zero():
             continue
-        lead = r.leading(order)
+        lexp = max(r.terms, key=packing.encode)
+        lead = (lexp, r.terms[lexp])
         is_invertible(lead[1])
+        new = len(basis)
         basis.append(r)
         leads.append(lead)
-        new = len(basis) - 1
-        insort(divisors, _divisor(leads, new, order))
+        supports.append(_support(lexp))
+        entries.append(_divisor(r, lead, new, packing))
+        insort(divisors, entries[new])
         for k in range(new):
-            heappush(pairs, _pair_key(leads, k, new, order))
-    return _param_minimalize(basis, leads, order)
+            heappush(pairs, _pair_key(leads, k, new, packing))
+    return _param_minimalize(basis, leads, entries, packing, order)
 
 
-def _pair_key(leads, i, j, order):
-    return (order.key(exp_lcm(leads[i][0], leads[j][0])), i, j)
+def _support(exp):
+    """Bit v set when variable v divides the monomial."""
+    return sum(1 << v for v, e in enumerate(exp) if e)
 
 
-def _param_minimalize(basis, leads, order):
-    lexps = [lexp for lexp, _ in leads]
-    keep = []
-    for i in range(len(basis)):
-        dominated = False
-        for j in range(len(basis)):
-            if i == j:
-                continue
-            if exp_divides(lexps[j], lexps[i]) and (lexps[j] != lexps[i] or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    keep.sort(key=lambda i: (order.key(lexps[i]), repr(basis[i])))
+def _s_work(fentry, gentry, klcm, packing, domain):
+    """The packed S-polynomial lc(g)*(lcm/lm(f))*f - lc(f)*(lcm/lm(g))*g of
+    two divisor entries, as a working dict, with each coefficient reduced
+    and zeros dropped after each product and after the difference, as
+    `ParamPoly.build` does. The leading terms cancel and are left out."""
+    reduce = domain.reduce
+    guard = packing.guard
+
+    def moved(entry, c_other):
+        shift = klcm - entry[3] - packing.one
+        out = {}
+        for k, c in entry[5]:
+            ne = k + shift
+            if ne & guard:
+                raise PackingOverflow("a product leaves its fields")
+            red = reduce(c * c_other)
+            if not red.is_zero():
+                out[ne] = red
+        return out
+
+    work = moved(fentry, gentry[4])
+    for k, c in moved(gentry, fentry[4]).items():
+        work[k] = work[k] - c if k in work else -c
+    out = {}
+    for k, c in work.items():
+        red = reduce(c)
+        if not red.is_zero():
+            out[k] = red
+    return out
+
+
+def _pair_key(leads, i, j, packing):
+    return (packing.encode(tuple(map(max, leads[i][0], leads[j][0]))), i, j)
+
+
+def _param_minimalize(basis, leads, entries, packing, order):
+    mask = packing.divmask
+    keep = [e[2] for e in entries
+            if not any(d is not e and not (e[0] - d[3]) & mask
+                       and (d[0] != e[0] or d[2] < e[2]) for d in entries)]
+    # the output order is stated by the order's key, at the boundary
+    keep.sort(key=lambda i: (order.key(leads[i][0]), repr(basis[i])))
     return [basis[i] for i in keep]
 
 

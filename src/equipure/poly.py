@@ -4,12 +4,15 @@ A Polynomial stores a tuple of (exponent_vector, coefficient) pairs sorted
 descending by plain lex on the exponent vectors. That storage order is
 canonical and independent of whatever monomial order a computation uses, so
 printed and serialized forms are byte-stable; Groebner routines locate
-leading terms through the active order on demand.
+leading terms through the active order on demand. A polynomial's packed
+terms and leading term under an order's packing (see `orders`) are computed
+once, on first use, and kept on the polynomial.
 """
 
 from __future__ import annotations
 
 from .fields import FieldSpec
+from .orders import _packed_run
 
 
 class PolynomialRing:
@@ -102,10 +105,27 @@ def poly_from_dict(ring: PolynomialRing, d: dict) -> "Polynomial":
     return Polynomial(ring, items)
 
 
+def _poly_from_packed(ring: PolynomialRing, packing, d: dict) -> "Polynomial":
+    """The polynomial of a dict K -> coefficient under `packing`, with its
+    packed terms already kept."""
+    decode = packing.decode
+    items = sorted([(decode(k), k, c) for k, c in d.items() if c], reverse=True)
+    f = Polynomial(ring, tuple([(e, c) for e, _, c in items]))
+    f._packs = {packing: _pack_entry([k for _, k, _ in items], [c for _, _, c in items])}
+    return f
+
+
+def _pack_entry(keys, coeffs):
+    """A `Polynomial._packed` entry: (K, coefficient) pairs and the index
+    of the biggest K."""
+    return tuple(zip(keys, coeffs)), keys.index(max(keys)) if keys else None
+
+
 class Polynomial:
     """Immutable sparse polynomial over an exact field."""
 
-    __slots__ = ("ring", "terms")
+    # `_packs` (packing -> packed terms) is set on first use only
+    __slots__ = ("ring", "terms", "_packs")
 
     def __init__(self, ring: PolynomialRing, terms):
         self.ring = ring
@@ -142,7 +162,7 @@ class Polynomial:
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
     def __add__(self, other):
@@ -169,6 +189,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(self.ring.field.of(other))
         self._check(other)
+        if not self.terms or not other.terms:
+            return self.ring.zero()
+        if other.is_constant():
+            return self.scale(other.terms[0][1])
+        if self.is_constant():
+            return other.scale(self.terms[0][1])
         fld = self.ring.field
         acc = {}
         for e1, c1 in self.terms:
@@ -228,14 +254,24 @@ class Polynomial:
         """(exponent, coefficient) of the leading term under `order`."""
         if not self.terms:
             raise ValueError("leading term of zero")
-        return max(self.terms, key=lambda t: order.key(t[0]))
+        lead = _packed_run(order.packing(self.ring.nvars),
+                           lambda packing: self._packed(packing)[1])
+        return self.terms[lead]
 
-    def monic(self, order):
-        _, c = self.leading(order)
-        fld = self.ring.field
-        if c == fld.one:
-            return self
-        return self.scale(fld.inv(c))
+    def _packed(self, packing):
+        """(the terms as (K, coefficient) pairs in storage order, index of
+        the leading term) under `packing`, computed once per packing.
+        Raises PackingOverflow when an exponent does not fit."""
+        try:
+            packs = self._packs
+        except AttributeError:
+            packs = self._packs = {}
+        entry = packs.get(packing)
+        if entry is None:
+            encode = packing.encode
+            entry = packs[packing] = _pack_entry([encode(e) for e, _ in self.terms],
+                                                 [c for _, c in self.terms])
+        return entry
 
     # -- substitution / transport ------------------------------------------
 

@@ -54,6 +54,24 @@ def test_ring_arithmetic_properties():
             assert f * R.one() == f
 
 
+def test_product_with_a_constant_is_a_scale():
+    rng = random.Random(12)
+    for field in (QQ, GF(7)):
+        R = PolynomialRing(field, ["x", "y"])
+        for _ in range(30):
+            f = rand_poly(rng, R)
+            c = field.of(rng.randint(-5, 5))
+            const = R.const(c)
+            assert (f * const).terms == f.scale(c).terms
+            assert (const * f).terms == f.scale(c).terms
+            # the general product, term by term, gives the same bytes
+            assert (f * const).terms == tuple(sorted(
+                ((e, field.mul(k, c)) for e, k in f.terms if field.mul(k, c)), reverse=True))
+        f = rand_poly(rng, R)
+        assert f * R.zero() == R.zero() == R.zero() * f == f.scale(field.zero)
+        assert R.zero() * R.const(3) == R.zero()
+
+
 def test_pow_and_eval():
     R = PolynomialRing(QQ, ["x", "y"])
     f = parse_poly(R, "x + y")

@@ -234,6 +234,20 @@ def test_fibers_report_bytes_are_pinned(tmp_path):
     assert hashlib.md5(out.read_bytes()).hexdigest() == "6fda2c20306e3bef7b869d079862409f"
 
 
+def test_exponents_past_the_packed_field_width_keep_their_report(tmp_path):
+    # gb and dim on ideals whose inputs, products or S-pair lcms leave the
+    # first packed field width; digest recorded with the exponent-tuple
+    # engine that preceded packed monomials
+    out = tmp_path / "reports.json"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "equipure.cli", "run",
+                           os.path.join(DATA, "wide.eqp"), "--seed", "1", "--json", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "3eea809bba4bf7ceffa8c26351b066cf"
+    assert main(["verify", str(out)]) == 0
+
+
 @pytest.mark.parametrize("hashseed", ["0", "12345"])
 @pytest.mark.parametrize("name, digest", [
     ("corpus.eqp", "fe277adfd3586e14fa1d5aa26189d569"),
