@@ -33,6 +33,10 @@ class NormalizationBudgetExceeded(EquipureError):
     pass
 
 
+class ParamBudgetError(EquipureError):
+    """A parametric reduction or Buchberger run exceeded its step budget."""
+
+
 class LiftFailure(EquipureError):
     pass
 

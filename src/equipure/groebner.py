@@ -1,13 +1,19 @@
 """Buchberger's algorithm and multivariate division.
 
-The pair queue is a heap under the normal selection strategy (smallest
-lcm in the active order, ties broken by index), with Buchberger's two
-classical criteria: the coprime leading-term criterion and the chain
-criterion.
-Output is always the unique reduced Groebner basis, sorted by leading
+One pair loop, `_pair_loop`, serves the three Groebner engines: the ideal
+engine here, `modules.module_buchberger` and `parametric.param_buchberger`.
+It takes pairs from a heap under the normal selection strategy (smallest
+lcm in the active order, ties broken by index), keeps the sorted divisor
+list as the basis grows, and forms no pair of leading terms in different
+module positions. Each engine passes in its division of a pair's
+S-polynomial, how a remainder becomes a basis element, and which of
+Gebauer & Moller's criteria apply: the ideal engine uses the coprime
+leading-term criterion and the chain criterion, the parametric engine the
+coprime criterion under a pair budget, the module engine neither.
+Ideal output is always the unique reduced Groebner basis, sorted by leading
 monomial, so repeated runs are byte-identical. Division, S-polynomials, the
 criteria and inter-reduction run on packed monomials (`orders.Packing`); the
-module engine runs the same packed loops.
+module engine runs the same division and inter-reduction.
 
 Each engine's public entry point (`buchberger` here,
 `modules.module_buchberger`, `parametric.param_buchberger`) and
@@ -22,7 +28,8 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heapify, heappop, heappush
 
-from .orders import PackingOverflow, _packed_run, exp_div, exp_lcm
+from .errors import ParamBudgetError
+from .orders import PackingOverflow, _packed_run
 from .poly import Polynomial, PolynomialRing, _poly_from_packed
 
 
@@ -136,113 +143,105 @@ def _reduce(work, divisors, packing, fld, quotients=None):
     return remainder
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    fe, fc = f.leading(order)
-    ge, gc = g.leading(order)
-    lcm = exp_lcm(fe, ge)
-    fld = f.ring.field
-    left = f.term_mul(exp_div(lcm, fe), fld.inv(fc))
-    right = g.term_mul(exp_div(lcm, ge), fld.inv(gc))
-    return left - right
-
-
-def buchberger(generators, order, ring: PolynomialRing = None,
-               strategy: str = "normal"):
+def buchberger(generators, order, ring: PolynomialRing = None):
     """The unique reduced Groebner basis of the given generators.
 
-    `strategy` picks the next pair: "normal" takes the smallest lcm in the
-    active order; "sugar" orders by the classical sugar degree first. The
-    output basis is identical either way (it is the reduced basis); only the
-    route differs.
-
-    Computed once per process for each (generators, order, strategy); the
-    generators are keyed as Polynomials, which compare by ring and terms, so
-    `ring` adds nothing to the key and does not enter the result.
+    Computed once per process for each (generators, order); the generators
+    are keyed as Polynomials, which compare by ring and terms, so `ring`
+    adds nothing to the key and does not enter the result.
     """
-    if strategy not in ("normal", "sugar"):
-        raise ValueError(f"unknown selection strategy {strategy!r}")
     gens = tuple(generators)
-    key = ("buchberger", gens, order, strategy)
-    return list(_memoized(key, lambda: tuple(_buchberger(gens, order, strategy))))
+    key = ("buchberger", gens, order)
+    return list(_memoized(key, lambda: tuple(_buchberger(gens, order))))
 
 
-def _buchberger(generators, order, strategy):
+def _buchberger(generators, order):
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
-    return _packed_run(order.packing(gens[0].ring.nvars),
-                       lambda packing: _packed_buchberger(gens, order, packing, strategy))
-
-
-def _packed_buchberger(gens, order, packing, strategy):
     ring = gens[0].ring
     fld = ring.field
-    guard = packing.guard
-    basis = []
-    sugars = []
-    leads = []      # leading exponent vectors
-    supports = []   # bit v set when variable v divides the lead
-    entries = []    # the divisor entry of each basis element, see `_divisor`
-    divisors = []   # the same entries, sorted
 
-    def add(g, sugar):
-        lexp = g.terms[g._packed(packing)[1]][0]
-        entry = _divisor(g, len(basis), packing)
-        basis.append(g)
-        sugars.append(sugar)
-        leads.append(lexp)
-        supports.append(sum(1 << v for v, e in enumerate(lexp) if e))
-        entries.append(entry)
+    def run(packing):
+        def step(fentry, gentry, klcm, divisors, index):
+            rem = _reduce(_s_work(fentry, gentry, klcm, packing, fld), divisors, packing, fld)
+            if rem:
+                return _divisor(_poly_from_packed(ring, packing, rem), index, packing)
+
+        entries = _pair_loop([_divisor(g, i, packing) for i, g in enumerate(gens)], packing,
+                             step, coprime=True, chain=True)
+        # a nonzero constant makes it the unit ideal
+        if any(entry[0] == packing.one for entry in entries):
+            return [ring.one()]
+        return [_poly_from_packed(ring, packing, rem)
+                for rem in _inter_reduce(entries, packing, fld)]
+
+    reduced = _packed_run(order.packing(ring.nvars), run)
+    # the output order is stated by the order's key, at the boundary
+    reduced.sort(key=lambda g: (order.key(g.leading(order)[0]), g.terms))
+    return reduced
+
+
+def _pair_loop(entries, packing, step, coprime=False, chain=False, budget=None):
+    """Buchberger's pair loop over the divisor entries of a basis (see
+    `_divisor`); the entries of the basis it ends with, index order.
+
+    Pairs wait in a heap keyed (K(lcm), i, j): the smallest lcm in the order
+    goes first, ties broken by index. Two leading terms in different module
+    positions form no pair. The criteria are Gebauer & Moller's: `coprime`
+    skips a pair whose leading terms share no variable; `chain` skips a pair
+    (i, j) when some other leading term k divides its lcm and neither (i, k)
+    nor (j, k) is still waiting. `budget`, when given, bounds the pairs
+    popped, skipped ones included. `step(fentry, gentry, klcm, divisors,
+    index)` reduces the S-polynomial of a pair by `divisors`, the entries in
+    sorted order, and returns the entry of a new basis element with index
+    `index`, or None."""
+    mask = packing.divmask
+    decode = packing.decode
+    basis, divisors, supports = [], [], []
+    pending = set()     # the waiting pairs, for the chain criterion
+    heap = []
+
+    def add(entry):
+        new = len(basis)
+        kn = entry[0]
+        for k, other in enumerate(basis):
+            if not (other[0] ^ kn) & mask:
+                pending.add((k, new))
+                heappush(heap, (packing.lcm(other[0], kn), k, new))
+        basis.append(entry)
         insort(divisors, entry)
+        # bit v set when variable v divides the lead
+        supports.append(sum(1 << v for v, e in enumerate(decode(kn)) if e))
 
-    def pair(i, j):
-        lcm = tuple(map(max, leads[i], leads[j]))
-        klcm = packing.encode(lcm)
-        deg = sum(lcm)
-        sugar = max(sugars[i] + deg - sum(leads[i]), sugars[j] + deg - sum(leads[j]))
-        if strategy == "sugar":
-            return (sugar, klcm, i, j)
-        return (klcm, i, j, sugar)
-
-    for g in gens:
-        add(g, g.total_degree())
-    # the heap orders the pairs; `pending` answers the chain criterion's
-    # membership tests
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    heap = [pair(i, j) for i, j in pending]
-    heapify(heap)
+    for entry in entries:
+        add(entry)
+    popped = 0
     while heap:
-        item = heappop(heap)
-        if strategy == "sugar":
-            s_sugar, klcm, i, j = item
-        else:
-            klcm, i, j, s_sugar = item
+        klcm, i, j = heappop(heap)
+        popped += 1
+        if budget is not None and popped > budget:
+            raise ParamBudgetError("parametric Buchberger budget exceeded")
         pending.discard((i, j))
-        if not supports[i] & supports[j]:
+        if coprime and not supports[i] & supports[j]:
             continue
-        chain = False
-        for k, entry in enumerate(entries):
-            if k == i or k == j or (klcm - entry[3]) & guard:
-                continue
-            if (min(i, k), max(i, k)) in pending:
-                continue
-            if (min(j, k), max(j, k)) in pending:
-                continue
-            chain = True
-            break
-        if chain:
+        if chain and _chained(basis, pending, i, j, klcm, mask):
             continue
-        work = _s_work(entries[i], entries[j], klcm, packing, fld)
-        rem = _reduce(work, divisors, packing, fld)
-        if not rem:
+        entry = step(basis[i], basis[j], klcm, divisors, len(basis))
+        if entry is not None:
+            add(entry)
+    return basis
+
+
+def _chained(entries, pending, i, j, klcm, mask):
+    """The chain criterion for pair (i, j) with lcm K `klcm`."""
+    for k, entry in enumerate(entries):
+        if k == i or k == j or (klcm - entry[3]) & mask:
             continue
-        r = _poly_from_packed(ring, packing, rem)
-        add(r, max(s_sugar, r.total_degree()))
-        new = len(basis) - 1
-        for k in range(new):
-            pending.add((k, new))
-            heappush(heap, pair(k, new))
-    return _reduce_basis(basis, packing, order)
+        if (min(i, k), max(i, k)) in pending or (min(j, k), max(j, k)) in pending:
+            continue
+        return True
+    return False
 
 
 def _s_work(fentry, gentry, klcm, packing, fld):
@@ -274,16 +273,20 @@ def _s_work(fentry, gentry, klcm, packing, fld):
     return work
 
 
-def _inter_reduce(entries, packing, fld):
-    """The packed terms of the reduced basis of divisor entries:
-    entries whose leading term another one divides are dropped (the later
-    one of two equal leads), each survivor is reduced by the others and
-    made monic."""
+def _minimal(entries, packing):
+    """The divisor entries whose leading term no other entry's divides; of
+    two equal leading terms, the later one goes."""
     mask = packing.divmask
-    keep = sorted(
-        e for e in entries
-        if not any(d is not e and not (e[0] - d[3]) & mask
-                   and (d[0] != e[0] or d[2] < e[2]) for d in entries))
+    return [e for e in entries
+            if not any(d is not e and not (e[0] - d[3]) & mask
+                       and (d[0] != e[0] or d[2] < e[2]) for d in entries)]
+
+
+def _inter_reduce(entries, packing, fld):
+    """The packed terms of the reduced basis of divisor entries: the
+    minimal entries (see `_minimal`), each reduced by the others and made
+    monic."""
+    keep = sorted(_minimal(entries, packing))
     out = []
     for entry in keep:
         work = dict(entry[5])
@@ -300,33 +303,20 @@ def _inter_reduce(entries, packing, fld):
     return out
 
 
-def reduce_basis(basis, order):
-    """Inter-reduce to the unique reduced (auto-reduced, monic) basis."""
-    basis = [g for g in basis if not g.is_zero()]
-    if not basis:
-        return []
-    return _packed_run(order.packing(basis[0].ring.nvars),
-                       lambda packing: _reduce_basis(basis, packing, order))
-
-
-def _reduce_basis(basis, packing, order):
-    # A nonzero constant makes it the unit ideal.
-    for g in basis:
-        if g.is_constant():
-            return [g.ring.one()]
-    ring = basis[0].ring
-    reduced = [_poly_from_packed(ring, packing, rem) for rem in _inter_reduce(
-        [_divisor(g, i, packing) for i, g in enumerate(basis)], packing, ring.field)]
-    # the output order is stated by the order's key, at the boundary
-    reduced.sort(key=lambda g: (order.key(g.leading(order)[0]), g.terms))
-    return reduced
-
-
 def is_groebner(basis, order) -> bool:
-    """Direct Buchberger-criterion check: every S-polynomial reduces to 0."""
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j], order)
-            if not normal_form(s, basis, order).is_zero():
-                return False
-    return True
+    """Direct Buchberger-criterion check: the S-polynomial of every pair
+    reduces to 0. A checker, so it skips no pair by any criterion."""
+    if any(g.is_zero() for g in basis):
+        raise ValueError("leading term of zero")
+    if not basis:
+        return True
+    fld = basis[0].ring.field
+
+    def run(packing):
+        entries = [_divisor(g, i, packing) for i, g in enumerate(basis)]
+        divisors = sorted(entries)
+        return not any(
+            _reduce(_s_work(f, g, packing.lcm(f[0], g[0]), packing, fld), divisors, packing, fld)
+            for i, f in enumerate(entries) for g in entries[i + 1:])
+
+    return _packed_run(order.packing(basis[0].ring.nvars), run)

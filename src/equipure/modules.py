@@ -12,21 +12,17 @@ everything the package needs:
 
 Each ModuleOrder also packs a module monomial into one int K, its position
 as one more field (see `orders.Packing`), so module division and module
-Buchberger run the ideal engine's packed loops (`groebner._reduce`,
+Buchberger run the ideal engine's packed code (`groebner._reduce`,
 `groebner._s_work`, `groebner._inter_reduce`) on the terms of all positions
-at once. The product criterion is not sound for modules, so module
-Buchberger runs with no pair-skipping shortcuts. Its pending pairs sit in a
-heap keyed on the K of the lcm of leading terms that are computed once per
-basis vector, and the divisor list the normal form tries is kept sorted as
-the basis grows.
+at once, and module Buchberger runs the shared pair loop
+`groebner._pair_loop`, which forms no pair of leading terms in different
+positions. The coprime criterion is not sound for modules, and the loop
+runs here with no criterion at all.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from heapq import heapify, heappop, heappush
-
-from .groebner import _inter_reduce, _memoized, _reduce, _s_work
+from .groebner import _inter_reduce, _memoized, _pair_loop, _reduce, _s_work
 from .orders import GREVLEX, PACKING_BITS, _grevlex_fields, _packed_run, _packing
 from .poly import PolynomialRing, _poly_from_packed
 
@@ -216,8 +212,8 @@ def _vec_work(v, packing):
 
 
 def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
-    """Reduced module Groebner basis. No product criterion (unsound for
-    modules). Pairs are taken smallest `_pair_key` first from a heap.
+    """Reduced module Groebner basis, by `groebner._pair_loop` with no pair
+    criterion.
 
     Computed once per process for each (vectors, order, ring); vectors are
     tuples of Polynomials, which compare by ring and terms."""
@@ -230,61 +226,21 @@ def _module_buchberger(vectors, order, ring):
     basis = [v for v in vectors if not vec_is_zero(v)]
     if not basis:
         return []
-    return _packed_run(order.packing(ring.nvars),
-                       lambda packing: _packed_module_buchberger(basis, order, packing, ring))
-
-
-def _packed_module_buchberger(basis, order, packing, ring):
-    basis = list(basis)
     fld = ring.field
     rank = len(basis[0])
-    entries = [_divisor(v, i, packing) for i, v in enumerate(basis)]
-    divisors = sorted(entries)
-    pairs = [_pair_key(entries, i, j, packing)
-             for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    heapify(pairs)
-    while pairs:
-        key = heappop(pairs)
-        if key[0]:
-            continue
-        _, klcm, i, j = key
-        work = _s_work(entries[i], entries[j], klcm, packing, fld)
-        rem = _reduce(work, divisors, packing, fld)
-        if not rem:
-            continue
-        r = _vec_from_packed(ring, packing, rem, rank)
-        new = len(basis)
-        basis.append(r)
-        entries.append(_divisor(r, new, packing))
-        insort(divisors, entries[new])
-        for k in range(new):
-            heappush(pairs, _pair_key(entries, k, new, packing))
-    return _reduce_module_basis(basis, packing, order, ring)
 
+    def run(packing):
+        def step(fentry, gentry, klcm, divisors, index):
+            rem = _reduce(_s_work(fentry, gentry, klcm, packing, fld), divisors, packing, fld)
+            if rem:
+                return _divisor(_vec_from_packed(ring, packing, rem, rank), index, packing)
 
-def _pair_key(entries, i, j, packing):
-    """Pairs in different positions have no S-vector and sort last; the rest
-    sort by the K of their lcm, ties broken by index."""
-    ki, kj = entries[i][0], entries[j][0]
-    pos = packing.position(ki)
-    if packing.position(kj) != pos:
-        return (1, i, j)
-    lcm = tuple(map(max, packing.decode(ki), packing.decode(kj)))
-    return (0, packing.at(pos) + packing.encode(lcm), i, j)
+        entries = _pair_loop([_divisor(v, i, packing) for i, v in enumerate(basis)], packing,
+                             step)
+        return [_vec_from_packed(ring, packing, rem, rank)
+                for rem in _inter_reduce(entries, packing, fld)]
 
-
-def reduce_module_basis(basis, order: ModuleOrder, ring: PolynomialRing):
-    basis = [v for v in basis if not vec_is_zero(v)]
-    if not basis:
-        return []
-    return _packed_run(order.packing(ring.nvars),
-                       lambda packing: _reduce_module_basis(basis, packing, order, ring))
-
-
-def _reduce_module_basis(basis, packing, order, ring):
-    rank = len(basis[0])
-    out = [_vec_from_packed(ring, packing, rem, rank) for rem in _inter_reduce(
-        [_divisor(v, i, packing) for i, v in enumerate(basis)], packing, ring.field)]
+    out = _packed_run(order.packing(ring.nvars), run)
     # the output order is stated by the order's key, at the boundary
     out.sort(key=lambda v: (order.key(*vec_leading(v, order)[0]), _canonical_vec_key(v)))
     return out

@@ -189,6 +189,10 @@ class Packing:
                    else kind not in ("exp", "cexp") or exp[arg[0]] <= top
                    for kind, *arg in self.fields)
 
+    def lcm(self, a, b):
+        """K of the lcm of the monomials of a and b, in the position of a."""
+        return (a & self.divmask) + self.encode(tuple(map(max, self.decode(a), self.decode(b))))
+
     def decode(self, k):
         """The exponent vector of K (positions are ignored)."""
         x = k ^ self.one

@@ -17,25 +17,23 @@ This is the engine behind two features:
     cases, Suzuki--Sato style.
 
 Coefficients are stored as canonical normal forms modulo the constraint
-ideal, so all outputs are byte-stable. The loops run on packed monomials
-(see `orders.Packing`); a `ParamPoly`'s terms stay keyed by exponent tuples,
+ideal, so all outputs are byte-stable. Buchberger's pairs run through the
+pair loop the three engines share (`groebner._pair_loop`), with the coprime
+criterion and a pair budget; division and S-polynomials are this module's
+own, fraction-free. The loops run on packed monomials (see
+`orders.Packing`); a `ParamPoly`'s terms stay keyed by exponent tuples,
 because callers mutate its `terms` dict.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heapify, heappop, heappush
 
-from .errors import EquipureError
-from .groebner import _memoized, normal_form
+from .errors import ParamBudgetError
+from .groebner import _memoized, _minimal, _pair_loop, normal_form
 from .ideals import IdealHandle
 from .orders import GREVLEX, PackingOverflow, _packed_run
 from .poly import Polynomial, PolynomialRing
-
-
-class ParamBudgetError(EquipureError):
-    """A parametric reduction or Buchberger run exceeded its step budget."""
 
 
 class CoeffDomain:
@@ -281,10 +279,11 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
     coefficients stay nonzero), the output monomials are those of a Groebner
     basis of the extended ideal.
 
-    Each basis element's leading term is computed once, into `leads`, and
-    its packed divisor entry once, into `entries`; the pairs wait in a heap
-    keyed on the K of their lcm, ties broken by index, and the divisor list
-    is kept sorted as the basis grows.
+    The pairs run through the shared loop `groebner._pair_loop` with the
+    coprime criterion and `budget` popped pairs at most; each pair's
+    S-polynomial is reduced by the fraction-free `_reduce`, and a nonzero
+    remainder joins the basis as it is. The output is the minimal basis of
+    what the loop ends with (see `groebner._minimal`), not a reduced one.
 
     Computed once per process for each (gens, order, domain, budget): the
     key holds each generator's ring and terms in order, the coefficient
@@ -341,52 +340,34 @@ def _param_buchberger(gens, order, domain, is_invertible, budget):
             leads.append(lead)
     if not basis:
         return []
-    return _packed_run(order.packing(basis[0].main.nvars), lambda packing: (
-        _packed_param_buchberger(basis, leads, order, packing, is_invertible, budget)))
+    main = basis[0].main
 
+    def run(packing):
+        # A run that overflows the packing asks a prefix of the questions the
+        # wider run asks again, so by the oracle contract under
+        # `param_buchberger` it adds no effect.
+        polys = list(basis)
 
-def _packed_param_buchberger(basis, leads, order, packing, is_invertible, budget):
-    """The loop of `_param_buchberger` on one packing. A run that overflows
-    the packing asks a prefix of the questions the wider run asks again, so
-    by the oracle contract under `param_buchberger` it adds no effect."""
-    basis = list(basis)
-    leads = list(leads)
-    main, domain = basis[0].main, basis[0].domain
-    supports = [_support(lexp) for lexp, _ in leads]
-    entries = [_divisor(g, lead, i, packing) for i, (g, lead) in enumerate(zip(basis, leads))]
-    divisors = sorted(entries)
-    pairs = [_pair_key(leads, i, j, packing)
-             for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    heapify(pairs)
-    steps = 0
-    while pairs:
-        steps += 1
-        if steps > budget:
-            raise ParamBudgetError("parametric Buchberger budget exceeded")
-        klcm, i, j = heappop(pairs)
-        if not supports[i] & supports[j]:
-            continue
-        work = _s_work(entries[i], entries[j], klcm, packing, domain)
-        r = _reduce(work, main, domain, divisors, packing, is_invertible)
-        if r.is_zero():
-            continue
-        lexp = max(r.terms, key=packing.encode)
-        lead = (lexp, r.terms[lexp])
-        is_invertible(lead[1])
-        new = len(basis)
-        basis.append(r)
-        leads.append(lead)
-        supports.append(_support(lexp))
-        entries.append(_divisor(r, lead, new, packing))
-        insort(divisors, entries[new])
-        for k in range(new):
-            heappush(pairs, _pair_key(leads, k, new, packing))
-    return _param_minimalize(basis, leads, entries, packing, order)
+        def step(fentry, gentry, klcm, divisors, index):
+            r = _reduce(_s_work(fentry, gentry, klcm, packing, domain), main, domain, divisors,
+                        packing, is_invertible)
+            if r.is_zero():
+                return None
+            lexp = max(r.terms, key=packing.encode)
+            lead = (lexp, r.terms[lexp])
+            is_invertible(lead[1])
+            polys.append(r)
+            return _divisor(r, lead, index, packing)
 
+        entries = _pair_loop([_divisor(g, lead, i, packing)
+                              for i, (g, lead) in enumerate(zip(basis, leads))],
+                             packing, step, coprime=True, budget=budget)
+        keep = _minimal(entries, packing)
+        # the output order is stated by the order's key, at the boundary
+        keep.sort(key=lambda e: (order.key(packing.decode(e[0])), repr(polys[e[2]])))
+        return [polys[e[2]] for e in keep]
 
-def _support(exp):
-    """Bit v set when variable v divides the monomial."""
-    return sum(1 << v for v, e in enumerate(exp) if e)
+    return _packed_run(order.packing(main.nvars), run)
 
 
 def _s_work(fentry, gentry, klcm, packing, domain):
@@ -418,20 +399,6 @@ def _s_work(fentry, gentry, klcm, packing, domain):
         if not red.is_zero():
             out[k] = red
     return out
-
-
-def _pair_key(leads, i, j, packing):
-    return (packing.encode(tuple(map(max, leads[i][0], leads[j][0]))), i, j)
-
-
-def _param_minimalize(basis, leads, entries, packing, order):
-    mask = packing.divmask
-    keep = [e[2] for e in entries
-            if not any(d is not e and not (e[0] - d[3]) & mask
-                       and (d[0] != e[0] or d[2] < e[2]) for d in entries)]
-    # the output order is stated by the order's key, at the boundary
-    keep.sort(key=lambda i: (order.key(leads[i][0]), repr(basis[i])))
-    return [basis[i] for i in keep]
 
 
 # -- derived queries -----------------------------------------------------------

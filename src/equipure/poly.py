@@ -147,9 +147,6 @@ class Polynomial:
             return self.terms[0][1]
         raise ValueError("not a constant")
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=-1)
-
     def support_vars(self):
         """Indices of variables actually appearing."""
         seen = set()

@@ -1,0 +1,49 @@
+"""No code that nothing calls: every public function, class or method
+defined in `src/equipure` is named somewhere in the package, its tests or
+its benchmark other than at its own definition."""
+
+import ast
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "equipure")
+SEARCHED = [os.path.join(ROOT, d) for d in ("src", "tests", "perfbench")]
+
+
+def _python_files(top):
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = sorted(d for d in dirnames if not d.startswith((".", "__")))
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                yield os.path.join(dirpath, name)
+
+
+def _public_definitions():
+    """name -> number of public function, class and method definitions of
+    that name in the package."""
+    defined = {}
+    for path in _python_files(PACKAGE):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = defined.get(node.name, 0) + 1
+    return defined
+
+
+def test_every_public_definition_is_named_elsewhere():
+    defined = _public_definitions()
+    text = []
+    for top in SEARCHED:
+        for path in _python_files(top):
+            with open(path, encoding="utf-8") as fh:
+                text.append(fh.read())
+    text = "\n".join(text)
+    words = {}
+    for word in re.findall(r"\b[A-Za-z_][A-Za-z0-9_]*\b", text):
+        if word in defined:
+            words[word] = words.get(word, 0) + 1
+    unused = sorted(name for name, count in defined.items() if words.get(name, 0) <= count)
+    assert unused == []
