@@ -16,13 +16,19 @@ This is the engine behind two features:
     branch constraints nor assumed nonzero, the computation forks on the two
     cases, Suzuki--Sato style.
 
-Coefficients are stored as canonical normal forms modulo the constraint
-ideal, so all outputs are byte-stable. Buchberger's pairs run through the
-pair loop the three engines share (`groebner._pair_loop`), with the coprime
-criterion and a pair budget; division and S-polynomials are this module's
-own, fraction-free. The loops run on packed monomials (see
-`orders.Packing`); a `ParamPoly`'s terms stay keyed by exponent tuples,
-because callers mutate its `terms` dict.
+A `ParamPoly`'s coefficients are Polynomials in canonical normal form
+modulo the constraint ideal, so all outputs are byte-stable. Buchberger's
+pairs run through the pair loop the three engines share
+(`groebner._pair_loop`), with the coprime criterion and a pair budget;
+division and S-polynomials are this module's own, fraction-free. The loops
+run on packed monomials (see `orders.Packing`) with packed coefficients: a
+coefficient is a dict K -> field element under the parameter ring's grevlex
+packing of the same width (see `CoeffDomain._packed`), and its normal form
+is the ideal engine's `groebner._reduce` by the constraint basis. No
+Polynomial arithmetic runs inside the loops; coefficients become
+Polynomials at three boundaries only: the oracle's questions, the
+remainder and the output basis. A `ParamPoly`'s terms stay keyed by
+exponent tuples, because callers mutate its `terms` dict.
 """
 
 from __future__ import annotations
@@ -30,10 +36,11 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .errors import ParamBudgetError
-from .groebner import _memoized, _minimal, _pair_loop, normal_form
+from .groebner import _divisor as _field_divisor, _memoized, _minimal, _pair_loop
+from .groebner import _reduce as _field_reduce, normal_form
 from .ideals import IdealHandle
-from .orders import GREVLEX, PackingOverflow, _packed_run
-from .poly import Polynomial, PolynomialRing
+from .orders import GREVLEX, PackingOverflow, _packed_run, _packing
+from .poly import Polynomial, PolynomialRing, poly_from_dict
 
 
 class CoeffDomain:
@@ -43,11 +50,27 @@ class CoeffDomain:
         self.ring = param_ring
         self.constraint = constraint
         self._gb = constraint.groebner()
+        self._widths = {}
 
     def reduce(self, f: Polynomial) -> Polynomial:
         if not self._gb:
             return f
         return normal_form(f, self._gb, GREVLEX)
+
+    def _packed(self, bits):
+        """(the grevlex packing of the parameter ring `bits` wide, the
+        constraint basis as `groebner._divisor` entries under it), built
+        once per width. A packed coefficient is a dict K -> field element
+        under that packing; `groebner._reduce` by the entries gives its
+        normal form, and with no constraint it is its own. Raises
+        PackingOverflow when a basis exponent does not fit."""
+        entry = self._widths.get(bits)
+        if entry is None:
+            n = self.ring.nvars
+            packing = _packing(GREVLEX.fields(n), n, bits)
+            divisors = sorted(_field_divisor(g, i, packing) for i, g in enumerate(self._gb))
+            entry = self._widths[bits] = (packing, divisors)
+        return entry
 
     def is_zero(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero()
@@ -143,7 +166,10 @@ class DenominatorLog:
         self._seen = set()
 
     def log(self, c: Polynomial):
-        red = self.domain.reduce(c)
+        self._record(self.domain.reduce(c))
+
+    def _record(self, red: Polynomial):
+        """`log` of a coefficient already in normal form."""
         if red.is_zero():
             raise ValueError("attempted to invert a coefficient that is 0 mod q")
         if red.is_constant():
@@ -160,22 +186,48 @@ def generic_oracle(domain: CoeffDomain, log: DenominatorLog):
         red = domain.reduce(c)
         if red.is_zero():
             return False
-        log.log(red)
+        log._record(red)
         return True
 
     return is_invertible
 
 
-def _divisor(g, lead, i, packing):
-    """Entry of basis element i, with leading (exponent, coefficient)
-    `lead`, in a sorted divisor list: divisors are tried smallest leading
-    monomial first, ties broken by the printed leading coefficient, then by
-    index. The entry carries K(lead) - one, the leading coefficient and the
-    other packed terms, as `groebner._divisor` does."""
-    lexp, lcoeff = lead
-    klead = packing.encode(lexp)
-    tail = tuple((packing.encode(e), c) for e, c in g.terms.items() if e != lexp)
-    return (klead, repr(lcoeff), i, klead - packing.one, lcoeff, tail)
+def _keyed(g, packing, cpacking):
+    """The terms of a ParamPoly as a dict K -> packed coefficient, as
+    (K, element) pairs under `cpacking`. The pairs are not kept on the
+    coefficient Polynomials, which can outlive the run in the memo."""
+    cencode = cpacking.encode
+    return {packing.encode(e): tuple([(cencode(ce), v) for ce, v in c.terms])
+            for e, c in g.terms.items()}
+
+
+def _param_poly(main, domain, rem, packing, cpacking):
+    """The ParamPoly of a packed remainder (see `_reduce`)."""
+    decode, cdecode = packing.decode, cpacking.decode
+    ring = domain.ring
+    return ParamPoly(main, domain, {
+        decode(k): poly_from_dict(ring, {cdecode(kc): v for kc, v in c.items()})
+        for k, c in rem.items()})
+
+
+def _divisor(kterms, klead, lcoeff, i, packing):
+    """Entry of basis element i in a sorted divisor list. The element is
+    given as a dict K -> packed coefficient (see `_keyed`), with leading K
+    `klead` and leading coefficient `lcoeff`. Divisors are tried smallest
+    leading monomial first, ties broken by the printed leading coefficient,
+    then by index. The entry carries K(lead) - one, `lcoeff` (the oracle's question), the
+    other packed terms, the packed leading coefficient, and, when the
+    leading coefficient is a field constant, that constant (else None) and
+    its negated inverse (None for a leading coefficient that is not a
+    constant or is 1), as `groebner._divisor` carries the inverse."""
+    tail = tuple((k, c) for k, c in kterms.items() if k != klead)
+    lc = ninv = None
+    if lcoeff.is_constant():
+        lc = lcoeff.terms[0][1]
+        fld = lcoeff.ring.field
+        if lc != fld.one:
+            ninv = fld.neg(fld.inv(lc))
+    return (klead, repr(lcoeff), i, klead - packing.one, lcoeff, tail, kterms[klead], lc, ninv)
 
 
 def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible):
@@ -183,30 +235,46 @@ def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible):
     (exponent, coefficient) pairs are `leads`. The remainder equals (product
     of logged leading coefficients) times the true normal form over the
     fraction field, so zero-ness and leading monomials are faithful. The
-    division runs on packed monomials; see `_reduce`."""
+    division runs on packed monomials and packed coefficients; see
+    `_reduce`."""
+    domain = f.domain
 
     def run(packing):
-        divisors = sorted(_divisor(g, lead, i, packing)
-                          for i, (g, lead) in enumerate(zip(basis, leads)))
-        work = {packing.encode(e): c for e, c in f.terms.items()}
-        return _reduce(work, f.main, f.domain, divisors, packing, is_invertible)
+        cpacking = domain._packed(packing.bits)[0]
+        divisors = sorted(_divisor(_keyed(g, packing, cpacking), packing.encode(lexp), lcoeff,
+                                   i, packing)
+                          for i, (g, (lexp, lcoeff)) in enumerate(zip(basis, leads)))
+        work = {k: dict(c) for k, c in _keyed(f, packing, cpacking).items()}
+        return _param_poly(f.main, domain, _reduce(work, domain, divisors, packing, is_invertible),
+                           packing, cpacking)
 
     return _packed_run(order.packing(f.main.nvars), run)
 
 
-def _reduce(work, main, domain, divisors, packing, is_invertible):
-    """Fraction-free full reduction of the packed dict `work` (K ->
-    coefficient) by `divisors` (see `_divisor`); the remainder as a
-    ParamPoly over `main`.
+def _reduce(work, domain, divisors, packing, is_invertible):
+    """Fraction-free full reduction of the packed dict `work` (K -> packed
+    coefficient as a dict, emptied on the way) by `divisors` (see
+    `_divisor`); the remainder as a dict K -> packed coefficient in normal
+    form, zeros left out.
+
+    Coefficients stay packed under the domain's packing of the same width
+    as `packing` (see `CoeffDomain._packed`), so a coefficient product that
+    leaves its fields raises PackingOverflow and `_packed_run` runs the
+    division again, both packings twice as wide. A working coefficient is
+    brought to its normal form when it is popped; the remainder's
+    coefficients are kept in normal form, so the caller converts the
+    remainder to Polynomials once and does not reduce it again.
 
     The true working value and remainder are `scale` times the stored ones,
     for one running field constant `scale`. A step by a field-constant
     leading coefficient lc sets `scale <- scale*lc` and subtracts
     (coeff/lc)*x^m*g from the stored work, touching only the terms of g;
-    only a non-constant lc multiplies every stored coefficient. The
-    remainder is multiplied by `scale` once, at the end. `domain.reduce` is
-    linear and a nonzero constant changes no zero test, so the pops, the
-    oracle questions and the remainder are those of rescaling at every step.
+    a step by lc == 1 touches neither. Only a non-constant lc multiplies
+    every stored coefficient. The multiplier is negated once per step, so
+    the terms of g are added. The remainder is multiplied by `scale` once,
+    at the end. Reduction modulo the constraint is linear and a nonzero
+    constant changes no zero test, so the pops, the oracle questions and
+    the remainder are those of rescaling at every step.
 
     Each divisor's `is_invertible` answer is kept for the rest of the call,
     so the oracle is asked about a divisor once, at its first use. That
@@ -217,13 +285,16 @@ def _reduce(work, main, domain, divisors, packing, is_invertible):
     K is pushed when it enters the working dict, and only a pop takes it
     out again. The divisibility test and the product are those of
     `groebner._reduce`."""
-    field = domain.ring.field
-    zero = domain.ring.zero()
+    fld = domain.ring.field
+    fone = fld.one
+    mul, add, neg = fld.mul, fld.add, fld.neg
+    cpacking, constraint = domain._packed(packing.bits)
+    cone, cguard = cpacking.one, cpacking.guard
     one, guard, mask = packing.one, packing.guard, packing.divmask
     heap = [-k for k in work]
     heapify(heap)
     remainder = {}
-    scale = field.one
+    scale = fone
     answers = {}
     steps = 0
     while heap:
@@ -231,8 +302,10 @@ def _reduce(work, main, domain, divisors, packing, is_invertible):
         if steps > 20000:
             raise ParamBudgetError("parametric reduction budget exceeded")
         k = -heappop(heap)
-        coeff = domain.reduce(work.pop(k))
-        if coeff.is_zero():
+        coeff = work.pop(k)
+        if constraint:
+            coeff = _field_reduce(coeff, constraint, cpacking, fld)
+        if not coeff:
             continue
         for entry in divisors:
             d = k - entry[3]
@@ -244,20 +317,24 @@ def _reduce(work, main, domain, divisors, packing, is_invertible):
                 if ok:
                     break
         else:
-            remainder[k] = remainder.get(k, zero) + coeff
+            remainder[k] = coeff
             continue
-        lcoeff = entry[4]
-        if lcoeff.is_constant():
+        ninv = entry[8]
+        if ninv is not None:
             # true work <- lc*true work - coeff*x^m*g, kept as a scale
-            lc = lcoeff.constant_value()
-            scale = field.mul(scale, lc)
-            coeff = coeff.scale(field.inv(lc))
+            scale = mul(scale, entry[7])
+            mc = [(kc, mul(vc, ninv)) for kc, vc in coeff.items()]
         else:
-            # work <- lcoeff*work - coeff*x^m*g ; scale remainder alongside
-            for e in list(work):
-                work[e] = work[e] * lcoeff
-            for e in list(remainder):
-                remainder[e] = remainder[e] * lcoeff
+            if entry[7] is None:
+                # work <- lcoeff*work - coeff*x^m*g ; scale remainder alongside
+                plc = entry[6]
+                for e, c in work.items():
+                    work[e] = _product(c.items(), plc, cpacking, fld)
+                for e, c in remainder.items():
+                    c = _product(c.items(), plc, cpacking, fld)
+                    remainder[e] = _field_reduce(c, constraint, cpacking, fld) if constraint else c
+            mc = [(kc, neg(vc)) for kc, vc in coeff.items()]
+        # work <- work + mc*x^m*tail(g), mc the negated multiplier
         shift = d - one
         for ke, c in entry[5]:
             ne = ke + shift
@@ -266,11 +343,46 @@ def _reduce(work, main, domain, divisors, packing, is_invertible):
                 if ne & guard:
                     raise PackingOverflow("a product leaves its fields")
                 heappush(heap, -ne)
-                cur = zero
-            work[ne] = cur - c * coeff
-    decode = packing.decode
-    return ParamPoly.build(main, domain,
-                           ((decode(k), r.scale(scale)) for k, r in remainder.items()))
+                cur = work[ne] = {}
+            for kt, vt in c:
+                for kc, vc in mc:
+                    kk = kt + kc - cone
+                    if kk & cguard:
+                        raise PackingOverflow("a product leaves its fields")
+                    old = cur.get(kk)
+                    if old is None:
+                        cur[kk] = mul(vt, vc)
+                    else:
+                        new = add(old, mul(vt, vc))
+                        if new:
+                            cur[kk] = new
+                        else:
+                            del cur[kk]
+    if scale != fone:
+        return {k: {kc: mul(vc, scale) for kc, vc in c.items()}
+                for k, c in remainder.items() if c}
+    return {k: c for k, c in remainder.items() if c}
+
+
+def _product(a, b, cpacking, fld):
+    """The product of two packed coefficients given as (K, element) pairs,
+    as a dict."""
+    one, guard = cpacking.one, cpacking.guard
+    mul, add = fld.mul, fld.add
+    out = {}
+    for ka, va in a:
+        for kb, vb in b:
+            k = ka + kb - one
+            if k & guard:
+                raise PackingOverflow("a product leaves its fields")
+            v = mul(va, vb)
+            if k in out:
+                v = add(out[k], v)
+                if not v:
+                    del out[k]
+                    continue
+            out[k] = v
+    return out
 
 
 def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=4000):
@@ -346,25 +458,30 @@ def _param_buchberger(gens, order, domain, is_invertible, budget):
         # A run that overflows the packing asks a prefix of the questions the
         # wider run asks again, so by the oracle contract under
         # `param_buchberger` it adds no effect.
+        cpacking = domain._packed(packing.bits)[0]
+        decode = packing.decode
         polys = list(basis)
 
         def step(fentry, gentry, klcm, divisors, index):
-            r = _reduce(_s_work(fentry, gentry, klcm, packing, domain), main, domain, divisors,
-                        packing, is_invertible)
-            if r.is_zero():
+            rem = _reduce(_s_work(fentry, gentry, klcm, packing, domain), domain, divisors,
+                          packing, is_invertible)
+            if not rem:
                 return None
-            lexp = max(r.terms, key=packing.encode)
-            lead = (lexp, r.terms[lexp])
-            is_invertible(lead[1])
+            r = _param_poly(main, domain, rem, packing, cpacking)
+            klead = max(rem)
+            lcoeff = r.terms[decode(klead)]
+            is_invertible(lcoeff)
             polys.append(r)
-            return _divisor(r, lead, index, packing)
+            return _divisor({k: tuple(c.items()) for k, c in rem.items()}, klead, lcoeff, index,
+                            packing)
 
-        entries = _pair_loop([_divisor(g, lead, i, packing)
-                              for i, (g, lead) in enumerate(zip(basis, leads))],
+        entries = _pair_loop([_divisor(_keyed(g, packing, cpacking), packing.encode(lexp),
+                                       lcoeff, i, packing)
+                              for i, (g, (lexp, lcoeff)) in enumerate(zip(basis, leads))],
                              packing, step, coprime=True, budget=budget)
         keep = _minimal(entries, packing)
         # the output order is stated by the order's key, at the boundary
-        keep.sort(key=lambda e: (order.key(packing.decode(e[0])), repr(polys[e[2]])))
+        keep.sort(key=lambda e: (order.key(decode(e[0])), repr(polys[e[2]])))
         return [polys[e[2]] for e in keep]
 
     return _packed_run(order.packing(main.nvars), run)
@@ -372,33 +489,51 @@ def _param_buchberger(gens, order, domain, is_invertible, budget):
 
 def _s_work(fentry, gentry, klcm, packing, domain):
     """The packed S-polynomial lc(g)*(lcm/lm(f))*f - lc(f)*(lcm/lm(g))*g of
-    two divisor entries, as a working dict, with each coefficient reduced
-    and zeros dropped after each product and after the difference, as
-    `ParamPoly.build` does. The leading terms cancel and are left out."""
-    reduce = domain.reduce
+    two divisor entries, as a working dict of packed coefficients in normal
+    form, zeros dropped. Each product is reduced once, and only when the
+    other leading coefficient is not a field constant: the tail
+    coefficients are normal forms already, and so is a difference of two
+    normal forms. The leading terms cancel and are left out."""
+    fld = domain.ring.field
+    cpacking, constraint = domain._packed(packing.bits)
     guard = packing.guard
 
-    def moved(entry, c_other):
+    def moved(entry, other):
         shift = klcm - entry[3] - packing.one
+        lc = other[7]
         out = {}
         for k, c in entry[5]:
             ne = k + shift
             if ne & guard:
                 raise PackingOverflow("a product leaves its fields")
-            red = reduce(c * c_other)
-            if not red.is_zero():
-                out[ne] = red
+            if lc is None:
+                c = _product(c, other[6], cpacking, fld)
+                if constraint:
+                    c = _field_reduce(c, constraint, cpacking, fld)
+                if c:
+                    out[ne] = c
+            elif other[8] is None:
+                out[ne] = dict(c)
+            else:
+                out[ne] = {kc: fld.mul(vc, lc) for kc, vc in c}
         return out
 
-    work = moved(fentry, gentry[4])
-    for k, c in moved(gentry, fentry[4]).items():
-        work[k] = work[k] - c if k in work else -c
-    out = {}
-    for k, c in work.items():
-        red = reduce(c)
-        if not red.is_zero():
-            out[k] = red
-    return out
+    work = moved(fentry, gentry)
+    zero = fld.zero
+    for k, c in moved(gentry, fentry).items():
+        cur = work.get(k)
+        if cur is None:
+            work[k] = {kc: fld.neg(vc) for kc, vc in c.items()}
+            continue
+        for kc, vc in c.items():
+            new = fld.sub(cur.get(kc, zero), vc)
+            if new:
+                cur[kc] = new
+            else:
+                del cur[kc]
+        if not cur:
+            del work[k]
+    return work
 
 
 # -- derived queries -----------------------------------------------------------

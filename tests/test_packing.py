@@ -4,6 +4,8 @@ divisibility and forms quotients by one masked subtraction, decodes back,
 and reports a field that would overflow; the division and Buchberger loops
 give the textbook answers on exponents past the first field width."""
 
+import hashlib
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -31,7 +33,15 @@ from equipure.orders import (
     exp_mul,
     permuted_grevlex,
 )
-from equipure.parametric import CoeffDomain, ParamPoly, param_normal_form
+from equipure.parametric import (
+    CoeffDomain,
+    DenominatorLog,
+    ParamPoly,
+    _param_buchberger,
+    generic_oracle,
+    param_normal_form,
+    split_poly,
+)
 from equipure.poly import PolynomialRing, parse_poly
 
 from test_acceptance import oracle_all_s_polys_reduce, oracle_divide, oracle_is_reduced
@@ -192,3 +202,71 @@ def test_parametric_division_past_the_field_width():
                                           recording_oracle(lambda c: True, expected_questions))
         assert r.terms == expected.terms
         assert list(dict.fromkeys(questions)) == list(dict.fromkeys(expected_questions))
+
+
+# -- parametric coefficients past the field width ----------------------------
+
+# coefficients in t, s whose products pass the first field width:
+# t^20000 times t^20000, and t^40000 against the constraint t^40000 - s
+WIDE_COEFF_CONSTRAINTS = ["", "t^40000 - s"]
+WIDE_COEFF_CASES = [
+    ("t^20000*x^2*y + s*x*y + t*y^2", ["t^20000*x - s*y", "y^2 - t^20000*x"]),
+    ("x^3 + t^20000*y", ["x - t^20000*y", "y^2 + t^30000"]),
+    ("t^20000*x*y^2 - s", ["2*x*y - t^20000", "t^40000*y^2 - x"]),
+]
+
+
+def param_case(field, constraint, texts):
+    """(main ring, domain, ParamPolys) of polynomials in x, y, t, s over
+    the parameters t, s modulo `constraint`."""
+    params = PolynomialRing(field, ["t", "s"])
+    main = PolynomialRing(field, ["x", "y"])
+    domain = CoeffDomain(params, IdealHandle(
+        params, [parse_poly(params, constraint)] if constraint else []))
+    ring = PolynomialRing(field, ["x", "y", "t", "s"])
+    return main, domain, [split_poly(parse_poly(ring, t), main, domain, (0, 1), (2, 3))
+                          for t in texts]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=repr)
+@pytest.mark.parametrize("f, basis", WIDE_COEFF_CASES)
+@pytest.mark.parametrize("constraint", WIDE_COEFF_CONSTRAINTS, ids=["free", "t^40000-s"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_parametric_coefficients_past_the_field_width(field, constraint, f, basis, order):
+    _, domain, (f, *basis) = param_case(field, constraint, [f] + basis)
+    heap_log, scan_log = DenominatorLog(domain), DenominatorLog(domain)
+    heap_qs, scan_qs = [], []
+    r = param_normal_form(f, basis, [g.leading(order) for g in basis], order,
+                          recording_oracle(generic_oracle(domain, heap_log), heap_qs))
+    expected = scan_param_normal_form(
+        f, basis, order, recording_oracle(generic_oracle(domain, scan_log), scan_qs))
+    assert r.terms == expected.terms
+    assert heap_log.entries == scan_log.entries
+    assert list(dict.fromkeys(heap_qs)) == list(dict.fromkeys(scan_qs))
+
+
+# (field, constraint, generators, order) -> (the basis printed, md5 of the
+# oracle's questions in order, one per line); recorded with the engine that
+# kept its coefficients as Polynomials
+WIDE_COEFF_BASES = [
+    ((GF(7), "t^40000 - s", ["t^20000*x^2 - s*y + x", "t^20000*x*y - y^2"], LEX),
+     (["(s)*y^3 + (6*t^20000*s^2 + s)*y^2", "(t^20000)*x*y + (6)*y^2",
+       "(t^20000)*x^2 + x + (6*s)*y"], "5450778a9044c5f878c8f2dfff57bc02")),
+    ((GF(7), "", ["t^20000*x*y - s", "x^2 - t^20000*y"], LEX),
+     (["(6*t^60000)*y^3 + (s^2)", "(t^40000)*y^2 + (6*s)*x"],
+      "766c9e7d8c602782342f1f7744c06685")),
+    ((QQ, "", ["t^20000*x^2 - s*y", "t^20000*y^2 - x", "x*y - t^30000"], GREVLEX),
+     (["(-t^100000 + t^30000*s)"], "8d553218b6708d710529e1a3200e840a")),
+]
+
+
+@pytest.mark.parametrize("case, expected", WIDE_COEFF_BASES)
+def test_parametric_buchberger_past_the_coefficient_field_width(case, expected):
+    field, constraint, texts, order = case
+    _, domain, gens = param_case(field, constraint, texts)
+    oracle = generic_oracle(domain, DenominatorLog(domain))
+    questions = []
+    basis = _param_buchberger(gens, order, domain,
+                              recording_oracle(oracle, questions), 4000)
+    digest = hashlib.md5("\n".join(map(str, questions)).encode()).hexdigest()
+    assert ([repr(g) for g in basis], digest) == expected

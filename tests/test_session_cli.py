@@ -234,6 +234,20 @@ def test_fibers_report_bytes_are_pinned(tmp_path):
     assert hashlib.md5(out.read_bytes()).hexdigest() == "6fda2c20306e3bef7b869d079862409f"
 
 
+def test_fibers_report_verifies_in_a_fresh_process(tmp_path):
+    # in-process every replay of the fibers session is a memo hit; a fresh
+    # process re-derives each certificate, parametric runs included
+    out = tmp_path / "reports.json"
+    main(["run", os.path.join(DATA, "fibers.eqp"), "--seed", "1", "--json", str(out)])
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "6fda2c20306e3bef7b869d079862409f"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "equipure.cli", "verify", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert len(re.findall(r"^\[ok\] ", proc.stdout, re.M)) == 24
+    assert "[FAIL]" not in proc.stdout
+
+
 def test_exponents_past_the_packed_field_width_keep_their_report(tmp_path):
     # gb and dim on ideals whose inputs, products or S-pair lcms leave the
     # first packed field width; digest recorded with the exponent-tuple
