@@ -19,8 +19,11 @@ from .errors import (
     NotEquidimensionalBase,
     NotHypersurface,
 )
+from .factorization import verify_equidimensional_at
 from .ideals import IdealHandle, krull_dim, radical_membership
+from .orders import GREVLEX, exp_divides
 from .poly import Polynomial
+from .purity import pure_at
 from .schemes import (
     Algebra,
     Morphism,
@@ -237,8 +240,6 @@ class FRationalReport:
 
 def standard_monomials(algebra: Algebra, handle: IdealHandle, cap: int = 40):
     """Monomial basis of the quotient by (handle + relations), degree-capped."""
-    from .orders import GREVLEX, exp_divides
-
     total = IdealHandle(algebra.ring,
                         list(handle.generators) + list(algebra.relations.generators))
     gb = total.groebner()
@@ -356,9 +357,6 @@ def f_rational_descent_check(morphism: Morphism, y: Point, probes, bound: int,
     pure at y. Refuses non-equidimensional input; flags a soundness alarm if
     the source probes clean while the target shows a counterexample with all
     hypotheses checked."""
-    from .factorization import verify_equidimensional_at
-    from .purity import pure_at
-
     if morphism.source.field.char == 0:
         raise BadCharacteristic("the descent harness runs in characteristic p > 0")
     assumptions = [

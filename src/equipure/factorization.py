@@ -14,11 +14,25 @@ contracts to zero (surjectivity by dimension), x0's ideal contracts to zero
 (so x0 lands on the generic point of the fiber of the projection), every
 source component dominates affine e-space, and quasi-finite strata cover the
 relevant points. Certificates re-verify from scratch.
+
+Every fiber-level check is one computation, `_over_tags`: adjoin tags
+T_1..T_e after the source variables (`_tag_ring`, which also builds A[T]),
+add T_j - t_j to the fiber's generators, take a basis under the block order
+with the source variables in front, and read off the pure-power leading
+exponents (module-finiteness) and the elements free of the source variables
+(the contraction). Over a rational point the fiber is an ideal of the
+source ring and the ideal engine (`IdealHandle.groebner`) computes the
+basis. Over a generic point it lives over the residue domain and the
+parametric engine (`param_buchberger` with `generic_oracle`) computes it,
+certifying every inverted coefficient nonzero. The normalization search,
+the adaptedness check, the re-check after clearing denominators and
+predicates P2-P4 all call it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -28,16 +42,9 @@ from .errors import (
     PreconditionFailed,
     UnsupportedPointKind,
 )
-from .ideals import IdealHandle, eliminate, krull_dim, radical_membership
+from .ideals import IdealHandle, krull_dim, pure_powers, radical_membership
 from .orders import GREVLEX, block_order
-from .parametric import (
-    DenominatorLog,
-    ParamPoly,
-    generic_oracle,
-    param_buchberger,
-    param_front_free,
-    param_pure_power_witness,
-)
+from .parametric import DenominatorLog, ParamPoly, generic_oracle, param_buchberger
 from .poly import Polynomial, PolynomialRing
 from .schemes import (
     GENERIC,
@@ -59,91 +66,67 @@ from .schemes import (
 class NoetherData:
     """A verified normalization k[t_1..t_e] -> fiber, with its witnesses."""
 
-    def __init__(self, fiber_model: FiberModel, e: int, ts, kind: str, seed: int,
-                 witness, denominators=()):
+    def __init__(self, fiber_model: FiberModel, e: int, ts, kind: str, seed: int, witness):
         self.fiber = fiber_model
         self.e = e
-        self.ts = list(ts)            # rational: Polynomials; generic: (ParamPoly, den|None)
+        self.ts = list(ts)            # Polynomials of the source ring
         self.kind = kind              # candidate family that produced the ts
         self.seed = seed
         self.witness = witness        # pure-power leading exponents per fiber var
-        self.denominators = tuple(denominators)
 
     def __repr__(self):
         return f"NoetherData(e={self.e}, kind={self.kind}, ts={self.ts})"
 
 
 def _tag_ring(base: PolynomialRing, e: int):
-    names = base.fresh_names("T", e) if e != 1 else base.fresh_names("T", 1)
-    ext = base.extend(tuple(names))
-    lift = lambda f: Polynomial(ext, tuple((eexp + (0,) * e, c) for eexp, c in f.terms))
-    tvars = [ext.var(base.nvars + j) for j in range(e)]
-    return ext, lift, tvars, names
-
-
-def _module_finite_over_tags(fiber_rels, ts, ring: PolynomialRing):
-    """GB of fiber relations + (T_j - t_j) under a block order with the fiber
-    variables in front; returns (ok, pure-power witness, contraction gens)."""
-    e = len(ts)
+    """(base[T_1..T_e], the map lifting a Polynomial of base into it), the
+    tags appended after the base variables; (base, identity) for e = 0."""
     if e == 0:
-        ext, lift, tvars = ring, (lambda f: f), []
-        gens = list(fiber_rels)
-        front = list(range(ring.nvars))
-        basis = IdealHandle(ext, gens).groebner(block_order(front)) if gens else []
-    else:
-        ext, lift, tvars, _ = _tag_ring(ring, e)
-        gens = [lift(g) for g in fiber_rels]
-        gens += [tvars[j] - lift(ts[j]) for j in range(e)]
-        front = list(range(ring.nvars))
-        basis = IdealHandle(ext, gens).groebner(block_order(front))
-    order = block_order(front) if front else GREVLEX
-    witness = {}
-    for g in basis:
-        exp = g.leading(order)[0]
-        nz = [i for i, k in enumerate(exp) if k]
-        if len(nz) == 1 and nz[0] < ring.nvars and nz[0] not in witness:
-            witness[nz[0]] = exp
-    ok = all(i in witness for i in range(ring.nvars))
-    contraction = [g for g in basis
-                   if all(all(eexp[i] == 0 for i in range(ring.nvars)) for eexp, _ in g.terms)]
-    return ok, witness, contraction
+        return base, lambda f: f
+    ext = base.extend(tuple(base.fresh_names("T", e)))
+    return ext, lambda f: Polynomial(ext, tuple((exp + (0,) * e, c) for exp, c in f.terms))
 
 
-def _param_module_finite_over_tags(fm: FiberModel, ts, log: DenominatorLog):
-    """Parametric variant for generic fibers."""
+def _over_tags(fm: FiberModel, ts, gens=None):
+    """(ok, pure-power witness, contraction) of the tag elements `ts`,
+    Polynomials of the source ring, over the fiber `fm`.
+
+    One basis of `gens` plus T_j - t_j is computed under the block order
+    with the source variables in front. The witness maps each source
+    variable to the first pure-power leading exponent in it; ok says every
+    source variable has one, so the fiber leg is module-finite. The
+    contraction is the basis elements free of the source variables.
+
+    `gens` default to the fiber's relations. For a rational fiber they are
+    Polynomials of the source ring and the ideal engine runs. For a generic
+    fiber they are ParamPolys over its residue domain and the parametric
+    engine runs, `generic_oracle` certifying every inverted coefficient
+    nonzero; each T_j - t_j is built as `tag.sub(t)`, tag term first, since
+    the order of a ParamPoly's terms is part of the engine's memo key."""
     src = fm.morphism.source.ring
     e = len(ts)
-    if e == 0:
-        main = src
-        gens = list(fm.param_basis)
-        tvar_idx = []
-    else:
-        main, lift, tvars, _ = _tag_ring(src, e)
-        gens = []
-        for g in fm.param_basis:
-            gens.append(ParamPoly.build(
-                main, fm.domain,
-                ((eexp + (0,) * e, c) for eexp, c in g.terms.items())))
-        for j, (t, den) in enumerate(ts):
-            # (t, den) stands for t/den with den a unit in the residue
-            # field, so the subring generated is the numerator's
-            tpoly = ParamPoly.build(
-                main, fm.domain,
-                ((eexp + (0,) * e, c) for eexp, c in t.terms.items()))
-            tag = ParamPoly.build(
-                main, fm.domain,
-                [(tuple(1 if i == src.nvars + j else 0 for i in range(main.nvars)),
-                  fm.domain.one())])
-            gens.append(tag.sub(tpoly))
-        tvar_idx = list(range(src.nvars, main.nvars))
+    ext, lift = _tag_ring(src, e)
+    tags = [ext.var(src.nvars + j) for j in range(e)]
     front = list(range(src.nvars))
     order = block_order(front) if front else GREVLEX
-    oracle = generic_oracle(fm.domain, log)
-    basis = param_buchberger(gens, order, fm.domain, oracle)
-    witness = param_pure_power_witness(basis, set(front), order)
-    ok = all(i in witness for i in front)
-    contraction = param_front_free(basis, front)
-    return ok, {i: w[0] for i, w in witness.items()}, contraction
+    if fm.kind == "rational":
+        gens = [lift(g) for g in (fm.relations.generators if gens is None else gens)]
+        gens += [tag - lift(t) for tag, t in zip(tags, ts)]
+        basis = IdealHandle(ext, gens).groebner(order)
+    else:
+        domain = fm.domain
+
+        def constant_coeffs(f):
+            return ParamPoly.build(ext, domain, ((exp, domain.ring.const(c)) for exp, c in f.terms))
+
+        gens = [ParamPoly.build(ext, domain, ((exp + (0,) * e, c) for exp, c in g.terms.items()))
+                for g in (fm.param_basis if gens is None else gens)]
+        gens += [constant_coeffs(tag).sub(constant_coeffs(lift(t))) for tag, t in zip(tags, ts)]
+        basis = param_buchberger(gens, order, domain, generic_oracle(domain, DenominatorLog(domain)))
+    witness = {i: w[0] for i, w in pure_powers(basis, front, order).items()}
+    # dict() gives the exponents of a Polynomial's term pairs and of a ParamPoly's term dict
+    contraction = [g for g in basis if not any(any(exp[:src.nvars]) for exp in dict(g.terms))]
+    return len(witness) == src.nvars, witness, contraction
 
 
 def _candidate_streams(ring: PolynomialRing, e: int, seed: int, budget: int):
@@ -190,136 +173,52 @@ def noether_normalize(fm: FiberModel, seed: int = 0, budget: int = 60) -> Noethe
     if fm.empty:
         raise PreconditionFailed("cannot normalize the zero ring")
     e = fm.dim()
-    src = fm.morphism.source.ring
-    if fm.kind == "rational":
-        rels = list(fm.relations.generators)
-        if e == 0:
-            ok, witness, _ = _module_finite_over_tags(rels, [], src)
-            if not ok:
-                raise NormalizationBudgetExceeded("zero-dimensional fiber failed the finiteness check")
-            return NoetherData(fm, 0, [], "trivial", seed, witness)
-        for kind, ts in _candidate_streams(src, e, seed, budget):
-            ok, witness, contraction = _module_finite_over_tags(rels, ts, src)
-            if not ok:
-                continue
-            if contraction:
-                continue  # tags are algebraically dependent
-            return NoetherData(fm, e, ts, kind, seed, witness)
-        raise NormalizationBudgetExceeded(f"no normalization found within budget {budget}")
-    # generic fiber
-    log = DenominatorLog(fm.domain)
     if e == 0:
-        ok, witness, _ = _param_module_finite_over_tags(fm, [], log)
+        ok, witness, _ = _over_tags(fm, [])
         if not ok:
-            raise NormalizationBudgetExceeded("zero-dimensional generic fiber failed the finiteness check")
-        return NoetherData(fm, 0, [], "trivial", seed, witness,
-                           denominators=log.entries)
-    for kind, ts in _candidate_streams(src, e, seed, budget):
-        pts = [(ParamPoly.build(src, fm.domain,
-                                ((eexp, fm.domain.ring.const(c)) for eexp, c in t.terms)), None)
-               for t in ts]
-        log_try = DenominatorLog(fm.domain)
-        ok, witness, contraction = _param_module_finite_over_tags(fm, pts, log_try)
-        if not ok or contraction:
-            continue
-        return NoetherData(fm, e, pts, kind, seed, witness,
-                           denominators=log_try.entries)
+            raise NormalizationBudgetExceeded(
+                "zero-dimensional fiber failed the finiteness check" if fm.kind == "rational"
+                else "zero-dimensional generic fiber failed the finiteness check")
+        return NoetherData(fm, 0, [], "trivial", seed, witness)
+    for kind, ts in _candidate_streams(fm.morphism.source.ring, e, seed, budget):
+        ok, witness, contraction = _over_tags(fm, ts)
+        if ok and not contraction:  # a contraction means the tags are dependent
+            return NoetherData(fm, e, ts, kind, seed, witness)
     raise NormalizationBudgetExceeded(f"no normalization found within budget {budget}")
 
 
-def adapted_check(component: IdealHandle, nd: NoetherData) -> bool:
+def adapted_check(component, nd: NoetherData) -> bool:
     """True iff the component's ideal contracts to (0) in the normalization
-    tag ring; the computational content of hitting the generic point."""
-    fm = nd.fiber
-    src = fm.morphism.source.ring
+    tag ring; the computational content of hitting the generic point.
+    `component` is an IdealHandle of the source ring, or None for the whole
+    fiber: a generic fiber is treated as one pseudo-prime component."""
     if nd.e == 0:
         return True
-    if fm.kind == "rational":
-        ext, lift, tvars, _ = _tag_ring(src, nd.e)
-        gens = [lift(g) for g in component.generators]
-        gens += [tvars[j] - lift(nd.ts[j]) for j in range(nd.e)]
-        contraction = eliminate(IdealHandle(ext, gens), list(range(src.nvars)))
-        return contraction.is_zero()
-    # generic: contract inside the parametric engine
-    main, lift, tvars, _ = _tag_ring(src, nd.e)
-    log = DenominatorLog(fm.domain)
-    oracle = generic_oracle(fm.domain, log)
-    gens = []
-    for g in component.generators if isinstance(component, IdealHandle) else []:
-        gens.append(ParamPoly.build(
-            main, fm.domain,
-            ((eexp + (0,) * nd.e, fm.domain.ring.const(c)) for eexp, c in g.terms)))
-    for g in fm.param_basis:
-        gens.append(ParamPoly.build(
-            main, fm.domain,
-            ((eexp + (0,) * nd.e, c) for eexp, c in g.terms.items())))
-    for j, (t, den) in enumerate(nd.ts):
-        # (t, den) stands for t/den; the denominator is a unit in the
-        # residue field, so contraction against the numerator is equivalent
-        tpoly = ParamPoly.build(
-            main, fm.domain,
-            ((eexp + (0,) * nd.e, c) for eexp, c in t.terms.items()))
-        tag = ParamPoly.build(
-            main, fm.domain,
-            [(tuple(1 if i == src.nvars + j else 0 for i in range(main.nvars)),
-              fm.domain.one())])
-        gens.append(tag.sub(tpoly))
-    front = list(range(src.nvars))
-    basis = param_buchberger(gens, block_order(front), fm.domain, oracle)
-    return not param_front_free(basis, front)
+    gens = None if component is None else component.generators
+    return not _over_tags(nd.fiber, nd.ts, gens)[2]
 
 
 def lift_clear_denominators(nd: NoetherData, morphism: Morphism, y: Point):
     """Images s_j in B of the normalization elements, denominators cleared.
 
-    Over Q the t_j are scaled to integer coefficients; over a generic point
-    each t_j is multiplied by its denominator (a unit in the residue field)
-    and coefficients are lifted through the morphism's generator images.
-    Module-finiteness is re-verified after scaling; failure raises LiftFailure.
+    Over Q the t_j are scaled to integer coefficients. Over a generic point
+    the t_j have field coefficients already (a denominator would be a unit
+    of the residue field) and s_j is t_j reduced by B's relations.
+    Module-finiteness is re-verified on the s_j; failure raises LiftFailure.
     """
     fm = nd.fiber
-    src = morphism.source.ring
     if nd.e == 0:
         return []
     if fm.kind == "rational":
-        out = []
-        for t in nd.ts:
-            if src.field.char == 0:
-                denom = 1
-                for _, c in t.terms:
-                    denom = denom * c.denominator // _gcd_int(denom, c.denominator)
-                s = t.scale(Fraction(denom)) if denom != 1 else t
-            else:
-                s = t
-            out.append(s)
-        ok, _, _ = _module_finite_over_tags(list(fm.relations.generators), out, src)
-        if not ok:
-            raise LiftFailure("scaled elements fail the finiteness re-check")
-        return out
-    # generic fiber: clear the recorded denominator, lift coefficients to B
-    out = []
-    scaled_pts = []
-    for t, den in nd.ts:
-        # (t, den) stands for t/den; clearing the denominator (a unit of
-        # the residue field) leaves exactly the numerator
-        scaled = t.renormalize()
-        scaled_pts.append((scaled, None))
-        s = src.zero()
-        for mexp, coeff in sorted(scaled.terms.items()):
-            mapped = coeff.map_vars(src, morphism.images)
-            s = s + mapped * Polynomial(src, ((mexp, src.field.one),))
-        out.append(morphism.source.reduce(s))
-    log = DenominatorLog(fm.domain)
-    ok, _, contraction = _param_module_finite_over_tags(fm, scaled_pts, log)
+        out = [t.scale(Fraction(math.lcm(*(c.denominator for _, c in t.terms))))
+               if morphism.source.field.char == 0 else t for t in nd.ts]
+    else:
+        out = [morphism.source.reduce(t) for t in nd.ts]
+    ok, _, contraction = _over_tags(fm, out)
     if not ok or contraction:
-        raise LiftFailure("scaled elements fail the finiteness re-check over the residue field")
+        raise LiftFailure("scaled elements fail the finiteness re-check" if fm.kind == "rational"
+                          else "scaled elements fail the finiteness re-check over the residue field")
     return out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- the factorization certificate ------------------------------------------
@@ -364,13 +263,10 @@ def extend_with_tags(target: Algebra, e: int):
     """A[T_1..T_e] as an Algebra, tags appended after the target variables."""
     if e == 0:
         return target, []
-    ring = target.ring
-    names = ring.fresh_names("T", e)
-    ext = ring.extend(tuple(names))
-    lift = lambda f: Polynomial(ext, tuple((eexp + (0,) * e, c) for eexp, c in f.terms))
+    ext, lift = _tag_ring(target.ring, e)
     rels = IdealHandle(ext, [lift(g) for g in target.relations.generators])
     return Algebra(ext, rels, name=(target.name or "A") + f"[T^{e}]"), \
-        [ext.var(ring.nvars + j) for j in range(e)]
+        [ext.var(target.ring.nvars + j) for j in range(e)]
 
 
 def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
@@ -385,11 +281,11 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
     src_alg = morphism.source
     src = src_alg.ring
 
-    # x0 must be a maximal point of the fiber with top-dimensional component
-    comp = x0.component
+    # x0 must be a maximal point of the fiber with top-dimensional component;
+    # a generic fiber is treated as one component, the whole fiber (None)
+    comp = None
     if fm.kind == "rational":
-        if comp is None:
-            comp = x0.ideal
+        comp = x0.component if x0.component is not None else x0.ideal
         for g in fm.relations.generators:
             if not x0.ideal.contains(g):
                 raise PreconditionFailed("x0 does not lie on the fiber")
@@ -402,11 +298,7 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
         notes.append("generic fiber treated as a single pseudo-prime component")
 
     nd = noether_normalize(fm, seed=seed)
-    if fm.kind == "rational":
-        adapted = adapted_check(comp, nd)
-    else:
-        adapted = adapted_check(IdealHandle(fm.domain.ring, []), nd)
-    if not adapted:
+    if not adapted_check(comp, nd):
         raise PreconditionFailed("adapted-normalization: component contraction is nonzero")
 
     lifted = lift_clear_denominators(nd, morphism, y)
@@ -429,15 +321,8 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
         {"images": [str(p) for p in induced.images]}))
 
     # P2/P3: fiber-level leg is module-finite with zero kernel contraction
-    if fm.kind == "rational":
-        ok_mf, witness, contraction = _module_finite_over_tags(
-            list(fm.relations.generators), lifted, src)
-        contraction_strs = [str(g) for g in contraction]
-    else:
-        log = DenominatorLog(fm.domain)
-        ok_mf, witness, contraction = _param_module_finite_over_tags(
-            fm, [(split_to_param(fm, s), None) for s in lifted] if e else [], log)
-        contraction_strs = [str(g) for g in contraction]
+    ok_mf, witness, contraction = _over_tags(fm, lifted)
+    contraction_strs = [str(g) for g in contraction]
     predicates.append(PredicateRecord(
         "fiber-leg-module-finite", ok_mf,
         {"pure_powers": {src.vars[i]: list(w) for i, w in witness.items()}}))
@@ -447,15 +332,8 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
 
     # P4: x0's ideal contracts to (0) in the tag polynomial ring
     if fm.kind == "rational":
-        if e == 0:
-            p4_ok, p4_evi = True, {"contraction": []}
-        else:
-            ext, lift, tv, _ = _tag_ring(src, e)
-            gens = [lift(g) for g in x0.ideal.generators]
-            gens += [tv[j] - lift(lifted[j]) for j in range(e)]
-            contr = eliminate(IdealHandle(ext, gens), list(range(src.nvars)))
-            p4_ok = contr.is_zero()
-            p4_evi = {"contraction": [str(g) for g in contr.generators]}
+        contr = _over_tags(fm, lifted, x0.ideal.generators)[2] if e else []
+        p4_ok, p4_evi = not contr, {"contraction": [str(g) for g in contr]}
     else:
         p4_ok = not contraction
         p4_evi = {"contraction": contraction_strs,
@@ -511,13 +389,6 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
     if not cert.all_ok():
         raise PreconditionFailed(f"factorization predicates failed: {cert.failed()}")
     return cert
-
-
-def split_to_param(fm: FiberModel, s: Polynomial) -> ParamPoly:
-    src = fm.morphism.source.ring
-    return ParamPoly.build(
-        src, fm.domain,
-        ((e, fm.domain.ring.const(c)) for e, c in s.terms))
 
 
 def _stratum_of_fiber_generic_point(strata, morphism, y, e):

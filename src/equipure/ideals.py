@@ -10,10 +10,12 @@ the unit ideal's is [1], and the unit ideal has dimension -1.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 from .errors import EquipureError, RootSearchBudgetExceeded
 from .groebner import _memoized, buchberger, normal_form
-from .orders import GREVLEX, MonomialOrder, block_order, permuted_grevlex
+from .orders import GREVLEX, MonomialOrder, block_order, exp_coprime, permuted_grevlex
 from .poly import Polynomial, PolynomialRing
 
 
@@ -61,8 +63,6 @@ class IdealHandle:
             return list(self._gb_cache[order]), order
         n = self.ring.nvars
         if len(self.generators) > 1 and n > 1:
-            from .orders import exp_coprime
-
             for shift in range(n):
                 perm = tuple((i + shift) % n for i in range(n))
                 order = GREVLEX if shift == 0 else permuted_grevlex(perm)
@@ -233,15 +233,36 @@ def krull_dim(handle: IdealHandle) -> int:
     gb = handle.groebner(GREVLEX)
     if gb and gb[0].is_constant():
         return -1
-    leads = [g.leading(GREVLEX)[0] for g in gb]
+    return independent_dim([g.leading(GREVLEX)[0] for g in gb], handle.ring.nvars)
+
+
+# -- leading-term readouts, for Polynomials and ParamPolys alike ---------------
+
+def independent_dim(leads, n: int) -> int:
+    """The largest size of a subset of the n variables that contains the
+    support of no exponent in `leads`: the dimension read off the leading
+    exponents of a Groebner basis of a proper ideal."""
     supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in leads]
-    n = handle.ring.nvars
     for size in range(n, -1, -1):
         for combo in itertools.combinations(range(n), size):
             s = frozenset(combo)
             if all(not sup <= s for sup in supports):
                 return size
     return 0
+
+
+def pure_powers(basis, variables, order) -> dict:
+    """Variable index -> (leading exponent, element) of the first element
+    of `basis` whose leading exponent under `order` is a pure power of that
+    variable, for each index in `variables` that has one: the monic
+    equations a module-finiteness check reads off."""
+    out = {}
+    for g in basis:
+        exp = g.leading(order)[0]
+        nz = [i for i, k in enumerate(exp) if k]
+        if len(nz) == 1 and nz[0] in variables and nz[0] not in out:
+            out[nz[0]] = (exp, g)
+    return out
 
 
 def monomial_ideal_dim_bruteforce(ring: PolynomialRing, monomials) -> int:
@@ -290,11 +311,7 @@ def linear_roots(f: Polynomial):
             if val == 0:
                 roots.append(a)
     else:
-        from fractions import Fraction
-
-        denom_lcm = 1
-        for c in coeffs.values():
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = math.lcm(*(c.denominator for c in coeffs.values()))
         ints = {k: int(c * denom_lcm) for k, c in coeffs.items()}
         lead = ints[deg]
         const = ints.get(0, 0)
@@ -315,12 +332,6 @@ def linear_roots(f: Polynomial):
                         if val == 0:
                             roots.append(cand)
     return i, sorted(set(roots))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # the largest trial divisor `_divisors` tries: the budget of the rational

@@ -38,7 +38,7 @@ from heapq import heapify, heappop, heappush
 from .errors import ParamBudgetError
 from .groebner import _divisor as _field_divisor, _memoized, _minimal, _pair_loop
 from .groebner import _reduce as _field_reduce, normal_form
-from .ideals import IdealHandle
+from .ideals import IdealHandle, independent_dim
 from .orders import GREVLEX, PackingOverflow, _packed_run, _packing
 from .poly import Polynomial, PolynomialRing, poly_from_dict
 
@@ -553,38 +553,6 @@ def param_is_unit(basis) -> bool:
 
 def param_dim(basis, nmain: int) -> int:
     """Dimension over the fraction field from main-variable leading terms."""
-    import itertools
-
     if param_is_unit(basis):
         return -1
-    supports = []
-    for g in basis:
-        exp = g.leading(GREVLEX)[0]
-        supports.append(frozenset(i for i, e in enumerate(exp) if e))
-    for size in range(nmain, -1, -1):
-        for combo in itertools.combinations(range(nmain), size):
-            s = frozenset(combo)
-            if all(not sup <= s for sup in supports):
-                return size
-    return 0
-
-
-def param_pure_power_witness(basis, var_indices, order):
-    """For each requested main variable, the basis element whose leading
-    monomial is a pure power of it, if one exists."""
-    out = {}
-    for g in basis:
-        exp = g.leading(order)[0]
-        nz = [i for i, e in enumerate(exp) if e]
-        if len(nz) == 1 and nz[0] in var_indices and nz[0] not in out:
-            out[nz[0]] = (exp, g)
-    return out
-
-
-def param_front_free(basis, front) -> list:
-    """Basis elements containing none of the front main variables."""
-    out = []
-    for g in basis:
-        if all(all(e[i] == 0 for i in front) for e in g.terms):
-            out.append(g)
-    return out
+    return independent_dim([g.leading(GREVLEX)[0] for g in basis], nmain)

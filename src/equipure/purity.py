@@ -13,9 +13,17 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import HypothesisFailed, NotHypersurface, NotModuleFinite
+from .errors import HypothesisFailed, NotHypersurface, NotModuleFinite, UnsupportedPointKind
+from .factorization import build_factorization, maximal_points_of_fiber, verify_equidimensional_at
 from .groebner import normal_form
 from .ideals import IdealHandle, krull_dim
+from .modules import (
+    graph_kernel_order,
+    module_buchberger,
+    module_normal_form,
+    syzygy_restricted,
+    vec_zero,
+)
 from .orders import GREVLEX, block_order, exp_divides
 from .poly import Polynomial
 from .schemes import (
@@ -26,6 +34,7 @@ from .schemes import (
     Point,
     decompose_components,
     dominates,
+    is_module_finite,
     rational_point,
 )
 
@@ -57,8 +66,6 @@ class ModulePresentation:
 def module_presentation(morphism: Morphism) -> ModulePresentation:
     """Standard monomials of the graph ideal under the source-block order,
     with relations computed as the coefficient-restricted syzygies."""
-    from .modules import syzygy_restricted
-
     gring, gideal, src_idx, tgt_idx, tgt_names = morphism.graph()
     order = block_order(src_idx)
     basis = gideal.groebner(order)
@@ -149,8 +156,6 @@ class SplitCertificate:
 def splitting_ideal(morphism: Morphism):
     """Image of evaluation-at-1 on Hom_A(B, A), as an ideal of A represented
     in the ambient ring (the target's relations are included)."""
-    from .modules import syzygy_restricted, vec_zero
-
     pres = module_presentation(morphism)
     tring = morphism.target.ring
     m = pres.rank
@@ -184,7 +189,7 @@ def splitting_ideal(morphism: Morphism):
 def splits(morphism: Morphism):
     """(bool, SplitCertificate); on success the certificate carries an
     explicit sigma with sigma(1) = 1."""
-    if not _is_module_finite(morphism):
+    if not is_module_finite(morphism):
         raise NotModuleFinite(f"{morphism.name or morphism} is not module-finite")
     handle, hom_gens, pres = splitting_ideal(morphism)
     tgt = morphism.target
@@ -218,8 +223,6 @@ def _express_one(raw_gens, tring):
     r, quots = normal_form(one, raw_gens, GREVLEX, track=True)
     if r.is_zero():
         return quots
-    from .modules import graph_kernel_order, module_buchberger, module_normal_form
-
     n = len(raw_gens)
     gens = []
     for i, g in enumerate(raw_gens):
@@ -242,12 +245,6 @@ def _express_one(raw_gens, tring):
     return cofactors
 
 
-def _is_module_finite(morphism: Morphism) -> bool:
-    from .schemes import is_module_finite
-
-    return is_module_finite(morphism)
-
-
 def pure_at(morphism: Morphism, p: Point) -> bool:
     """True iff the splitting ideal is not contained in p: some generator
     stays outside the point's defining ideal."""
@@ -257,11 +254,9 @@ def pure_at(morphism: Morphism, p: Point) -> bool:
 def witness_outside(morphism: Morphism, p: Point):
     """The first splitting-ideal generator outside p's defining ideal, or
     None when the splitting ideal lies inside p."""
-    if not _is_module_finite(morphism):
+    if not is_module_finite(morphism):
         raise NotModuleFinite("pure_at needs a module-finite map")
     if p.kind not in (RATIONAL, GENERIC):
-        from .errors import UnsupportedPointKind
-
         raise UnsupportedPointKind(f"unsupported point kind {p.kind}")
     handle, _, _ = splitting_ideal(morphism)
     for g in handle.generators:
@@ -293,7 +288,7 @@ def splinter_probe(base: Algebra, covers) -> SplinterReport:
     for phi in covers:
         if phi.target is not base and phi.target.ring != base.ring:
             raise ValueError("cover does not land on the base")
-        if not _is_module_finite(phi):
+        if not is_module_finite(phi):
             raise NotModuleFinite(f"cover {phi.name or phi} is not module-finite")
         surj = _surjectivity_evidence(phi)
         if not surj:
@@ -374,9 +369,6 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
     base hypothesis, the factorization certificate, a direct splitting
     witness for the finite leg when available, and the flat projection leg
     recorded as a cited fact."""
-    from .factorization import build_factorization, maximal_points_of_fiber, \
-        verify_equidimensional_at
-
     if base_class not in BASE_CLASSES:
         raise ValueError(f"unknown base class {base_class}")
     target = morphism.target
@@ -437,9 +429,7 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
             "finite_leg": None,
         }
         g = cert.induced
-        from .schemes import is_module_finite as imf
-
-        if imf(g):
+        if is_module_finite(g):
             zc = g.image_point_coords(probe.coords)
             zp = rational_point(g.target, zc)
             witness = witness_outside(g, zp)

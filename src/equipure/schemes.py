@@ -21,11 +21,14 @@ from .errors import (
 )
 from .groebner import normal_form
 from .ideals import (
+    IdealError,
     IdealHandle,
     eliminate,
+    exact_divide,
     intersect,
     krull_dim,
     linear_roots,
+    pure_powers,
     radical_envelope,
     radical_membership,
     saturation,
@@ -38,7 +41,6 @@ from .parametric import (
     param_buchberger,
     param_dim,
     param_is_unit,
-    param_pure_power_witness,
     split_poly,
 )
 from .poly import Polynomial, PolynomialRing
@@ -333,11 +335,9 @@ def _find_splitter(handle: IdealHandle):
             lin = ring.var(vi) - ring.const(a)
             if rad(lin):
                 continue
-            from .ideals import exact_divide
-
             try:
                 rest = exact_divide(g, lin)
-            except Exception:
+            except IdealError:
                 continue
             if not rest.is_constant() and not rad(rest):
                 return lin, rest
@@ -487,19 +487,9 @@ def dominates(component: IdealHandle, morphism: Morphism):
 def is_module_finite(morphism: Morphism) -> bool:
     """True iff every source variable has a monic equation over the image:
     read off pure-power leading terms in a block basis of the graph ideal."""
-    return len(_module_finite_witness(morphism)) == morphism.source.ring.nvars
-
-
-def _module_finite_witness(morphism: Morphism):
     gring, gideal, src_idx, tgt_idx, _ = morphism.graph()
-    basis = gideal.groebner(block_order(src_idx))
-    found = {}
-    for g in basis:
-        exp = g.leading(block_order(src_idx))[0]
-        nz = [i for i, e in enumerate(exp) if e]
-        if len(nz) == 1 and nz[0] in src_idx and nz[0] not in found:
-            found[nz[0]] = g
-    return found
+    order = block_order(src_idx)
+    return len(pure_powers(gideal.groebner(order), src_idx, order)) == len(src_idx)
 
 
 # -- quasi-finite strata --------------------------------------------------------
@@ -580,7 +570,7 @@ def finite_locus_strata(morphism: Morphism, depth_budget: int = 12):
         if empty:
             out.append(Stratum(constraints, nonzeros, True, True, None))
             return
-        witness = param_pure_power_witness(basis, set(src_idx), GREVLEX)
+        witness = pure_powers(basis, src_idx, GREVLEX)
         qf = all(i in witness for i in src_idx)
         out.append(Stratum(constraints, nonzeros, qf, False,
                            {i: str(w[1]) for i, w in witness.items()}))

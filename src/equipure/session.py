@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 
 from .errors import EquipureError
+from .factorization import maximal_points_of_fiber
 from .fields import GF, QQ, FieldSpec
 from .ideals import IdealHandle
 from .orders import GREVLEX, LEX
@@ -252,8 +253,6 @@ def _parse_point(session, stmt, line):
         return
     mf = re.fullmatch(r"fiber-point\s*\(\s*(\w+)\s*,\s*(\w+)\s*,\s*(\d+)\s*\)", rhs)
     if mf:
-        from .factorization import maximal_points_of_fiber
-
         phi = session._lookup(session.morphisms, mf.group(1), "morphism", line)
         y = session._lookup(session.points, mf.group(2), "point", line)
         pts = maximal_points_of_fiber(phi, y)

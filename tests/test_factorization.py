@@ -6,7 +6,7 @@ import pytest
 from equipure.errors import LiftFailure, PreconditionFailed, RecursionBudgetExceeded
 from equipure.factorization import (
     NoetherData,
-    _module_finite_over_tags,
+    _over_tags,
     adapted_check,
     build_factorization,
     lift_clear_denominators,
@@ -17,7 +17,6 @@ from equipure.factorization import (
 )
 from equipure.fields import GF, QQ
 from equipure.ideals import IdealHandle
-from equipure.parametric import ParamPoly
 from equipure.poly import PolynomialRing, parse_poly
 from equipure.schemes import (
     decompose_components,
@@ -102,8 +101,7 @@ def test_adapted_check_examples():
     ring = fm2.relations.ring
     nd2 = NoetherData(fm2, 2, [parse_poly(ring, "x + z"), parse_poly(ring, "y")],
                       "manual", 0, {})
-    ok, _, contraction = _module_finite_over_tags(
-        list(fm2.relations.generators), nd2.ts, ring)
+    ok, _, contraction = _over_tags(fm2, nd2.ts)
     assert ok and not contraction
     q_line = IdealHandle(ring, [ring.var(0), ring.var(1)])
     assert not adapted_check(q_line, nd2)
@@ -134,10 +132,26 @@ def test_lift_clears_generic_denominator():
     incl = make_morphism(A, B, [P(B.ring, "a")], "incl")
     eta = generic_point_of(A, IdealHandle(A.ring, []))
     fm = fiber(incl, eta)
-    num = ParamPoly.build(B.ring, fm.domain, [((0, 1), fm.domain.ring.one())])
-    nd = NoetherData(fm, 1, [(num, fm.domain.ring.var(0))], "manual", 0, {})
+    nd = NoetherData(fm, 1, [P(B.ring, "x")], "manual", 0, {})
     ss = lift_clear_denominators(nd, incl, eta)
     assert [str(s) for s in ss] == ["x"]
+
+
+def test_generic_lift_reduces_by_source_relations_and_rational_lift_does_not():
+    # the one difference between the two lifts: B's relations (z - a)
+    # rewrite t = x + a as x + z, and only the generic lift applies them
+    A = make_algebra(QQ, ["a"], [], "A")
+    ring = PolynomialRing(QQ, ["a", "x", "z"])
+    B = make_algebra(QQ, ["a", "x", "z"], [P(ring, "z - a")], "B")
+    incl = make_morphism(A, B, [P(B.ring, "a")], "incl")
+    t = P(B.ring, "x + a")
+    assert str(B.reduce(t)) == "x + z"
+    eta = generic_point_of(A, IdealHandle(A.ring, []))
+    generic = NoetherData(fiber(incl, eta), 1, [t], "manual", 0, {})
+    assert lift_clear_denominators(generic, incl, eta) == [B.reduce(t)]
+    y = rational_point(A, [1])
+    rational = NoetherData(fiber(incl, y), 1, [t], "manual", 0, {})
+    assert lift_clear_denominators(rational, incl, y) == [t]
 
 
 def test_build_factorization_e0(double_cover, line_q):

@@ -1,6 +1,7 @@
 """No code that nothing calls: every public function, class or method
-defined in `src/equipure` is named somewhere in the package, its tests or
-its benchmark other than at its own definition."""
+defined in `src/equipure`, and every private function or class at the top
+level of one of its modules, is named somewhere in the package, its tests
+or its benchmark other than at its own definition."""
 
 import ast
 import os
@@ -19,22 +20,29 @@ def _python_files(top):
                 yield os.path.join(dirpath, name)
 
 
-def _public_definitions():
-    """name -> number of public function, class and method definitions of
-    that name in the package."""
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _checked_definitions():
+    """name -> number of definitions of that name in the package that are
+    checked: public functions, classes and methods at any depth, private
+    (single-underscore) functions and classes at module level."""
     defined = {}
     for path in _python_files(PACKAGE):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[node.name] = defined.get(node.name, 0) + 1
+        private = [node for node in tree.body
+                   if isinstance(node, DEFINITIONS) and node.name.startswith("_")
+                   and not node.name.startswith("__")]
+        public = [node for node in ast.walk(tree)
+                  if isinstance(node, DEFINITIONS) and not node.name.startswith("_")]
+        for node in private + public:
+            defined[node.name] = defined.get(node.name, 0) + 1
     return defined
 
 
 def test_every_public_definition_is_named_elsewhere():
-    defined = _public_definitions()
+    defined = _checked_definitions()
     text = []
     for top in SEARCHED:
         for path in _python_files(top):

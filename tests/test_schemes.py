@@ -4,7 +4,7 @@ import pytest
 
 from equipure.errors import IllDefinedError, UnitIdealError, UnsupportedPointKind
 from equipure.fields import QQ
-from equipure.ideals import IdealHandle
+from equipure.ideals import IdealError, IdealHandle
 from equipure.poly import PolynomialRing, parse_poly
 from equipure.schemes import (
     asserted_prime_point,
@@ -88,6 +88,31 @@ def test_decompose_examples():
     zero = IdealHandle(R2, [])
     comps3, _ = decompose_components(zero)
     assert len(comps3) == 1 and comps3[0].is_zero()
+
+
+def test_splitter_lets_unexpected_division_errors_propagate(monkeypatch):
+    # x^2 - 1 splits at its rational root 1; an inexact division (IdealError)
+    # only skips that root, anything else the division raises is a fault
+    import equipure.schemes as schemes
+
+    R1 = PolynomialRing(QQ, ["x"])
+    handle = IdealHandle(R1, [parse_poly(R1, "x^2 - 1")])
+    comps, _ = decompose_components(handle)
+    assert sorted(str(c.generators[0]) for c in comps) == ["x + 1", "x - 1"]
+
+    def inexact(f, g):
+        raise IdealError("division is not exact")
+
+    monkeypatch.setattr(schemes, "exact_divide", inexact)
+    comps, _ = decompose_components(handle)
+    assert len(comps) == 1
+
+    def faulty(f, g):
+        raise ZeroDivisionError("fault inside the division")
+
+    monkeypatch.setattr(schemes, "exact_divide", faulty)
+    with pytest.raises(ZeroDivisionError, match="fault inside the division"):
+        decompose_components(handle)
 
 
 def test_decompose_two_planes():
