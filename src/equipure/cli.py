@@ -4,13 +4,15 @@ Exit codes: 0 all verdicts positive, 1 some verdict refuted, 2 error,
 3 inconclusive. `run --json` writes the canonical report list; `verify`
 replays the producer of every certificate in a report file, diffs the whole
 payload and names the first differing path, and runs the identity checks
-that hold of the recorded outputs, naming any that fails.
+that hold of the recorded outputs, naming any that fails. A reader that
+closes stdout early ends the output, not the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -81,13 +83,25 @@ def _run(args) -> int:
         return EXIT_ERROR
     reports = run_session(session)
     for rep in reports:
-        print(f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}")
+        _say(f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}")
     if args.json_path:
         payload = [rep.to_obj() for rep in reports]
         with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(payload))
-        print(f"wrote {len(reports)} report(s) to {args.json_path}")
+        _say(f"wrote {len(reports)} report(s) to {args.json_path}")
     return aggregate_exit(rep.exit_class for rep in reports) if reports else EXIT_OK
+
+
+def _say(line: str):
+    """Print a line to stdout. A reader that has closed stdout ends the
+    output, not the command: the rest of the output goes to the null
+    device, and the exit code is still the one the reports give."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _tag(exit_class: int) -> str:
@@ -121,10 +135,10 @@ def _verify(args) -> int:
         ok, failures = verify_certificate(cert)
         label = entry.get("command", cert.get("kind"))
         if ok:
-            print(f"[ok] {label}: certificate re-verified")
+            _say(f"[ok] {label}: certificate re-verified")
         else:
             worst = EXIT_REFUTED
-            print(f"[FAIL] {label}: {', '.join(failures)}")
+            _say(f"[FAIL] {label}: {', '.join(failures)}")
     if checked == 0:
         print("no verifiable certificates found", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -198,7 +198,7 @@ def adapted_check(component, nd: NoetherData) -> bool:
     return not _over_tags(nd.fiber, nd.ts, gens)[2]
 
 
-def lift_clear_denominators(nd: NoetherData, morphism: Morphism, y: Point):
+def lift_clear_denominators(nd: NoetherData, morphism: Morphism):
     """Images s_j in B of the normalization elements, denominators cleared.
 
     Over Q the t_j are scaled to integer coefficients. Over a generic point
@@ -262,11 +262,10 @@ class FactorizationCertificate:
 def extend_with_tags(target: Algebra, e: int):
     """A[T_1..T_e] as an Algebra, tags appended after the target variables."""
     if e == 0:
-        return target, []
+        return target
     ext, lift = _tag_ring(target.ring, e)
     rels = IdealHandle(ext, [lift(g) for g in target.relations.generators])
-    return Algebra(ext, rels, name=(target.name or "A") + f"[T^{e}]"), \
-        [ext.var(target.ring.nvars + j) for j in range(e)]
+    return Algebra(ext, rels, name=(target.name or "A") + f"[T^{e}]")
 
 
 def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
@@ -301,8 +300,8 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
     if not adapted_check(comp, nd):
         raise PreconditionFailed("adapted-normalization: component contraction is nonzero")
 
-    lifted = lift_clear_denominators(nd, morphism, y)
-    at_alg, tvars = extend_with_tags(morphism.target, e)
+    lifted = lift_clear_denominators(nd, morphism)
+    at_alg = extend_with_tags(morphism.target, e)
     images = [
         Polynomial(src, f.terms) for f in morphism.images
     ] + list(lifted)

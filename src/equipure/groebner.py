@@ -7,9 +7,11 @@ lcm in the active order, ties broken by index), keeps the sorted divisor
 list as the basis grows, and forms no pair of leading terms in different
 module positions. Each engine passes in its division of a pair's
 S-polynomial, how a remainder becomes a basis element, and which of
-Gebauer & Moller's criteria apply: the ideal engine uses the coprime
-leading-term criterion and the chain criterion, the parametric engine the
-coprime criterion under a pair budget, the module engine neither.
+Gebauer & Moller's criteria apply: the ideal and parametric engines use the
+coprime leading-term criterion and the chain criterion, the parametric one
+under a pair budget, and the module engine neither. The checker
+`is_groebner` runs the same loop with both criteria and stops at the first
+S-polynomial that leaves a remainder.
 Ideal output is always the unique reduced Groebner basis, sorted by leading
 monomial, so repeated runs are byte-identical. Division, S-polynomials, the
 criteria and inter-reduction run on packed monomials (`orders.Packing`); the
@@ -303,9 +305,16 @@ def _inter_reduce(entries, packing, fld):
     return out
 
 
+class _NotGroebner(Exception):
+    """An S-polynomial left a nonzero remainder; ends `is_groebner`'s loop."""
+
+
 def is_groebner(basis, order) -> bool:
-    """Direct Buchberger-criterion check: the S-polynomial of every pair
-    reduces to 0. A checker, so it skips no pair by any criterion."""
+    """Whether `basis` is a Groebner basis: the S-polynomial of every pair
+    that `_pair_loop` does not skip by the coprime or the chain criterion
+    reduces to 0. Buchberger's algorithm with both criteria ends with a
+    Groebner basis, so a loop that adds no element proves the input is one;
+    the first nonzero remainder proves it is not."""
     if any(g.is_zero() for g in basis):
         raise ValueError("leading term of zero")
     if not basis:
@@ -313,10 +322,15 @@ def is_groebner(basis, order) -> bool:
     fld = basis[0].ring.field
 
     def run(packing):
-        entries = [_divisor(g, i, packing) for i, g in enumerate(basis)]
-        divisors = sorted(entries)
-        return not any(
-            _reduce(_s_work(f, g, packing.lcm(f[0], g[0]), packing, fld), divisors, packing, fld)
-            for i, f in enumerate(entries) for g in entries[i + 1:])
+        def step(fentry, gentry, klcm, divisors, index):
+            if _reduce(_s_work(fentry, gentry, klcm, packing, fld), divisors, packing, fld):
+                raise _NotGroebner
+
+        try:
+            _pair_loop([_divisor(g, i, packing) for i, g in enumerate(basis)], packing, step,
+                       coprime=True, chain=True)
+        except _NotGroebner:
+            return False
+        return True
 
     return _packed_run(order.packing(basis[0].ring.nvars), run)

@@ -19,16 +19,20 @@ This is the engine behind two features:
 A `ParamPoly`'s coefficients are Polynomials in canonical normal form
 modulo the constraint ideal, so all outputs are byte-stable. Buchberger's
 pairs run through the pair loop the three engines share
-(`groebner._pair_loop`), with the coprime criterion and a pair budget;
-division and S-polynomials are this module's own, fraction-free. The loops
-run on packed monomials (see `orders.Packing`) with packed coefficients: a
-coefficient is a dict K -> field element under the parameter ring's grevlex
-packing of the same width (see `CoeffDomain._packed`), and its normal form
-is the ideal engine's `groebner._reduce` by the constraint basis. No
-Polynomial arithmetic runs inside the loops; coefficients become
-Polynomials at three boundaries only: the oracle's questions, the
-remainder and the output basis. A `ParamPoly`'s terms stay keyed by
-exponent tuples, because callers mutate its `terms` dict.
+(`groebner._pair_loop`), with the coprime and chain criteria and a pair
+budget; division and S-polynomials are this module's own, fraction-free.
+The chain criterion holds here because every leading coefficient is
+certified nonzero (or assumed nonzero on the stratum) before its element
+enters the loop, so leading monomials are those over the fraction field.
+The loops run on packed monomials (see `orders.Packing`) with packed
+coefficients: a coefficient is a dict K -> field element under the
+parameter ring's grevlex packing of the same width (see
+`CoeffDomain._packed`), and its normal form is the ideal engine's
+`groebner._reduce` by the constraint basis. No Polynomial arithmetic runs
+inside the loops; coefficients become Polynomials at three boundaries only:
+the oracle's questions, the remainder and the output basis. A `ParamPoly`'s
+terms stay keyed by exponent tuples, because callers mutate its `terms`
+dict.
 """
 
 from __future__ import annotations
@@ -392,10 +396,12 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
     basis of the extended ideal.
 
     The pairs run through the shared loop `groebner._pair_loop` with the
-    coprime criterion and `budget` popped pairs at most; each pair's
+    coprime and chain criteria and `budget` popped pairs at most; each pair's
     S-polynomial is reduced by the fraction-free `_reduce`, and a nonzero
     remainder joins the basis as it is. The output is the minimal basis of
-    what the loop ends with (see `groebner._minimal`), not a reduced one.
+    what the loop ends with (see `groebner._minimal`), not a reduced one:
+    its leading monomials do not depend on which pairs the criteria skip,
+    but its elements and the oracle's questions do.
 
     Computed once per process for each (gens, order, domain, budget): the
     key holds each generator's ring and terms in order, the coefficient
@@ -478,7 +484,7 @@ def _param_buchberger(gens, order, domain, is_invertible, budget):
         entries = _pair_loop([_divisor(_keyed(g, packing, cpacking), packing.encode(lexp),
                                        lcoeff, i, packing)
                               for i, (g, (lexp, lcoeff)) in enumerate(zip(basis, leads))],
-                             packing, step, coprime=True, budget=budget)
+                             packing, step, coprime=True, chain=True, budget=budget)
         keep = _minimal(entries, packing)
         # the output order is stated by the order's key, at the boundary
         keep.sort(key=lambda e: (order.key(decode(e[0])), repr(polys[e[2]])))

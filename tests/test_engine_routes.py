@@ -3,8 +3,10 @@ fixed inputs: how many S-polynomials it reduces (a pair criterion lost or
 added changes the count), the parametric oracle's questions in order, and
 the smallest pair budget a parametric run finishes in.
 
-The figures were recorded before the three engines shared one pair loop;
-they hold as long as every engine pops the same pairs in the same order."""
+The ideal and module figures were recorded before the three engines shared
+one pair loop, the parametric ones once its engine skipped pairs by the
+chain criterion as well as the coprime one; they hold as long as every
+engine pops the same pairs in the same order and skips the same ones."""
 
 import hashlib
 import random
@@ -139,10 +141,10 @@ IDEAL_ROUTES = {"cyclic-4": 11, "katsura-3-lex": 52, "twisted-cubic-block": 4,
                 "random-gf7": 77}
 MODULE_ROUTES = {"koszul": 4, "monomials-elim": 40, "random-pot-gf7": 16}
 # name -> (S-polynomials, md5 of the oracle's questions, one per line)
-PARAM_ROUTES = {"free-grevlex": (2, "24078b405a2df55757b27232ac343588"),
-                "quotient-grevlex": (9, "0cef6774a42ac1bd77ba9a43cfc0e257"),
-                "quotient-block-gf7": (28, "4fa47bc4e2d1f34b2efa8cb9e8188f6d")}
-# pairs popped, coprime skips included, by the unbudgeted run
+PARAM_ROUTES = {"free-grevlex": (1, "68dc7a0c8f0820f4405fa9031e701df9"),
+                "quotient-grevlex": (8, "98fa12d953c2000cbc9f9b9b4bbc459c"),
+                "quotient-block-gf7": (14, "5afd3f4f1ffce11b4ac6474eb4a58b6e")}
+# pairs popped, coprime and chain skips included, by the unbudgeted run
 PARAM_BUDGETS = {"free-grevlex": 6, "quotient-grevlex": 15, "quotient-block-gf7": 45}
 
 

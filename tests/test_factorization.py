@@ -70,7 +70,7 @@ def test_lift_failure_on_bogus_normalization_data():
     bogus = NoetherData(fm, 1, [ring.var(0)], "manual", 0, {})
     pt_alg = fm.morphism.target
     with pytest.raises(LiftFailure):
-        lift_clear_denominators(bogus, fm.morphism, fm.point)
+        lift_clear_denominators(bogus, fm.morphism)
 
 
 def test_decompose_budget_exceeded():
@@ -122,7 +122,7 @@ def test_lift_clears_rational_denominators():
     fm = fiber(incl, rational_point(pt_alg, []))
     half_x = parse_poly(alg.ring, "x").scale(QQ.of(1, 2))
     nd = NoetherData(fm, 1, [half_x], "manual", 0, {})
-    ss = lift_clear_denominators(nd, incl, rational_point(pt_alg, []))
+    ss = lift_clear_denominators(nd, incl)
     assert [str(s) for s in ss] == ["x"]
 
 
@@ -133,7 +133,7 @@ def test_lift_clears_generic_denominator():
     eta = generic_point_of(A, IdealHandle(A.ring, []))
     fm = fiber(incl, eta)
     nd = NoetherData(fm, 1, [P(B.ring, "x")], "manual", 0, {})
-    ss = lift_clear_denominators(nd, incl, eta)
+    ss = lift_clear_denominators(nd, incl)
     assert [str(s) for s in ss] == ["x"]
 
 
@@ -148,10 +148,10 @@ def test_generic_lift_reduces_by_source_relations_and_rational_lift_does_not():
     assert str(B.reduce(t)) == "x + z"
     eta = generic_point_of(A, IdealHandle(A.ring, []))
     generic = NoetherData(fiber(incl, eta), 1, [t], "manual", 0, {})
-    assert lift_clear_denominators(generic, incl, eta) == [B.reduce(t)]
+    assert lift_clear_denominators(generic, incl) == [B.reduce(t)]
     y = rational_point(A, [1])
     rational = NoetherData(fiber(incl, y), 1, [t], "manual", 0, {})
-    assert lift_clear_denominators(rational, incl, y) == [t]
+    assert lift_clear_denominators(rational, incl) == [t]
 
 
 def test_build_factorization_e0(double_cover, line_q):

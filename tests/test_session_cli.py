@@ -18,6 +18,7 @@ from equipure.cli import main
 from equipure.errors import EquipureError
 from equipure.ideals import IdealError
 from equipure.reports import (
+    EXIT_REFUTED,
     Report,
     canonical_json,
     point_from_obj,
@@ -260,6 +261,21 @@ def test_exponents_past_the_packed_field_width_keep_their_report(tmp_path):
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
     assert hashlib.md5(out.read_bytes()).hexdigest() == "3eea809bba4bf7ceffa8c26351b066cf"
     assert main(["verify", str(out)]) == 0
+
+
+def test_a_closed_stdout_ends_the_output_not_the_run(tmp_path):
+    # `equipure run fibers.eqp | true`: the reader is gone before the first
+    # report line, and the run still writes its reports and exits as they say
+    out = tmp_path / "reports.json"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-m", "equipure.cli", "run",
+                             os.path.join(DATA, "fibers.eqp"), "--seed", "1", "--json", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == EXIT_REFUTED
+    assert stderr == ""
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "6fda2c20306e3bef7b869d079862409f"
 
 
 @pytest.mark.parametrize("hashseed", ["0", "12345"])
