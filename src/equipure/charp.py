@@ -20,8 +20,8 @@ from .errors import (
     NotHypersurface,
 )
 from .factorization import verify_equidimensional_at
-from .ideals import IdealHandle, krull_dim, radical_membership
-from .orders import GREVLEX, exp_divides
+from .ideals import IdealHandle, krull_dim, radical_membership, standard_exponents
+from .orders import GREVLEX
 from .poly import Polynomial
 from .purity import pure_at
 from .schemes import (
@@ -32,6 +32,7 @@ from .schemes import (
     is_module_finite,
 )
 
+# the Frobenius evidence bound E of a session that sets none
 DEFAULT_FROBENIUS_BOUND = 3
 
 # Largest Frobenius power p^bound a tight-closure probe may reach. Each
@@ -158,9 +159,6 @@ class TCVerdict:
         self.witness_exponent = witness_exponent
         self.levels = tuple(levels)   # (e, in_bracket_power) pairs
 
-    def conclusive(self) -> bool:
-        return self.status in (self.MEMBER, self.NOT_IN_CLOSURE)
-
     def recheck(self, ctx: FrobeniusContext) -> bool:
         """Re-verify the recorded memberships from scratch."""
         # a level outside 1..bound was never tested, and its bracket power
@@ -246,20 +244,8 @@ def standard_monomials(algebra: Algebra, handle: IdealHandle, cap: int = 40):
     if gb and gb[0].is_constant():
         return []
     leads = [g.leading(GREVLEX)[0] for g in gb]
-    n = algebra.ring.nvars
-    bounds = []
-    for i in range(n):
-        pure = [exp[i] for exp in leads if all(k == 0 for j, k in enumerate(exp) if j != i)]
-        bounds.append(min(pure) if pure else cap)
-    out = []
-    for exps in itertools.product(*[range(min(b, cap)) for b in bounds]):
-        if sum(exps) > cap:
-            continue
-        if any(exp_divides(lm, exps) for lm in leads):
-            continue
-        out.append(Polynomial(algebra.ring, ((tuple(exps), algebra.field.one),)))
-    out.sort(key=lambda m: GREVLEX.key(m.terms[0][0]))
-    return out
+    return [Polynomial(algebra.ring, ((exps, algebra.field.one),))
+            for exps in standard_exponents(leads, algebra.ring.nvars, cap)]
 
 
 def f_rational_probe(algebra: Algebra, sops, bound: int, ctx: FrobeniusContext,
@@ -301,35 +287,6 @@ def f_rational_probe(algebra: Algebra, sops, bound: int, ctx: FrobeniusContext,
     if witness is not None:
         return FRationalReport(algebra, "NotFRational", details, witness)
     return FRationalReport(algebra, f"no-counterexample-at-level-{bound}", details)
-
-
-# -- persistence / contraction spot checks ----------------------------------------
-
-
-def persistence_spot_check(phi: Morphism, z: Polynomial, ideal: IdealHandle,
-                           multiplier: Polynomial, bound: int) -> bool:
-    """Push a closure-evidence triple through phi: the image triple must show
-    the same evidence at the same bound. Follows from applying phi to each
-    membership identity."""
-    src_ctx = FrobeniusContext(phi.source)
-    tgt_ctx = FrobeniusContext(phi.target)
-    up = tc_member_certificate(z, ideal, multiplier, bound, tgt_ctx)
-    if up.status == TCVerdict.NOT_IN_CLOSURE:
-        return True  # nothing to persist
-    image_ideal = IdealHandle(phi.source.ring, [phi.apply(g) for g in ideal.generators])
-    down = tc_member_certificate(phi.apply(z), image_ideal, phi.apply(multiplier),
-                                 bound, src_ctx)
-    return down.status in (TCVerdict.MEMBER, TCVerdict.EVIDENCE)
-
-
-def contraction_spot_check(phi: Morphism, z: Polynomial, ideal: IdealHandle) -> bool:
-    """For split maps: phi(z) in phi(I)*S forces z in I. Checked as exact
-    memberships; vacuously true when the image membership fails."""
-    image_ideal = IdealHandle(phi.source.ring, [phi.apply(g) for g in ideal.generators])
-    img_in = _membership_mod(phi.source, image_ideal.generators, phi.apply(z))
-    if not img_in:
-        return True
-    return _membership_mod(phi.target, ideal.generators, z)
 
 
 # -- the descent harness -----------------------------------------------------------
@@ -408,9 +365,6 @@ def _default_sop(algebra: Algebra):
     ring = algebra.ring
     for combo in itertools.combinations(range(ring.nvars), d):
         seq = [ring.var(i) for i in combo]
-        try:
-            if is_parameter_sequence(algebra, seq):
-                return seq
-        except NotEquidimensionalBase:
-            raise
+        if is_parameter_sequence(algebra, seq):
+            return seq
     raise HypothesisFailed("parameter-sequence", "no variable subset works; supply one")

@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import __version__
+from .charp import DEFAULT_FROBENIUS_BOUND
 from .reports import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -24,6 +25,7 @@ from .reports import (
     canonical_json,
     verify_certificate,
 )
+from .schemes import DEFAULT_SPLIT_BUDGET
 from .session import SessionError, parse_session, run_session
 
 _SEVERITY = {EXIT_OK: 0, EXIT_INCONCLUSIVE: 1, EXIT_REFUTED: 2, EXIT_ERROR: 3}
@@ -48,9 +50,9 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="execute a session file")
     runp.add_argument("session", help="path to the session file")
     runp.add_argument("--seed", type=int, default=0, help="deterministic seed")
-    runp.add_argument("--budget", type=int, default=64,
+    runp.add_argument("--budget", type=int, default=DEFAULT_SPLIT_BUDGET,
                       help="recursion budget for component splitting")
-    runp.add_argument("--frobenius-bound", type=int, default=3,
+    runp.add_argument("--frobenius-bound", type=int, default=DEFAULT_FROBENIUS_BOUND,
                       help="Frobenius evidence bound E")
     runp.add_argument("--json", dest="json_path", default=None,
                       help="write the canonical report list to this path")
@@ -68,7 +70,7 @@ def _run(args) -> int:
     try:
         with open(args.session, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read session: {exc}", file=sys.stderr)
         return EXIT_ERROR
     options = {
@@ -86,8 +88,12 @@ def _run(args) -> int:
         _say(f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}")
     if args.json_path:
         payload = [rep.to_obj() for rep in reports]
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(payload))
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(payload))
+        except OSError as exc:
+            print(f"cannot write reports: {exc}", file=sys.stderr)
+            return EXIT_ERROR
         _say(f"wrote {len(reports)} report(s) to {args.json_path}")
     return aggregate_exit(rep.exit_class for rep in reports) if reports else EXIT_OK
 
@@ -113,7 +119,7 @@ def _verify(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if not isinstance(data, list):

@@ -16,7 +16,7 @@ source component dominates affine e-space, and quasi-finite strata cover the
 relevant points. Certificates re-verify from scratch.
 
 Every fiber-level check is one computation, `_over_tags`: adjoin tags
-T_1..T_e after the source variables (`_tag_ring`, which also builds A[T]),
+T_1..T_e after the source variables (as `extend_with_tags` builds A[T]),
 add T_j - t_j to the fiber's generators, take a basis under the block order
 with the source variables in front, and read off the pure-power leading
 exponents (module-finiteness) and the elements free of the source variables
@@ -78,15 +78,6 @@ class NoetherData:
         return f"NoetherData(e={self.e}, kind={self.kind}, ts={self.ts})"
 
 
-def _tag_ring(base: PolynomialRing, e: int):
-    """(base[T_1..T_e], the map lifting a Polynomial of base into it), the
-    tags appended after the base variables; (base, identity) for e = 0."""
-    if e == 0:
-        return base, lambda f: f
-    ext = base.extend(tuple(base.fresh_names("T", e)))
-    return ext, lambda f: Polynomial(ext, tuple((exp + (0,) * e, c) for exp, c in f.terms))
-
-
 def _over_tags(fm: FiberModel, ts, gens=None):
     """(ok, pure-power witness, contraction) of the tag elements `ts`,
     Polynomials of the source ring, over the fiber `fm`.
@@ -105,13 +96,13 @@ def _over_tags(fm: FiberModel, ts, gens=None):
     the order of a ParamPoly's terms is part of the engine's memo key."""
     src = fm.morphism.source.ring
     e = len(ts)
-    ext, lift = _tag_ring(src, e)
+    ext = src.extend(src.fresh_names("T", e))
     tags = [ext.var(src.nvars + j) for j in range(e)]
     front = list(range(src.nvars))
     order = block_order(front) if front else GREVLEX
     if fm.kind == "rational":
-        gens = [lift(g) for g in (fm.relations.generators if gens is None else gens)]
-        gens += [tag - lift(t) for tag, t in zip(tags, ts)]
+        gens = [g.embed(ext) for g in (fm.relations.generators if gens is None else gens)]
+        gens += [tag - t.embed(ext) for tag, t in zip(tags, ts)]
         basis = IdealHandle(ext, gens).groebner(order)
     else:
         domain = fm.domain
@@ -121,7 +112,7 @@ def _over_tags(fm: FiberModel, ts, gens=None):
 
         gens = [ParamPoly.build(ext, domain, ((exp + (0,) * e, c) for exp, c in g.terms.items()))
                 for g in (fm.param_basis if gens is None else gens)]
-        gens += [constant_coeffs(tag).sub(constant_coeffs(lift(t))) for tag, t in zip(tags, ts)]
+        gens += [constant_coeffs(tag).sub(constant_coeffs(t.embed(ext))) for tag, t in zip(tags, ts)]
         basis = param_buchberger(gens, order, domain, generic_oracle(domain, DenominatorLog(domain)))
     witness = {i: w[0] for i, w in pure_powers(basis, front, order).items()}
     # dict() gives the exponents of a Polynomial's term pairs and of a ParamPoly's term dict
@@ -263,8 +254,8 @@ def extend_with_tags(target: Algebra, e: int):
     """A[T_1..T_e] as an Algebra, tags appended after the target variables."""
     if e == 0:
         return target
-    ext, lift = _tag_ring(target.ring, e)
-    rels = IdealHandle(ext, [lift(g) for g in target.relations.generators])
+    ext = target.ring.extend(target.ring.fresh_names("T", e))
+    rels = IdealHandle(ext, [g.embed(ext) for g in target.relations.generators])
     return Algebra(ext, rels, name=(target.name or "A") + f"[T^{e}]")
 
 
@@ -302,10 +293,7 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
 
     lifted = lift_clear_denominators(nd, morphism)
     at_alg = extend_with_tags(morphism.target, e)
-    images = [
-        Polynomial(src, f.terms) for f in morphism.images
-    ] + list(lifted)
-    induced = Morphism(at_alg, src_alg, images,
+    induced = Morphism(at_alg, src_alg, list(morphism.images) + lifted,
                        name=(morphism.name or "f") + "_factor")
 
     predicates = []
@@ -419,11 +407,7 @@ def _generic_point_in_stratum(stratum, morphism, y, e) -> bool:
         return True
     # generic y: constraints must lie in the radical of q extended by tags
     q = y.component if y.component is not None else y.ideal
-    lifted = IdealHandle(tring, [
-        Polynomial(tring, tuple((eexp + (0,) * (tring.nvars - base_n), c)
-                                for eexp, c in g.terms))
-        for g in q.generators
-    ])
+    lifted = IdealHandle(tring, [g.embed(tring) for g in q.generators])
     for g in stratum.constraints.generators:
         if not radical_membership(g, lifted):
             return False
@@ -431,15 +415,6 @@ def _generic_point_in_stratum(stratum, morphism, y, e) -> bool:
         if radical_membership(nz, lifted):
             return False
     return True
-
-
-def verify_factorization(cert: FactorizationCertificate):
-    """Verify a certificate the way `equipure verify` does: replay
-    `build_factorization` on its recorded inputs and diff the payload.
-    Returns (ok, failures)."""
-    from .reports import factorization_certificate_obj, verify_certificate
-
-    return verify_certificate(factorization_certificate_obj(cert))
 
 
 # -- equidimensionality reports ------------------------------------------------

@@ -5,6 +5,9 @@ Groebner bases (write-once per order); membership answers are stored for
 the process, keyed by content. Conventions, fixed once so nothing
 downstream has to guess: the zero ideal's reduced basis is the empty list,
 the unit ideal's is [1], and the unit ideal has dimension -1.
+
+Intersection and radical membership adjoin a tag variable in front
+(`Polynomial.embed`); saturation iterates ideal quotients until stable.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from .errors import EquipureError, RootSearchBudgetExceeded
 from .groebner import _memoized, buchberger, normal_form
-from .orders import GREVLEX, MonomialOrder, block_order, exp_coprime, permuted_grevlex
+from .orders import GREVLEX, MonomialOrder, block_order, exp_coprime, exp_divides, permuted_grevlex
 from .poly import Polynomial, PolynomialRing
 
 
@@ -149,10 +152,9 @@ def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     (tname,) = ring.fresh_names("t~", 1)
     ext = ring.extend([tname], front=True)
     t = ext.var(0)
-    lift = lambda f: Polynomial(ext, tuple(((0,) + e, c) for e, c in f.terms))
-    gens = [t * lift(g) for g in a.generators]
+    gens = [t * g.embed(ext, 1) for g in a.generators]
     one_minus_t = ext.one() - t
-    gens += [one_minus_t * lift(g) for g in b.generators]
+    gens += [one_minus_t * g.embed(ext, 1) for g in b.generators]
     inter = eliminate(IdealHandle(ext, gens), [0])
     back = [Polynomial(ring, f.terms) for f in inter.generators]
     return IdealHandle(ring, back)
@@ -194,21 +196,6 @@ def saturation(handle: IdealHandle, f: Polynomial):
         n += 1
 
 
-def saturation_tag(handle: IdealHandle, f: Polynomial) -> IdealHandle:
-    """(I : f^infinity) via the Rabinowitsch tag; cross-check route."""
-    if f.is_zero():
-        raise IdealError("saturation by zero")
-    ring = handle.ring
-    (wname,) = ring.fresh_names("w~", 1)
-    ext = ring.extend([wname], front=True)
-    w = ext.var(0)
-    lift = lambda g: Polynomial(ext, tuple(((0,) + e, c) for e, c in g.terms))
-    gens = [lift(g) for g in handle.generators]
-    gens.append(ext.one() - w * lift(f))
-    out = eliminate(IdealHandle(ext, gens), [0])
-    return IdealHandle(ring, [Polynomial(ring, g.terms) for g in out.generators])
-
-
 # -- radical membership -------------------------------------------------------
 
 def radical_membership(f: Polynomial, handle: IdealHandle) -> bool:
@@ -218,10 +205,8 @@ def radical_membership(f: Polynomial, handle: IdealHandle) -> bool:
     ring = handle.ring
     (wname,) = ring.fresh_names("w~", 1)
     ext = ring.extend([wname], front=True)
-    w = ext.var(0)
-    lift = lambda g: Polynomial(ext, tuple(((0,) + e, c) for e, c in g.terms))
-    gens = [lift(g) for g in handle.generators]
-    gens.append(ext.one() - w * lift(f))
+    gens = [g.embed(ext, 1) for g in handle.generators]
+    gens.append(ext.one() - ext.var(0) * f.embed(ext, 1))
     return IdealHandle(ext, gens).is_unit()
 
 
@@ -265,23 +250,21 @@ def pure_powers(basis, variables, order) -> dict:
     return out
 
 
-def monomial_ideal_dim_bruteforce(ring: PolynomialRing, monomials) -> int:
-    """Independent-set enumeration straight off the generators; the oracle
-    route for krull_dim on monomial ideals."""
-    supports = []
-    for m in monomials:
-        if m.is_constant() and not m.is_zero():
-            return -1
-        (exp, _), = m.terms
-        supports.append(frozenset(i for i, e in enumerate(exp) if e))
-    best = 0
-    n = ring.nvars
-    for size in range(0, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            s = frozenset(combo)
-            if all(not sup <= s for sup in supports):
-                best = max(best, size)
-    return best
+def standard_exponents(leads, n: int, cap=None):
+    """The exponent vectors of length n that no exponent in `leads`
+    divides, sorted by grevlex: the standard monomials of a Groebner basis
+    with those leading exponents. Without `cap` every variable must have a
+    pure power among `leads`, which bounds its exponent; with `cap` a
+    variable's exponent stays below cap and the total degree at most cap."""
+    bounds = [min((e[i] for e in leads if not any(e[:i]) and not any(e[i + 1:])),
+                  default=cap) for i in range(n)]
+    if cap is not None:
+        bounds = [min(b, cap) for b in bounds]
+    out = [exps for exps in itertools.product(*map(range, bounds))
+           if (cap is None or sum(exps) <= cap)
+           and not any(exp_divides(lm, exps) for lm in leads)]
+    out.sort(key=GREVLEX.key)
+    return out
 
 
 # -- univariate root hunting (used by the component splitter) ------------------

@@ -76,12 +76,6 @@ class CoeffDomain:
             entry = self._widths[bits] = (packing, divisors)
         return entry
 
-    def is_zero(self, f: Polynomial) -> bool:
-        return self.reduce(f).is_zero()
-
-    def one(self) -> Polynomial:
-        return self.ring.one()
-
     def __repr__(self):
         return f"{self.ring} mod {self.constraint}"
 
@@ -169,11 +163,8 @@ class DenominatorLog:
         self.entries = []
         self._seen = set()
 
-    def log(self, c: Polynomial):
-        self._record(self.domain.reduce(c))
-
-    def _record(self, red: Polynomial):
-        """`log` of a coefficient already in normal form."""
+    def record(self, red: Polynomial):
+        """Log a coefficient in normal form modulo the domain's constraint."""
         if red.is_zero():
             raise ValueError("attempted to invert a coefficient that is 0 mod q")
         if red.is_constant():
@@ -190,7 +181,7 @@ def generic_oracle(domain: CoeffDomain, log: DenominatorLog):
         red = domain.reduce(c)
         if red.is_zero():
             return False
-        log._record(red)
+        log.record(red)
         return True
 
     return is_invertible

@@ -272,6 +272,15 @@ class Polynomial:
 
     # -- substitution / transport ------------------------------------------
 
+    def embed(self, ring: PolynomialRing, before: int = 0) -> "Polynomial":
+        """This polynomial in `ring`, whose variables are `before` others,
+        then this polynomial's ring's variables, then others: each exponent
+        vector is padded with zeros. Padding keeps the storage order, so
+        the terms are not sorted again."""
+        front = (0,) * before
+        back = (0,) * (ring.nvars - before - self.ring.nvars)
+        return Polynomial(ring, tuple((front + e + back, c) for e, c in self.terms))
+
     def map_vars(self, target_ring: PolynomialRing, images) -> "Polynomial":
         """Image under x_i -> images[i], coefficients carried along.
 
@@ -355,7 +364,9 @@ class PolyParseError(ValueError):
 
 
 def parse_poly(ring: PolynomialRing, text: str) -> Polynomial:
-    """Parse `x^2*y - 3/4*z + 1` style expressions into a Polynomial."""
+    """Parse `x^2*y - 3/4*z + 1` style expressions into a Polynomial.
+    Raises PolyParseError on bad input, also on parentheses nested deeper
+    than the interpreter's recursion limit lets the parser descend."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -426,7 +437,10 @@ def parse_poly(ring: PolynomialRing, text: str) -> Polynomial:
             f = f + g if sign > 0 else f - g
         return f
 
-    result = parse_sum()
+    try:
+        result = parse_sum()
+    except RecursionError:
+        raise PolyParseError("parentheses nested too deeply") from None
     if pos[0] != len(tokens):
         raise PolyParseError(f"trailing tokens {tokens[pos[0]:]} in {text!r}")
     return result

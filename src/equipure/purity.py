@@ -11,12 +11,10 @@ column, both identities machine-checked.
 
 from __future__ import annotations
 
-import itertools
-
-from .errors import HypothesisFailed, NotHypersurface, NotModuleFinite, UnsupportedPointKind
+from .errors import HypothesisFailed, NotHypersurface, NotModuleFinite
 from .factorization import build_factorization, maximal_points_of_fiber, verify_equidimensional_at
 from .groebner import normal_form
-from .ideals import IdealHandle, krull_dim
+from .ideals import IdealHandle, krull_dim, pure_powers, standard_exponents
 from .modules import (
     graph_kernel_order,
     module_buchberger,
@@ -24,11 +22,9 @@ from .modules import (
     syzygy_restricted,
     vec_zero,
 )
-from .orders import GREVLEX, block_order, exp_divides
+from .orders import GREVLEX, block_order
 from .poly import Polynomial
 from .schemes import (
-    GENERIC,
-    RATIONAL,
     Algebra,
     Morphism,
     Point,
@@ -70,34 +66,18 @@ def module_presentation(morphism: Morphism) -> ModulePresentation:
     order = block_order(src_idx)
     basis = gideal.groebner(order)
     ns = len(src_idx)
-    nt = len(tgt_idx)
-
-    pure_lms = []
-    bounds = {}
-    for g in basis:
-        exp = g.leading(order)[0]
-        if all(exp[i] == 0 for i in tgt_idx):
-            pure_lms.append(exp[:ns])
-            nz = [i for i in range(ns) if exp[i]]
-            if len(nz) == 1:
-                i = nz[0]
-                bounds[i] = min(bounds.get(i, exp[i]), exp[i])
-    if len(bounds) != ns:
+    if len(pure_powers(basis, src_idx, order)) != ns:
         raise NotModuleFinite(
             f"{morphism.name or morphism}: some source variable has no monic equation")
-
-    ranges = [range(bounds[i]) for i in range(ns)]
-    monos = []
-    for exps in itertools.product(*ranges):
-        if any(exp_divides(lm, exps) for lm in pure_lms):
-            continue
-        monos.append(exps)
-    monos.sort(key=GREVLEX.key)
+    # generators: the monomials of the source variables that no leading
+    # exponent free of the target variables divides
+    leads = [g.leading(order)[0] for g in basis]
     src = morphism.source.ring
-    gens = [Polynomial(src, ((m, src.field.one),)) for m in monos]
+    gens = [Polynomial(src, ((m, src.field.one),))
+            for m in standard_exponents([e[:ns] for e in leads if not any(e[ns:])], ns)]
 
     # relations: { c in A^M : sum c_m * m  in  graph ideal }
-    images = [(_lift_src_to_graph(gring, m, nt),) for m in gens]
+    images = [(m.embed(gring),) for m in gens]
     rels = [(g,) for g in gideal.generators]
     kern = syzygy_restricted(images, rels, gring, coeff_front=set(src_idx))
     tring = morphism.target.ring
@@ -107,10 +87,6 @@ def module_presentation(morphism: Morphism) -> ModulePresentation:
     ]
     return ModulePresentation(morphism, gens, relations,
                               (gring, src_idx, tgt_idx, tgt_names))
-
-
-def _lift_src_to_graph(gring, f: Polynomial, nt: int) -> Polynomial:
-    return Polynomial(gring, tuple((e + (0,) * nt, c) for e, c in f.terms))
 
 
 def _project_tgt(gring, tring, src_idx, tgt_idx, f: Polynomial) -> Polynomial:
@@ -256,8 +232,6 @@ def witness_outside(morphism: Morphism, p: Point):
     None when the splitting ideal lies inside p."""
     if not is_module_finite(morphism):
         raise NotModuleFinite("pure_at needs a module-finite map")
-    if p.kind not in (RATIONAL, GENERIC):
-        raise UnsupportedPointKind(f"unsupported point kind {p.kind}")
     handle, _, _ = splitting_ideal(morphism)
     for g in handle.generators:
         if not p.ideal.contains(g):

@@ -676,14 +676,5 @@ class Report:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_obj())
-
-    @staticmethod
-    def from_obj(obj) -> "Report":
-        return Report(obj["command"], obj["verdict"], int(obj["exit_class"]),
-                      obj.get("certificate"), obj.get("assumptions", ()),
-                      int(obj.get("seed", 0)))
-
     def __repr__(self):
         return f"Report({self.command!r}: {self.verdict})"

@@ -8,7 +8,9 @@ B the `source` (upstairs).
 The graph ring of a morphism lists the source variables first, then the
 target variables (renamed with a '~' suffix when names collide), so block
 orders with the source block in front eliminate upstairs variables and
-contractions land in the target's ambient ring.
+contractions land in the target's ambient ring; polynomials enter it by
+`Polynomial.embed`. A point is rational closed (RATIONAL, by coordinates)
+or the generic point of a component (GENERIC); fibers exist over both.
 """
 
 from __future__ import annotations
@@ -126,21 +128,10 @@ class Morphism:
             ns = src.nvars
             src_idx = list(range(ns))
             tgt_idx = list(range(ns, ns + tgt.nvars))
-
-            def lift_src(f):
-                return Polynomial(
-                    gring, tuple((e + (0,) * tgt.nvars, c) for e, c in f.terms)
-                )
-
-            def lift_tgt(f):
-                return Polynomial(
-                    gring, tuple(((0,) * ns + e, c) for e, c in f.terms)
-                )
-
-            gens = [lift_src(g) for g in self.source.relations.generators]
+            gens = [g.embed(gring) for g in self.source.relations.generators]
             for i in range(tgt.nvars):
-                gens.append(gring.var(ns + i) - lift_src(self.images[i]))
-            gens += [lift_tgt(g) for g in self.target.relations.generators]
+                gens.append(gring.var(ns + i) - self.images[i].embed(gring))
+            gens += [g.embed(gring, ns) for g in self.target.relations.generators]
             self._graph = (gring, IdealHandle(gring, gens), src_idx, tgt_idx, tuple(tgt_names))
         return self._graph
 
@@ -172,13 +163,12 @@ def make_morphism(target: Algebra, source: Algebra, images, name="") -> Morphism
 
 RATIONAL = "rational-closed"
 GENERIC = "generic-of-component"
-ASSERTED = "asserted-prime"
 
 
 class Point:
     def __init__(self, algebra: Algebra, ideal: IdealHandle, kind: str,
                  coords=None, component=None, comp_dim=None, name=""):
-        if kind not in (RATIONAL, GENERIC, ASSERTED):
+        if kind not in (RATIONAL, GENERIC):
             raise ValueError(f"bad point kind {kind}")
         self.algebra = algebra
         self.ideal = ideal
@@ -222,14 +212,15 @@ def generic_point_of(algebra: Algebra, component: IdealHandle, name="") -> Point
     )
 
 
-def asserted_prime_point(algebra: Algebra, ideal: IdealHandle, name="") -> Point:
-    return Point(algebra, ideal, ASSERTED, name=name)
-
-
 # -- component covers -------------------------------------------------------
 
 
-def decompose_components(handle: IdealHandle, budget: int = 64, supplied=None):
+# the step budget of component splitting, unless a caller sets another
+DEFAULT_SPLIT_BUDGET = 64
+
+
+def decompose_components(handle: IdealHandle, budget: int = DEFAULT_SPLIT_BUDGET,
+                         supplied=None):
     """A component cover of V(I): a list of ideals whose intersection has the
     same radical as I, found by repeatedly splitting on products fg in I with
     neither factor in sqrt(I). Leaves are pseudo-prime: not splittable by the
@@ -402,10 +393,6 @@ def fiber(morphism: Morphism, y: Point) -> FiberModel:
         handle = IdealHandle(src, gens)
         return FiberModel(morphism, y, "rational", handle,
                           empty=handle.is_unit())
-    if y.kind != GENERIC:
-        raise UnsupportedPointKind(
-            f"fibers are supported over rational-closed and generic points, not {y.kind}"
-        )
     gring, gideal, src_idx, tgt_idx, _ = morphism.graph()
     tring = morphism.target.ring
     q = y.component if y.component is not None else y.ideal
@@ -464,11 +451,7 @@ def dominates(component: IdealHandle, morphism: Morphism):
     ideal is returned as evidence.
     """
     gring, gideal, src_idx, tgt_idx, tgt_names = morphism.graph()
-    lifted = [
-        Polynomial(gring, tuple((e + (0,) * len(tgt_idx), c) for e, c in g.terms))
-        for g in component.generators
-    ]
-    total = gideal.with_extra(lifted)
+    total = gideal.with_extra([g.embed(gring) for g in component.generators])
     contraction_ext = eliminate(total, src_idx)
     tring = morphism.target.ring
     contraction = IdealHandle(

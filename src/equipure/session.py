@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 
+from .charp import DEFAULT_FROBENIUS_BOUND
 from .errors import EquipureError
 from .factorization import maximal_points_of_fiber
 from .fields import GF, QQ, FieldSpec
@@ -56,6 +57,7 @@ from .reports import (
     produce_tc,
 )
 from .schemes import (
+    DEFAULT_SPLIT_BUDGET,
     decompose_components,
     generic_point_of,
     make_algebra,
@@ -94,36 +96,24 @@ class Session:
         return table[name]
 
 
-_STMT_RE = re.compile(r"[^;]*;")
+# blanks, a statement, and its ';' (absent only at the end of the input)
+_STMT_RE = re.compile(r"\s*([^;]*)(;?)")
 
 
 def _statements(text: str):
-    """Yield (line_number, statement) with comments stripped."""
-    clean_lines = []
-    for raw in text.splitlines():
-        hash_ix = raw.find("#")
-        clean_lines.append(raw if hash_ix < 0 else raw[:hash_ix])
-    numbered = []
-    for i, ln in enumerate(clean_lines, start=1):
-        for ch in ln + "\n":
-            numbered.append((i, ch))
-    buf = []
-    start_line = None
-    for line_no, ch in numbered:
-        if ch == ";":
-            stmt = "".join(buf).strip()
-            if stmt:
-                yield (start_line or line_no), stmt
-            buf = []
-            start_line = None
-        else:
-            if ch.strip() and start_line is None:
-                start_line = line_no
-            buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        raise SessionError(f"statement missing ';': {tail!r}",
-                           start_line)
+    """Yield (line_number, statement) with comments stripped, numbered by
+    the line the statement starts on."""
+    text = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
+    line, pos = 1, 0
+    for m in _STMT_RE.finditer(text):
+        stmt = m.group(1).strip()
+        if not stmt:
+            continue
+        line += text.count("\n", pos, m.start(1))
+        pos = m.start(1)
+        if not m.group(2):
+            raise SessionError(f"statement missing ';': {stmt!r}", line)
+        yield line, stmt
 
 
 def parse_session(text: str, options=None) -> Session:
@@ -147,12 +137,11 @@ def parse_session(text: str, options=None) -> Session:
 
 
 def _parse_field(session, stmt, line):
-    m = re.fullmatch(r"field\s+(\w+)\s*=\s*(Q|F(\d+))", stmt.strip())
+    m = re.fullmatch(r"field\s+(\w+)\s*=\s*(Q|F\d+)", stmt.strip())
     if not m:
         raise SessionError(f"bad field declaration: {stmt!r}", line)
-    name = m.group(1)
-    spec = QQ if m.group(2) == "Q" else GF(int(m.group(3)))
-    session._declare(session.fields, name, spec, line)
+    field = _field_from_token(session, m.group(2), line)
+    session._declare(session.fields, m.group(1), field, line)
 
 
 def _field_from_token(session, tok, line) -> FieldSpec:
@@ -244,8 +233,8 @@ def _parse_point(session, stmt, line):
             index = int(mg.group(3))
         else:
             handle, index = alg.relations, 0
-        comps, _ = decompose_components(handle,
-                                        budget=int(session.options.get("budget", 64)))
+        budget = int(session.options.get("budget", DEFAULT_SPLIT_BUDGET))
+        comps, _ = decompose_components(handle, budget=budget)
         if index >= len(comps):
             raise SessionError(f"component index {index} out of range ({len(comps)} components)", line)
         session._declare(session.points, name,
@@ -427,7 +416,7 @@ def run_session(session: Session):
 
 def run_command(session: Session, line: int, command: str) -> Report:
     seed = int(session.options.get("seed", 0))
-    bound = int(session.options.get("frobenius_bound", 3))
+    bound = int(session.options.get("frobenius_bound", DEFAULT_FROBENIUS_BOUND))
     try:
         head = command.split()[0]
         entry = COMMANDS.get(head)

@@ -13,11 +13,11 @@ from equipure.factorization import (
     maximal_points_of_fiber,
     noether_normalize,
     verify_equidimensional_at,
-    verify_factorization,
 )
 from equipure.fields import GF, QQ
 from equipure.ideals import IdealHandle
 from equipure.poly import PolynomialRing, parse_poly
+from equipure.reports import factorization_certificate_obj, verify_certificate
 from equipure.schemes import (
     decompose_components,
     fiber,
@@ -163,7 +163,7 @@ def test_build_factorization_e0(double_cover, line_q):
     # e = 0 means the induced map coincides with the original one
     assert [str(f) for f in cert.induced.images] == \
         [str(f) for f in double_cover.images]
-    ok, failed = verify_factorization(cert)
+    ok, failed = verify_certificate(factorization_certificate_obj(cert))
     assert ok, failed
 
 
@@ -175,7 +175,7 @@ def test_build_factorization_projection(flat_projection):
                                probes=[origin(flat_projection.source)])
     assert cert.e == 1
     assert [str(s) for s in cert.lifted] == ["w"]
-    ok, failed = verify_factorization(cert)
+    ok, failed = verify_certificate(factorization_certificate_obj(cert))
     assert ok, failed
 
 
@@ -197,7 +197,7 @@ def test_build_factorization_cone_composite(cone_composite):
         "quasi-finite-on-strata",
     ]
     assert cert.all_ok()
-    ok, failed = verify_factorization(cert)
+    ok, failed = verify_certificate(factorization_certificate_obj(cert))
     assert ok, failed
 
 

@@ -1,7 +1,8 @@
 """No code that nothing calls: every public function, class or method
-defined in `src/equipure`, and every private function or class at the top
-level of one of its modules, is named somewhere in the package, its tests
-or its benchmark other than at its own definition."""
+defined in `src/equipure`, every private function or class at the top
+level of one of its modules, and every name a module assigns at its top
+level, is named somewhere in the package, its tests or its benchmark other
+than at its own definition."""
 
 import ast
 import os
@@ -23,10 +24,24 @@ def _python_files(top):
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _assigned_names(node):
+    """The names a module-level assignment statement binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            and not n.id.startswith("__")]
+
+
 def _checked_definitions():
     """name -> number of definitions of that name in the package that are
     checked: public functions, classes and methods at any depth, private
-    (single-underscore) functions and classes at module level."""
+    (single-underscore) functions and classes at module level, and names
+    assigned at module level."""
     defined = {}
     for path in _python_files(PACKAGE):
         with open(path, encoding="utf-8") as fh:
@@ -36,8 +51,10 @@ def _checked_definitions():
                    and not node.name.startswith("__")]
         public = [node for node in ast.walk(tree)
                   if isinstance(node, DEFINITIONS) and not node.name.startswith("_")]
-        for node in private + public:
-            defined[node.name] = defined.get(node.name, 0) + 1
+        names = [node.name for node in private + public]
+        names += [name for node in tree.body for name in _assigned_names(node)]
+        for name in names:
+            defined[name] = defined.get(name, 0) + 1
     return defined
 
 

@@ -49,7 +49,7 @@ def test_generic_fiber_logs_certified_denominators():
     assert logged == ["-u"]
     # every logged denominator is nonzero modulo the point's ideal
     for d in fm.denominators:
-        assert not fm.domain.is_zero(d)
+        assert not fm.domain.reduce(d).is_zero()
 
 
 def test_denominator_log_rejects_zero():
@@ -57,7 +57,7 @@ def test_denominator_log_rejects_zero():
     domain = CoeffDomain(ring, IdealHandle(ring, [ring.var(0)]))
     log = DenominatorLog(domain)
     with pytest.raises(ValueError):
-        log.log(ring.var(0))
+        log.record(domain.reduce(ring.var(0)))
 
 
 def test_param_buchberger_matches_field_case_when_no_parameters():

@@ -2,12 +2,11 @@
 
 import pytest
 
-from equipure.errors import IllDefinedError, UnitIdealError, UnsupportedPointKind
+from equipure.errors import IllDefinedError, UnitIdealError
 from equipure.fields import QQ
 from equipure.ideals import IdealError, IdealHandle
 from equipure.poly import PolynomialRing, parse_poly
 from equipure.schemes import (
-    asserted_prime_point,
     decompose_components,
     dominates,
     fiber,
@@ -62,12 +61,6 @@ def test_fiber_examples(double_cover, line_q):
     fm2 = fiber(proj, rational_point(proj_tgt, [0]))
     assert [str(g) for g in fm2.relations.groebner()] == ["t"]
     assert fm2.dim() == 1
-
-
-def test_fiber_rejects_asserted_points(double_cover, line_q):
-    p = asserted_prime_point(line_q, IdealHandle(line_q.ring, [P(line_q.ring, "t - 1")]))
-    with pytest.raises(UnsupportedPointKind):
-        fiber(double_cover, p)
 
 
 def test_fiber_dim_at_examples(flat_projection, blowup_chart, veronese_q):

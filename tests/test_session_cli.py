@@ -19,7 +19,6 @@ from equipure.errors import EquipureError
 from equipure.ideals import IdealError
 from equipure.reports import (
     EXIT_REFUTED,
-    Report,
     canonical_json,
     point_from_obj,
     point_to_obj,
@@ -117,9 +116,8 @@ def test_corpus_runs_and_exit_classes(corpus_reports):
 
 def test_reports_roundtrip_bit_exactly(corpus_reports):
     for rep in corpus_reports:
-        text = rep.to_json()
-        again = Report.from_obj(json.loads(text))
-        assert again.to_json() == text
+        text = canonical_json(rep.to_obj())
+        assert canonical_json(json.loads(text)) == text
 
 
 def test_determinism_same_seed_byte_identical(corpus_reports):
@@ -130,7 +128,7 @@ def test_determinism_same_seed_byte_identical(corpus_reports):
 
 
 def test_integers_serialized_as_decimal_strings(corpus_reports):
-    payload = json.loads(corpus_reports[0].to_json())
+    payload = json.loads(canonical_json(corpus_reports[0].to_obj()))
 
     def walk(node):
         assert not isinstance(node, (int, float)) or isinstance(node, bool)
@@ -147,7 +145,7 @@ def test_integers_serialized_as_decimal_strings(corpus_reports):
 def test_assumption_ledger_completeness(corpus_reports):
     # the literal marker 'assumed' appears exactly where the ledger says
     for rep in corpus_reports:
-        text = rep.to_json()
+        text = canonical_json(rep.to_obj())
         count = text.count('"assumed"')
         ledger = sum(1 for a in rep.assumptions if a.get("status") == "assumed")
         assert count == ledger
@@ -335,7 +333,14 @@ def test_edited_frobenius_bound_fails_verify_quickly(corpus_reports, bound):
     assert time.perf_counter() - started < 5
 
 
-@pytest.mark.parametrize("text", ["field k = F4;", "ring R = Q[x,x];"])
+# x inside more nested parentheses than the parser can descend
+DEEP = "(" * 5000 + "x" + ")" * 5000
+
+
+@pytest.mark.parametrize("text", [
+    "field k = F4;", "ring R = Q[x,x];",
+    pytest.param(f"ring R = Q[x]; ideal I = ({DEEP}) in R;", id="deep-parentheses"),
+])
 def test_parse_time_value_errors_exit_2(tmp_path, text):
     path = tmp_path / "bad.eqp"
     path.write_text(text + "\n")
@@ -345,6 +350,31 @@ def test_parse_time_value_errors_exit_2(tmp_path, text):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("parse error: line 1: ")
+
+
+@pytest.mark.parametrize("mode, what", [("run", "session"), ("verify", "report")])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, mode, what):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("ring R = Q[x];  # \u00e9\n".encode("latin-1"))
+    assert main([mode, str(path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"cannot read {what}: 'utf-8' codec can't decode")
+
+
+def test_an_unwritable_json_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "dim.eqp"
+    path.write_text("ring R = Q[x];\nideal I = (x) in R;\ndim I;\n")
+    assert main(["run", str(path), "--json", str(tmp_path / "missing" / "r.json")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("cannot write reports: [Errno 2] No such file or directory")
+
+
+def test_deep_parentheses_in_a_command_are_an_error_report():
+    session = parse_session(TC_SESSION)
+    session.commands = [(7, f"tc-member ({DEEP}) in Fxy mult (x^2) in F")]
+    (rep,) = run_session(session)
+    assert rep.exit_class == 2
+    assert rep.verdict == "error: parentheses nested too deeply"
 
 
 def test_root_search_beyond_its_budget_exits_2(tmp_path):
