@@ -20,7 +20,9 @@ T_1..T_e after the source variables (as `extend_with_tags` builds A[T]),
 add T_j - t_j to the fiber's generators, take a basis under the block order
 with the source variables in front, and read off the pure-power leading
 exponents (module-finiteness) and the elements free of the source variables
-(the contraction). Over a rational point the fiber is an ideal of the
+(the contraction). When the t_j are distinct source variables, as for every
+candidate of the "variables" family, T_j is substituted for t_j in the
+generators instead, a smaller run with the same readouts. Over a rational point the fiber is an ideal of the
 source ring and the ideal engine (`IdealHandle.groebner`) computes the
 basis. Over a generic point it lives over the residue domain and the
 parametric engine (`param_buchberger` with `generic_oracle`) computes it,
@@ -88,6 +90,20 @@ def _over_tags(fm: FiberModel, ts, gens=None):
     source variable has one, so the fiber leg is module-finite. The
     contraction is the basis elements free of the source variables.
 
+    When every t_j is a distinct source variable x_i with coefficient 1
+    (see `_tag_variables`), T_j is substituted for x_i in `gens` by moving
+    exponents instead, and no T_j - x_i is adjoined. That is exact: the
+    substituted generators are free of the x_i, so the T_j - x_i, whose
+    leading terms x_i are coprime to every leading term of a basis G' of
+    the substituted ideal, join G' to a basis of the adjoined ideal (Cox,
+    Little & O'Shea, ch. 2 §9). Its leading ideal is (x_i) plus that of
+    G', so ok and the witness follow, each x_i with its unit exponent
+    unless G' holds a constant. The reduced basis of the adjoined ideal
+    is G' reduced plus the x_i - NF(T_j), which are not free of the source
+    variables, so over a rational point the contraction is the same list
+    (Cox, Little & O'Shea, ch. 3 §1), and over a generic one it is empty
+    exactly when the adjoined route's is.
+
     `gens` default to the fiber's relations. For a rational fiber they are
     Polynomials of the source ring and the ideal engine runs. For a generic
     fiber they are ParamPolys over its residue domain and the parametric
@@ -95,14 +111,25 @@ def _over_tags(fm: FiberModel, ts, gens=None):
     nonzero; each T_j - t_j is built as `tag.sub(t)`, tag term first, since
     the order of a ParamPoly's terms is part of the engine's memo key."""
     src = fm.morphism.source.ring
-    e = len(ts)
+    n, e = src.nvars, len(ts)
     ext = src.extend(src.fresh_names("T", e))
-    tags = [ext.var(src.nvars + j) for j in range(e)]
-    front = list(range(src.nvars))
+    front = list(range(n))
     order = block_order(front) if front else GREVLEX
+    moved = _tag_variables(ts)
+
+    def lift(exp):
+        # exp padded to ext, with the exponent of x_moved[j] moved to T_j
+        out = list(exp) + [0] * e
+        for j, i in enumerate(moved or ()):
+            out[n + j], out[i] = out[i], 0
+        return tuple(out)
+
+    adjoined = [] if moved is not None else [(ext.var(n + j), t.embed(ext))
+                                             for j, t in enumerate(ts)]
     if fm.kind == "rational":
-        gens = [g.embed(ext) for g in (fm.relations.generators if gens is None else gens)]
-        gens += [tag - t.embed(ext) for tag, t in zip(tags, ts)]
+        gens = [Polynomial(ext, sorted(((lift(exp), c) for exp, c in g.terms), reverse=True))
+                for g in (fm.relations.generators if gens is None else gens)]
+        gens += [tag - t for tag, t in adjoined]
         basis = IdealHandle(ext, gens).groebner(order)
     else:
         domain = fm.domain
@@ -110,14 +137,32 @@ def _over_tags(fm: FiberModel, ts, gens=None):
         def constant_coeffs(f):
             return ParamPoly.build(ext, domain, ((exp, domain.ring.const(c)) for exp, c in f.terms))
 
-        gens = [ParamPoly.build(ext, domain, ((exp + (0,) * e, c) for exp, c in g.terms.items()))
+        gens = [ParamPoly.build(ext, domain, ((lift(exp), c) for exp, c in g.terms.items()))
                 for g in (fm.param_basis if gens is None else gens)]
-        gens += [constant_coeffs(tag).sub(constant_coeffs(t.embed(ext))) for tag, t in zip(tags, ts)]
+        gens += [constant_coeffs(tag).sub(constant_coeffs(t)) for tag, t in adjoined]
         basis = param_buchberger(gens, order, domain, generic_oracle(domain, DenominatorLog(domain)))
     witness = {i: w[0] for i, w in pure_powers(basis, front, order).items()}
     # dict() gives the exponents of a Polynomial's term pairs and of a ParamPoly's term dict
-    contraction = [g for g in basis if not any(any(exp[:src.nvars]) for exp in dict(g.terms))]
-    return len(witness) == src.nvars, witness, contraction
+    contraction = [g for g in basis if not any(any(exp[:n]) for exp in dict(g.terms))]
+    if moved and not any(not any(map(any, dict(g.terms))) for g in contraction):
+        # x_i - T_j leads with x_i in a basis that holds no constant
+        for i in moved:
+            witness[i] = tuple(int(k == i) for k in range(n + e))
+    return len(witness) == n, witness, contraction
+
+
+def _tag_variables(ts):
+    """The index of the source variable each tag element is, when every
+    one is a distinct variable with coefficient 1; else None."""
+    out = []
+    for t in ts:
+        if len(t.terms) != 1:
+            return None
+        exp, c = t.terms[0]
+        if c != t.ring.field.one or sum(exp) != 1:
+            return None
+        out.append(exp.index(1))
+    return out if len(set(out)) == len(out) else None
 
 
 def _candidate_streams(ring: PolynomialRing, e: int, seed: int, budget: int):

@@ -7,7 +7,9 @@ downstream has to guess: the zero ideal's reduced basis is the empty list,
 the unit ideal's is [1], and the unit ideal has dimension -1.
 
 Intersection and radical membership adjoin a tag variable in front
-(`Polynomial.embed`); saturation iterates ideal quotients until stable.
+(`Polynomial.embed`); radical membership first tries to decide from a
+basis of the ideal alone. Saturation iterates ideal quotients until
+stable.
 """
 
 from __future__ import annotations
@@ -199,8 +201,24 @@ def saturation(handle: IdealHandle, f: Polynomial):
 # -- radical membership -------------------------------------------------------
 
 def radical_membership(f: Polynomial, handle: IdealHandle) -> bool:
-    """f in sqrt(I), by the Rabinowitsch trick."""
+    """f in sqrt(I), by the Rabinowitsch trick (Cox, Little & O'Shea, ch. 4
+    §2) once a Groebner basis of I has not decided it already.
+
+    A constant in that basis makes I the unit ideal: True. With y the
+    variables the basis uses and z the others, f sharing no variable with
+    it is a nonzero element of k[z] inside k[y,z]/I = (k[y]/I)[z], a
+    polynomial ring over the nonzero ring k[y]/I; its coefficients are
+    nonzero field elements, units there, so f is not nilpotent: False.
+    f in I: True. Only the rest adjoins w and asks whether
+    I + (1 - w*f) is the unit ideal."""
     if f.is_zero():
+        return True
+    basis, _ = handle.groebner_any()
+    if any(g.is_constant() for g in basis):
+        return True
+    if {i for g in basis for i in g.support_vars()}.isdisjoint(f.support_vars()):
+        return False
+    if handle.contains(f):
         return True
     ring = handle.ring
     (wname,) = ring.fresh_names("w~", 1)

@@ -5,8 +5,8 @@ descending by plain lex on the exponent vectors. That storage order is
 canonical and independent of whatever monomial order a computation uses, so
 printed and serialized forms are byte-stable; Groebner routines locate
 leading terms through the active order on demand. A polynomial's packed
-terms and leading term under an order's packing (see `orders`) are computed
-once, on first use, and kept on the polynomial.
+terms and leading term under an order's packing (see `orders`), and its
+hash, are computed once, on first use, and kept on the polynomial.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def _pack_entry(keys, coeffs):
 class Polynomial:
     """Immutable sparse polynomial over an exact field."""
 
-    # `_packs` (packing -> packed terms) is set on first use only
-    __slots__ = ("ring", "terms", "_packs")
+    # `_packs` (packing -> packed terms) and `_hash` are set on first use only
+    __slots__ = ("ring", "terms", "_packs", "_hash")
 
     def __init__(self, ring: PolynomialRing, terms):
         self.ring = ring
@@ -243,7 +243,11 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.ring, self.terms))
+            return h
 
     # -- leading data under an order --------------------------------------
 

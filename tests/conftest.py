@@ -2,6 +2,7 @@
 
 import pytest
 
+from equipure import groebner
 from equipure.fields import GF, QQ
 from equipure.ideals import IdealHandle
 from equipure.poly import PolynomialRing, parse_poly
@@ -10,6 +11,16 @@ from equipure.schemes import make_algebra, make_morphism, rational_point
 
 def P(ring, text):
     return parse_poly(ring, text)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def empty_groebner_memo():
+    """Each test module starts and leaves with an empty process-wide
+    Groebner memo, so no module sees results another one computed; tests
+    that count engine calls rely on that when suites share a process."""
+    groebner._MEMO.clear()
+    yield
+    groebner._MEMO.clear()
 
 
 @pytest.fixture(scope="session")
