@@ -32,9 +32,6 @@ from .schemes import (
     is_module_finite,
 )
 
-# the Frobenius evidence bound E of a session that sets none
-DEFAULT_FROBENIUS_BOUND = 3
-
 # Largest Frobenius power p^bound a tight-closure probe may reach. Each
 # level raises exponents to p^e, so the cost grows steeply with the level:
 # on the corpus's F7 cubic, bound 4 (7^4) takes seconds and bound 5 minutes.

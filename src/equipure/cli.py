@@ -16,8 +16,8 @@ import os
 import sys
 
 from . import __version__
-from .charp import DEFAULT_FROBENIUS_BOUND
 from .reports import (
+    DEFAULT_FROBENIUS_BOUND,
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -26,7 +26,6 @@ from .reports import (
     verify_certificate,
 )
 from .schemes import DEFAULT_SPLIT_BUDGET
-from .session import SessionError, parse_session, run_session
 
 _SEVERITY = {EXIT_OK: 0, EXIT_INCONCLUSIVE: 1, EXIT_REFUTED: 2, EXIT_ERROR: 3}
 
@@ -67,6 +66,9 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    # only `run` parses sessions: `verify` never compiles the session layer
+    from .session import SessionError, parse_session, run_session
+
     try:
         with open(args.session, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -25,6 +25,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# the rationals' 0 and 1, shared: a Fraction is immutable
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
 class FieldSpec:
     """A coefficient field: characteristic 0 (rationals) or a prime p."""
 
@@ -43,11 +48,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+        return _Q_ZERO if self.char == 0 else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.char == 0 else 1
+        return _Q_ONE if self.char == 0 else 1
 
     def of(self, num, den=1):
         """Coerce num/den into a field element."""

@@ -8,14 +8,16 @@ the unit ideal's is [1], and the unit ideal has dimension -1.
 
 Intersection and radical membership adjoin a tag variable in front
 (`Polynomial.embed`); radical membership first tries to decide from a
-basis of the ideal alone. Saturation iterates ideal quotients until
-stable.
+basis of the ideal alone, which settles, among others, a prime ideal of
+pivot shape (`prime_by_pivots`). Saturation iterates ideal quotients
+until stable.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .errors import EquipureError, RootSearchBudgetExceeded
@@ -200,6 +202,23 @@ def saturation(handle: IdealHandle, f: Polynomial):
 
 # -- radical membership -------------------------------------------------------
 
+def prime_by_pivots(basis) -> bool:
+    """True when every element of the nonempty `basis` has a pivot: a
+    variable that occurs in that element only in one term c*x_i of degree
+    one, and in no other element (so the pivots are distinct).
+
+    Then each element is c*(x_i - p_i) with p_i free of every pivot, so
+    k[x]/I is the polynomial ring on the other variables, a domain: the
+    ideal is prime (Cox, Little & O'Shea, ch. 4 §5). The test is on the
+    shape alone, so it holds for any generating set, Groebner or not."""
+    if not basis:
+        return False
+    users = Counter(i for g in basis for i in g.support_vars())
+    return all(any(users[i] == 1 and [sum(e) for e, _ in g.terms if e[i]] == [1]
+                   for i in g.support_vars())
+               for g in basis)
+
+
 def radical_membership(f: Polynomial, handle: IdealHandle) -> bool:
     """f in sqrt(I), by the Rabinowitsch trick (Cox, Little & O'Shea, ch. 4
     §2) once a Groebner basis of I has not decided it already.
@@ -209,8 +228,9 @@ def radical_membership(f: Polynomial, handle: IdealHandle) -> bool:
     it is a nonzero element of k[z] inside k[y,z]/I = (k[y]/I)[z], a
     polynomial ring over the nonzero ring k[y]/I; its coefficients are
     nonzero field elements, units there, so f is not nilpotent: False.
-    f in I: True. Only the rest adjoins w and asks whether
-    I + (1 - w*f) is the unit ideal."""
+    f in I: True. A basis of pivot shape (`prime_by_pivots`) makes I
+    prime, so radical: f outside I is outside sqrt(I), False. Only the
+    rest adjoins w and asks whether I + (1 - w*f) is the unit ideal."""
     if f.is_zero():
         return True
     basis, _ = handle.groebner_any()
@@ -220,6 +240,8 @@ def radical_membership(f: Polynomial, handle: IdealHandle) -> bool:
         return False
     if handle.contains(f):
         return True
+    if prime_by_pivots(basis):
+        return False
     ring = handle.ring
     (wname,) = ring.fresh_names("w~", 1)
     ext = ring.extend([wname], front=True)

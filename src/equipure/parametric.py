@@ -390,9 +390,10 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
     coprime and chain criteria and `budget` popped pairs at most; each pair's
     S-polynomial is reduced by the fraction-free `_reduce`, and a nonzero
     remainder joins the basis as it is. The output is the minimal basis of
-    what the loop ends with (see `groebner._minimal`), not a reduced one:
-    its leading monomials do not depend on which pairs the criteria skip,
-    but its elements and the oracle's questions do.
+    what the loop ends with (see `groebner._minimal`), not a reduced one,
+    sorted by leading monomial, no two alike: its leading monomials do not
+    depend on which pairs the criteria skip, but its elements and the
+    oracle's questions do.
 
     Computed once per process for each (gens, order, domain, budget): the
     key holds each generator's ring and terms in order, the coefficient
@@ -477,8 +478,9 @@ def _param_buchberger(gens, order, domain, is_invertible, budget):
                               for i, (g, (lexp, lcoeff)) in enumerate(zip(basis, leads))],
                              packing, step, coprime=True, chain=True, budget=budget)
         keep = _minimal(entries, packing)
-        # the output order is stated by the order's key, at the boundary
-        keep.sort(key=lambda e: (order.key(decode(e[0])), repr(polys[e[2]])))
+        # by packed leading monomial, which compares as the order does;
+        # `_minimal` leaves no two equal
+        keep.sort(key=lambda e: e[0])
         return [polys[e[2]] for e in keep]
 
     return _packed_run(order.packing(main.nvars), run)

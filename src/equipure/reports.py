@@ -11,6 +11,11 @@ recorded outputs themselves (a Groebner basis reducing its generators, the
 sigma identities of a splitting, a purity witness inside the splitting ideal
 and outside the point, the recorded Frobenius memberships) and names any
 that fails.
+
+The producers and checks of the purity and char-p kinds import `purity`
+and `charp` when called, so a process whose reports need neither (the
+fiber and equidimensionality commands, and their replays) never compiles
+them, nor `modules` under `purity`.
 """
 
 from __future__ import annotations
@@ -19,14 +24,6 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .charp import (
-    FrobeniusContext,
-    TCVerdict,
-    f_rational_descent_check,
-    f_rational_probe,
-    fedder_f_pure,
-    tc_member_certificate,
-)
 from .errors import HypothesisFailed, NotHypersurface, PreconditionFailed
 from .factorization import build_factorization, verify_equidimensional_at
 from .fields import FieldSpec
@@ -34,15 +31,6 @@ from .groebner import is_groebner, normal_form
 from .ideals import IdealHandle, krull_dim
 from .orders import GREVLEX, LEX, MonomialOrder, block_order
 from .poly import Polynomial, PolynomialRing
-from .purity import (
-    ModulePresentation,
-    SplitCertificate,
-    splinter_probe,
-    splits,
-    splitting_ideal,
-    strong_purity_certificate,
-    witness_outside,
-)
 from .schemes import (
     Algebra,
     Morphism,
@@ -343,6 +331,10 @@ def strong_purity_certificate_obj(cert):
     }
 
 
+# the Frobenius evidence bound E of a session that sets none
+DEFAULT_FROBENIUS_BOUND = 3
+
+
 # -- producers ---------------------------------------------------------------------
 #
 # One per certificate kind (plus `fiber-dim`, which emits no certificate).
@@ -395,12 +387,16 @@ def produce_factorization(morphism, y, x0, seed, probes=(), **_):
 
 
 def produce_split(morphism, **_):
+    from .purity import splits
+
     ok, cert = splits(morphism)
     return ("splits" if ok else "does-not-split", EXIT_OK if ok else EXIT_REFUTED,
             split_certificate_obj(cert), [])
 
 
 def produce_pure_at(morphism, point, **_):
+    from .purity import witness_outside
+
     witness = witness_outside(morphism, point)
     pure = witness is not None
     return ("pure" if pure else "not-pure", EXIT_OK if pure else EXIT_REFUTED,
@@ -408,6 +404,8 @@ def produce_pure_at(morphism, point, **_):
 
 
 def produce_splinter(base, covers, **_):
+    from .purity import splinter_probe
+
     report = splinter_probe(base, covers)
     ok = report.verdict == "all-probed-covers-split"
     return (report.verdict, EXIT_OK if ok else EXIT_REFUTED,
@@ -418,6 +416,8 @@ def produce_splinter(base, covers, **_):
 
 
 def produce_strong_purity(morphism, base_class, probes, seed, **_):
+    from .purity import strong_purity_certificate
+
     try:
         cert = strong_purity_certificate(morphism, base_class, probes, seed=seed)
     except HypothesisFailed as exc:
@@ -427,6 +427,8 @@ def produce_strong_purity(morphism, base_class, probes, seed, **_):
 
 
 def produce_fedder(algebra, point, **_):
+    from .charp import FrobeniusContext, fedder_f_pure
+
     gb = algebra.relations.groebner()
     if len(gb) != 1:
         raise NotHypersurface("fedder needs a hypersurface ring")
@@ -437,6 +439,8 @@ def produce_fedder(algebra, point, **_):
 
 
 def produce_tc(algebra, z, ideal, multiplier, bound, **_):
+    from .charp import FrobeniusContext, TCVerdict, tc_member_certificate
+
     ctx = FrobeniusContext(algebra)
     verdict = tc_member_certificate(z, ideal, multiplier, bound, ctx)
     exit_class = {TCVerdict.MEMBER: EXIT_OK, TCVerdict.NOT_IN_CLOSURE: EXIT_REFUTED}.get(
@@ -446,6 +450,8 @@ def produce_tc(algebra, z, ideal, multiplier, bound, **_):
 
 
 def produce_f_rational(algebra, sops, bound, **_):
+    from .charp import FrobeniusContext, f_rational_probe
+
     report = f_rational_probe(algebra, sops, bound, FrobeniusContext(algebra))
     exit_class = EXIT_OK if report.clean() else (
         EXIT_REFUTED if report.verdict == "NotFRational" else EXIT_INCONCLUSIVE)
@@ -456,6 +462,8 @@ def produce_f_rational(algebra, sops, bound, **_):
 
 
 def produce_descent(morphism, y, probes, bound, **_):
+    from .charp import f_rational_descent_check
+
     try:
         report = f_rational_descent_check(morphism, y, probes, bound)
     except HypothesisFailed as exc:
@@ -542,6 +550,8 @@ def _groebner_identities(p, inputs):
 def _sigma_identities(p, inputs):
     if p["sigma"] is None:
         return []
+    from .purity import ModulePresentation, SplitCertificate
+
     phi = inputs["morphism"]
     tring = phi.target.ring
     pres = ModulePresentation(
@@ -556,6 +566,8 @@ def _sigma_identities(p, inputs):
 def _witness_identities(p, inputs):
     if p["witness"] is None:
         return []
+    from .purity import splitting_ideal
+
     phi, point = inputs["morphism"], inputs["point"]
     w = poly_from_obj(phi.target.ring, p["witness"])
     handle, _, _ = splitting_ideal(phi)
@@ -564,6 +576,8 @@ def _witness_identities(p, inputs):
 
 
 def _tc_recheck(p, inputs):
+    from .charp import FrobeniusContext, TCVerdict
+
     we = p["witness_exponent"]
     recorded = TCVerdict(inputs["algebra"], inputs["z"], inputs["ideal"],
                          inputs["multiplier"], inputs["bound"], p["status"],

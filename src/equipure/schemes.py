@@ -30,6 +30,7 @@ from .ideals import (
     intersect,
     krull_dim,
     linear_roots,
+    prime_by_pivots,
     pure_powers,
     radical_envelope,
     radical_membership,
@@ -273,10 +274,16 @@ def decompose_components(handle: IdealHandle, budget: int = DEFAULT_SPLIT_BUDGET
 
 
 def _find_splitter(handle: IdealHandle):
-    """Deterministic search for f, g with fg in I and f, g outside sqrt(I)."""
+    """Deterministic search for f, g with fg in I and f, g outside sqrt(I).
+
+    A prime ideal has no such pair, so a basis of pivot shape
+    (`ideals.prime_by_pivots`: each element holds a variable only in a
+    degree-one term c*x_i, and no other element holds it) ends the search
+    before it starts: k[x]/I is then a polynomial ring on the other
+    variables, a domain. The zero ideal, prime too, ends it the same way."""
     ring = handle.ring
     gb = handle.groebner()
-    if not gb:
+    if not gb or prime_by_pivots(gb):
         return None
     in_radical = {}
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import re
 
-from .charp import DEFAULT_FROBENIUS_BOUND
 from .errors import EquipureError
 from .factorization import maximal_points_of_fiber
 from .fields import GF, QQ, FieldSpec
@@ -40,6 +39,7 @@ from .ideals import IdealHandle
 from .orders import GREVLEX, LEX
 from .poly import PolynomialRing, parse_poly
 from .reports import (
+    DEFAULT_FROBENIUS_BOUND,
     EXIT_ERROR,
     Report,
     produce_descent,

@@ -1,0 +1,85 @@
+"""Which modules a `run` or `verify` process loads. `cli` imports `session`
+only for `run`, and `reports` imports `purity` and `charp` only in the
+producers and checks of their certificate kinds, so the fiber and
+equidimensionality commands, and their replays, never compile `charp`,
+`purity` or `modules`, and `verify` never compiles `session`. Each check
+runs in a fresh interpreter with `src` on PYTHONPATH."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+CORPUS = os.path.join(ROOT, "tests", "data", "corpus.eqp")
+
+FIBER_SESSION = """
+ring T = Q[t,s];
+point eta = generic(T);
+ring P = Q[t,s,x,y];
+morphism p : T -> P = [t -> t + x*y, s -> s*x + y];
+point g = fiber-point(p, eta, 0);
+ring U = Q[u,v];
+ring C = Q[u,x,z];
+morphism c : U -> C = [u -> u, v -> u*x + z^3];
+point co = closed(C : 0, 0, 0);
+point cp = closed(C : 1, 1, 9);
+factorize p at eta from g;
+equidim-check c at co probes (cp);
+fiber-dim c at co;
+"""
+
+COMMAND_MODULES = {"equipure.charp", "equipure.purity", "equipure.modules"}
+
+
+def _fresh(code):
+    """Run `code` in a fresh interpreter; the last line of its stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _cli(*argv):
+    """(exit code, the equipure modules loaded) of `equipure.cli.main(argv)`
+    in a fresh interpreter."""
+    code = ("import json, sys\n"
+            "from equipure.cli import main\n"
+            f"code = main({list(argv)!r})\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules"
+            " if m.startswith('equipure'))]))")
+    exit_code, modules = json.loads(_fresh(code))
+    return exit_code, set(modules)
+
+
+def test_fiber_commands_load_no_purity_charp_or_session_modules(tmp_path):
+    session = tmp_path / "fibers.eqp"
+    session.write_text(FIBER_SESSION, encoding="utf-8")
+    report = tmp_path / "fibers.json"
+    code, loaded = _cli("run", str(session), "--json", str(report))
+    assert code in (0, 1)
+    assert "equipure.session" in loaded
+    assert not loaded & COMMAND_MODULES
+    code, loaded = _cli("verify", str(report))
+    assert code == 0
+    assert "equipure.reports" in loaded
+    assert not loaded & (COMMAND_MODULES | {"equipure.session"})
+
+
+def test_a_corpus_session_loads_what_it_needs_and_verifies(tmp_path):
+    report = tmp_path / "corpus.json"
+    _, loaded = _cli("run", CORPUS, "--seed", "1", "--json", str(report))
+    assert loaded >= COMMAND_MODULES | {"equipure.session"}
+    code, loaded = _cli("verify", str(report))
+    assert code == 0
+    assert loaded >= COMMAND_MODULES
+    assert "equipure.session" not in loaded
+
+
+@pytest.mark.parametrize("module", ["cli", "session", "reports", "charp", "purity"])
+def test_each_module_imports_on_its_own(module):
+    assert _fresh(f"import equipure.{module}; print('ok')") == "ok"
