@@ -9,17 +9,19 @@ module positions. Each engine passes in its division of a pair's
 S-polynomial, how a remainder becomes a basis element, and which of
 Gebauer & Moller's criteria apply: the ideal and parametric engines use the
 coprime leading-term criterion and the chain criterion, the parametric one
-under a pair budget, and the module engine neither. The checker
-`is_groebner` runs the same loop with both criteria and stops at the first
-S-polynomial that leaves a remainder.
+under a pair budget, and the module engine the chain criterion alone (the
+coprime one is not sound for modules). The checker `is_groebner` runs the
+same loop with both criteria and stops at the first S-polynomial that
+leaves a remainder.
 Ideal output is always the unique reduced Groebner basis, sorted by leading
 monomial, so repeated runs are byte-identical. Division, S-polynomials, the
 criteria and inter-reduction run on packed monomials (`orders.Packing`); the
 module engine runs the same division and inter-reduction.
 
 Each engine's public entry point (`buchberger` here,
-`modules.module_buchberger`, `parametric.param_buchberger`) and
-`ideals.IdealHandle.contains` compute a result once per process: `_memoized`
+`modules.module_buchberger`, `parametric.param_buchberger`),
+`ideals.IdealHandle.contains` and the tight-closure level test
+`charp._level_inside` compute a result once per process: `_memoized`
 stores it under a key holding the full content of the inputs, and an
 identical later call gets the stored result back. Every engine is
 deterministic, so a stored result is what recomputation would return.

@@ -8,9 +8,9 @@ the unit ideal's is [1], and the unit ideal has dimension -1.
 
 Intersection and radical membership adjoin a tag variable in front
 (`Polynomial.embed`); radical membership first tries to decide from a
-basis of the ideal alone, which settles, among others, a prime ideal of
-pivot shape (`prime_by_pivots`). Saturation iterates ideal quotients
-until stable.
+basis of the ideal alone, which settles, among others, a prime ideal
+whose basis or generators are of pivot shape (`prime_by_pivots`).
+Saturation iterates ideal quotients until stable.
 """
 
 from __future__ import annotations
@@ -228,9 +228,10 @@ def radical_membership(f: Polynomial, handle: IdealHandle) -> bool:
     it is a nonzero element of k[z] inside k[y,z]/I = (k[y]/I)[z], a
     polynomial ring over the nonzero ring k[y]/I; its coefficients are
     nonzero field elements, units there, so f is not nilpotent: False.
-    f in I: True. A basis of pivot shape (`prime_by_pivots`) makes I
-    prime, so radical: f outside I is outside sqrt(I), False. Only the
-    rest adjoins w and asks whether I + (1 - w*f) is the unit ideal."""
+    f in I: True. A basis or a generating set of pivot shape
+    (`prime_by_pivots`) makes I prime, so radical: f outside I is outside
+    sqrt(I), False. Only the rest adjoins w and asks whether
+    I + (1 - w*f) is the unit ideal."""
     if f.is_zero():
         return True
     basis, _ = handle.groebner_any()
@@ -240,7 +241,7 @@ def radical_membership(f: Polynomial, handle: IdealHandle) -> bool:
         return False
     if handle.contains(f):
         return True
-    if prime_by_pivots(basis):
+    if prime_by_pivots(basis) or prime_by_pivots(handle.generators):
         return False
     ring = handle.ring
     (wname,) = ring.fresh_names("w~", 1)

@@ -16,8 +16,9 @@ Buchberger run the ideal engine's packed code (`groebner._reduce`,
 `groebner._s_work`, `groebner._inter_reduce`) on the terms of all positions
 at once, and module Buchberger runs the shared pair loop
 `groebner._pair_loop`, which forms no pair of leading terms in different
-positions. The coprime criterion is not sound for modules, and the loop
-runs here with no criterion at all.
+positions. The loop runs here with the chain criterion, whose divisibility
+test on packed Ks already asks for equal position fields; the coprime
+criterion is not sound for modules and stays off.
 """
 
 from __future__ import annotations
@@ -212,8 +213,8 @@ def _vec_work(v, packing):
 
 
 def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
-    """Reduced module Groebner basis, by `groebner._pair_loop` with no pair
-    criterion.
+    """Reduced module Groebner basis, by `groebner._pair_loop` with the
+    chain criterion.
 
     Computed once per process for each (vectors, order, ring); vectors are
     tuples of Polynomials, which compare by ring and terms."""
@@ -236,7 +237,7 @@ def _module_buchberger(vectors, order, ring):
                 return _divisor(_vec_from_packed(ring, packing, rem, rank), index, packing)
 
         entries = _pair_loop([_divisor(v, i, packing) for i, v in enumerate(basis)], packing,
-                             step)
+                             step, chain=True)
         return [_vec_from_packed(ring, packing, rem, rank)
                 for rem in _inter_reduce(entries, packing, fld)]
 

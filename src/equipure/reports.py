@@ -622,10 +622,12 @@ _REPLAY = {
 
 def verify_certificate(payload):
     """Replay the producer of a certificate on the inputs it records and
-    diff the whole payload, then run the kind's identity checks. Returns
-    (ok, failures); a replay that differs fails with
-    `payload-differs-at <path>`, the first differing path in sorted key
-    order."""
+    compare the canonical form of the fresh payload with the payload as
+    given, then run the kind's identity checks. Returns (ok, failures); a
+    replay that differs fails with `payload-differs-at <path>`, the first
+    differing path in sorted key order. A canonical payload holds only
+    strings, bools, nulls, lists and dicts, so a leaf of another type, such
+    as the number 2 where the string "2" belongs, differs."""
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in _REPLAY:
         return False, [f"unknown certificate kind {kind!r}"]
@@ -633,9 +635,10 @@ def verify_certificate(payload):
     failures = []
     try:
         inputs = decode(payload)
-        path = _first_difference(_stringify(producer(**inputs)[2]), _stringify(payload))
-        if path is not None:
-            failures.append(f"payload-differs-at {path}")
+        fresh = _stringify(producer(**inputs)[2])
+        # json text tells True from 1, which == does not
+        if json.dumps(fresh, sort_keys=True) != json.dumps(payload, sort_keys=True):
+            failures.append(f"payload-differs-at {_first_difference(fresh, payload)}")
         failures.extend(identities(payload, inputs))
     except Exception as exc:  # verification must report, not crash
         failures.append(f"verification error: {type(exc).__name__}: {exc}")
@@ -643,8 +646,9 @@ def verify_certificate(payload):
 
 
 def _first_difference(fresh, recorded, path="$"):
-    """The first path, in sorted key order, where two canonical payloads
-    differ (a list of another length differs at the list), or None."""
+    """The first path, in sorted key order, where a canonical payload and a
+    recorded one differ (a list of another length differs at the list, a
+    leaf of another type at the leaf), or None."""
     if isinstance(fresh, dict) and isinstance(recorded, dict):
         missing = object()
         pairs = [(f"{path}.{key}", fresh.get(key, missing), recorded.get(key, missing))
@@ -652,7 +656,7 @@ def _first_difference(fresh, recorded, path="$"):
     elif isinstance(fresh, list) and isinstance(recorded, list) and len(fresh) == len(recorded):
         pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(fresh, recorded))]
     else:
-        return None if fresh == recorded else path
+        return None if type(fresh) is type(recorded) and fresh == recorded else path
     for sub, a, b in pairs:
         found = _first_difference(a, b, sub)
         if found is not None:

@@ -276,14 +276,15 @@ def decompose_components(handle: IdealHandle, budget: int = DEFAULT_SPLIT_BUDGET
 def _find_splitter(handle: IdealHandle):
     """Deterministic search for f, g with fg in I and f, g outside sqrt(I).
 
-    A prime ideal has no such pair, so a basis of pivot shape
-    (`ideals.prime_by_pivots`: each element holds a variable only in a
-    degree-one term c*x_i, and no other element holds it) ends the search
-    before it starts: k[x]/I is then a polynomial ring on the other
-    variables, a domain. The zero ideal, prime too, ends it the same way."""
+    A prime ideal has no such pair, so a basis or a generating set of
+    pivot shape (`ideals.prime_by_pivots`: each element holds a variable
+    only in a degree-one term c*x_i, and no other element holds it) ends
+    the search before it starts: k[x]/I is then a polynomial ring on the
+    other variables, a domain. The zero ideal, prime too, ends it the same
+    way."""
     ring = handle.ring
     gb = handle.groebner()
-    if not gb or prime_by_pivots(gb):
+    if not gb or prime_by_pivots(gb) or prime_by_pivots(handle.generators):
         return None
     in_radical = {}
 

@@ -28,6 +28,7 @@ from equipure.schemes import (
 )
 
 from conftest import P, origin
+from test_acceptance import recorded
 
 
 def point_fiber(relations_texts, variables):
@@ -163,7 +164,7 @@ def test_build_factorization_e0(double_cover, line_q):
     # e = 0 means the induced map coincides with the original one
     assert [str(f) for f in cert.induced.images] == \
         [str(f) for f in double_cover.images]
-    ok, failed = verify_certificate(factorization_certificate_obj(cert))
+    ok, failed = verify_certificate(recorded(factorization_certificate_obj(cert)))
     assert ok, failed
 
 
@@ -175,7 +176,7 @@ def test_build_factorization_projection(flat_projection):
                                probes=[origin(flat_projection.source)])
     assert cert.e == 1
     assert [str(s) for s in cert.lifted] == ["w"]
-    ok, failed = verify_certificate(factorization_certificate_obj(cert))
+    ok, failed = verify_certificate(recorded(factorization_certificate_obj(cert)))
     assert ok, failed
 
 
@@ -197,7 +198,7 @@ def test_build_factorization_cone_composite(cone_composite):
         "quasi-finite-on-strata",
     ]
     assert cert.all_ok()
-    ok, failed = verify_certificate(factorization_certificate_obj(cert))
+    ok, failed = verify_certificate(recorded(factorization_certificate_obj(cert)))
     assert ok, failed
 
 

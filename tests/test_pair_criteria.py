@@ -1,8 +1,9 @@
 """Property tests of the pair criteria in `groebner._pair_loop`, on generated
 small inputs: the parametric engine ends with the same leading monomials
-with the chain criterion as without it, and the Groebner-basis checker,
-which skips pairs by both criteria, agrees with the acceptance suite's
-criterion-free S-polynomial test."""
+with the chain criterion as without it, the module engine with the same
+reduced basis, and the Groebner-basis checker, which skips pairs by both
+criteria, agrees with the acceptance suite's criterion-free S-polynomial
+test."""
 
 from unittest import mock
 
@@ -15,6 +16,12 @@ from equipure import groebner
 from equipure.fields import GF, QQ
 from equipure.groebner import buchberger, is_groebner
 from equipure.ideals import IdealHandle
+from equipure.modules import (
+    _module_buchberger,
+    graph_kernel_elim_order,
+    graph_kernel_order,
+    pot_order,
+)
 from equipure.orders import GREVLEX, LEX, block_order
 from equipure.parametric import CoeffDomain, DenominatorLog, _param_buchberger, generic_oracle
 from equipure.poly import PolynomialRing, parse_poly, poly_from_dict
@@ -67,6 +74,38 @@ def _poly(ring, raw):
 
 
 POLY = st.lists(st.tuples(EXPONENTS, st.integers(-3, 3).filter(bool)), min_size=1, max_size=3)
+MODULE_ORDERS = [pot_order(GREVLEX), pot_order(LEX), graph_kernel_order(1),
+                 graph_kernel_elim_order(1, {0}, 3)]
+
+
+# each variable to degree 1 at most: with degree 2, one input under the
+# elimination order over Q ran past 100 s with or without the criterion
+MODULE_ENTRY = st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * 3),
+                                  st.integers(-3, 3).filter(bool)), max_size=3)
+
+
+@st.composite
+def module_inputs(draw):
+    """(vectors, order, ring): two to four vectors of rank one to three,
+    each entry zero or a small polynomial."""
+    field = draw(st.sampled_from(FIELDS))
+    ring = PolynomialRing(field, ["x", "y", "z"])
+    rank = draw(st.integers(1, 3))
+    vectors = [tuple(_poly(ring, raw) for raw in draw(st.lists(MODULE_ENTRY, min_size=rank,
+                                                                max_size=rank)))
+               for _ in range(draw(st.integers(2, 4)))]
+    return vectors, draw(st.sampled_from(MODULE_ORDERS)), ring
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(module_inputs())
+def test_chain_criterion_keeps_the_module_basis(inputs):
+    vectors, order, ring = inputs
+    chained = _module_buchberger(vectors, order, ring)
+    with mock.patch.object(groebner, "_chained", lambda *args: False):
+        unchained = _module_buchberger(vectors, order, ring)
+    assert chained == unchained
 
 
 @st.composite

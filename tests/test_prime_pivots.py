@@ -1,8 +1,8 @@
 """Tests of the prime-by-shape shortcut: `ideals.prime_by_pivots`, and its
 two users, the splitter search of `schemes.decompose_components` and
-`ideals.radical_membership`, against the same search and the plain
-Rabinowitsch route without it, on generated pivot-shaped ideals over Q and
-GF(7)."""
+`ideals.radical_membership`, which test both the basis and the generators,
+against the same search and the plain Rabinowitsch route without it, on
+generated pivot-shaped ideals over Q and GF(7)."""
 
 from unittest import mock
 
@@ -83,7 +83,7 @@ def test_components_match_the_search_without_the_shortcut(inputs):
     cover = _cover(handle)
     assert cover == without_shortcut(_cover, IdealHandle(ring, gens))
     basis = handle.groebner()
-    if prime_by_pivots(basis):
+    if prime_by_pivots(basis) or prime_by_pivots(gens):
         # a prime ideal is its own one component
         assert cover == ([tuple(basis)], "splitter")
 
@@ -132,13 +132,8 @@ def test_non_examples_are_not_pivot_shaped(field, gens):
     assert not prime_by_pivots(IdealHandle(ring, polys).groebner())
 
 
-def test_a_rational_fiber_is_settled_without_a_tag_ring(monkeypatch):
-    """The fiber over a rational probe, (u - 1, x + z^3 - 67): its basis is
-    of pivot shape, so neither the search nor radical membership adjoins
-    the Rabinowitsch variable w~."""
-    ring = PolynomialRing(QQ, ["u", "x", "z"])
-    handle = IdealHandle(ring, [parse_poly(ring, "u - 1"), parse_poly(ring, "u^2*x + z^3 - 67")])
-    assert prime_by_pivots(handle.groebner())
+def _spy_on_extend(monkeypatch):
+    """The names of every variable adjoined from now on."""
     extended = []
     extend = PolynomialRing.extend
 
@@ -147,15 +142,51 @@ def test_a_rational_fiber_is_settled_without_a_tag_ring(monkeypatch):
         return extend(self, names, front)
 
     monkeypatch.setattr(PolynomialRing, "extend", spy)
+    return extended
+
+
+def test_a_rational_fiber_is_settled_without_a_tag_ring(monkeypatch):
+    """The fiber over a rational probe, (u - 1, x + z^3 - 67): its basis is
+    of pivot shape, so neither the search nor radical membership adjoins
+    the Rabinowitsch variable w~."""
+    ring = PolynomialRing(QQ, ["u", "x", "z"])
+    handle = IdealHandle(ring, [parse_poly(ring, "u - 1"), parse_poly(ring, "u^2*x + z^3 - 67")])
+    assert prime_by_pivots(handle.groebner())
+    extended = _spy_on_extend(monkeypatch)
     comps, _ = decompose_components(handle)
     assert [c.generators for c in comps] == [tuple(handle.groebner())]
     assert not radical_membership(parse_poly(ring, "x"), handle)
     assert not any(name.startswith("w~") for name in extended)
 
 
-def test_the_step_budget_still_binds_a_prime_ideal():
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_twisted_cubic_is_settled_from_its_generators(monkeypatch, field):
+    """(x - y^2, z - y^3) is of pivot shape with pivots x and z, but its
+    reduced basis (-x + y^2, x*y - z, x^2 - y*z) is not: the generators
+    settle it without a search and without w~, with the cover the search
+    finds."""
+    ring = PolynomialRing(field, ["x", "y", "z"])
+    gens = [parse_poly(ring, "x - y^2"), parse_poly(ring, "z - y^3")]
+    assert prime_by_pivots(gens)
+    assert not prime_by_pivots(IdealHandle(ring, gens).groebner())
+    searched = without_shortcut(_cover, IdealHandle(ring, gens))
+    f = parse_poly(ring, "x*z - y")
+    assert not without_shortcut(radical_membership, f, IdealHandle(ring, gens))
+    handle = IdealHandle(ring, gens)
+    asked = []
+    monkeypatch.setattr(schemes, "radical_membership", lambda *args: asked.append(args))
+    assert schemes._find_splitter(handle) is None and not asked    # no search
+    monkeypatch.undo()
+    extended = _spy_on_extend(monkeypatch)
+    assert _cover(handle) == searched == ([tuple(handle.groebner())], "splitter")
+    assert not radical_membership(f, handle)
+    assert not any(name.startswith("w~") for name in extended)
+
+
+@pytest.mark.parametrize("gens", [["u - 1", "x + z^3 - 67"], ["x - u^2", "z - u^3"]])
+def test_the_step_budget_still_binds_a_prime_ideal(gens):
     ring = PolynomialRing(QQ, ["u", "x", "z"])
-    prime = IdealHandle(ring, [parse_poly(ring, "u - 1"), parse_poly(ring, "x + z^3 - 67")])
-    assert prime_by_pivots(prime.groebner())
+    prime = IdealHandle(ring, [parse_poly(ring, g) for g in gens])
+    assert prime_by_pivots(prime.generators)
     with pytest.raises(RecursionBudgetExceeded):
         decompose_components(prime, budget=0)

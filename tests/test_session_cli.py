@@ -26,6 +26,8 @@ from equipure.reports import (
 )
 from equipure.session import SessionError, parse_session, run_session
 
+from test_acceptance import recorded
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA, "corpus.eqp")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -157,7 +159,7 @@ def test_every_certificate_verifies(corpus_reports):
         if rep.certificate is None or "kind" not in rep.certificate:
             continue
         checked += 1
-        ok, failures = verify_certificate(rep.certificate)
+        ok, failures = verify_certificate(recorded(rep.certificate))
         assert ok, (rep.command, failures)
     assert checked >= 15
 
@@ -425,7 +427,7 @@ def test_points_round_trip(corpus_reports):
     for obj in points:
         assert json.loads(canonical_json(point_to_obj(point_from_obj(obj)))) == obj
     for rep in fibers:
-        ok, failures = verify_certificate(rep.certificate)
+        ok, failures = verify_certificate(recorded(rep.certificate))
         assert ok, (rep.command, failures)
 
 
@@ -485,3 +487,23 @@ def test_every_output_edit_is_rejected_at_its_path(corpus_reports):
             assert not ok and f"payload-differs-at {path}" in failures, (rep.command, path)
             edits += 1
     assert edits >= 60
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("factorization", "e"),             # "1" -> 1
+    ("factorization", "seed"),
+    ("dimension", "dim"),               # "0" -> 0
+    ("tc-verdict", "witness_exponent"),
+    ("pure-at", "pure"),                # true -> 1, which == takes for True
+    ("fedder", "f_pure"),
+])
+def test_a_type_only_edit_is_rejected_at_its_path(corpus_reports, kind, key):
+    """A leaf, output or recorded input, rewritten as a JSON number with the
+    text or truth of its canonical value is an edit: `verify` compares with
+    the payload as loaded, not with its canonical form."""
+    payload = next(p for p in (recorded(rep.certificate) for rep in corpus_reports)
+                   if p and p["kind"] == kind and p.get(key) not in (None, False))
+    assert verify_certificate(payload) == (True, [])
+    edited = dict(payload, **{key: int(payload[key])})
+    ok, failures = verify_certificate(edited)
+    assert not ok and failures[0] == f"payload-differs-at $.{key}", failures
