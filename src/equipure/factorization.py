@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from .errors import (
     LiftFailure,
@@ -246,8 +245,9 @@ def lift_clear_denominators(nd: NoetherData, morphism: Morphism):
     if nd.e == 0:
         return []
     if fm.kind == "rational":
-        out = [t.scale(Fraction(math.lcm(*(c.denominator for _, c in t.terms))))
-               if morphism.source.field.char == 0 else t for t in nd.ts]
+        fld = morphism.source.field
+        out = [t.scale(fld.of(math.lcm(*(c.denominator for _, c in t.terms))))
+               if fld.char == 0 else t for t in nd.ts]
     else:
         out = [morphism.source.reduce(t) for t in nd.ts]
     ok, _, contraction = _over_tags(fm, out)

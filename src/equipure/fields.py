@@ -1,8 +1,15 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-All arithmetic is exact. Rational coefficients are `fractions.Fraction`;
-prime-field coefficients are ints in [0, p) with inverses computed by
-the extended Euclid built into `pow(a, -1, p)`. No floating point anywhere.
+All arithmetic is exact. Prime-field coefficients are ints in [0, p) with
+inverses computed by the extended Euclid built into `pow(a, -1, p)`.
+
+A rational has one canonical form: a Python `int` when it is integral, a
+`fractions.Fraction` (denominator > 1) only when it is not. Every operation
+below returns that form, so integers never pay for Fraction arithmetic, and
+no operation returns a float. This module is the only one that knows the
+representation: the others make rationals through `of` and combine them
+through the arithmetic below. Report bytes do not depend on the form, since
+an int and the Fraction of the same value agree on `==`, `hash` and `str`.
 """
 
 from __future__ import annotations
@@ -25,20 +32,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# the rationals' 0 and 1, shared: a Fraction is immutable
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
+def _canonical(q):
+    """The canonical form of a rational: its numerator when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class FieldSpec:
     """A coefficient field: characteristic 0 (rationals) or a prime p."""
 
-    __slots__ = ("char",)
+    __slots__ = ("char", "zero", "one")
 
     def __init__(self, char: int = 0):
         if char != 0 and not is_prime(char):
             raise ValueError(f"characteristic must be 0 or prime, got {char}")
         self.char = char
+        self.zero = 0
+        self.one = 1
 
     @property
     def kind(self) -> str:
@@ -46,18 +55,12 @@ class FieldSpec:
 
     # -- element constructors ------------------------------------------
 
-    @property
-    def zero(self):
-        return _Q_ZERO if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return _Q_ONE if self.char == 0 else 1
-
     def of(self, num, den=1):
         """Coerce num/den into a field element."""
         if self.char == 0:
-            return Fraction(num, den)
+            if den != 1:
+                num = Fraction(num, den)
+            return _canonical(num)
         p = self.char
         num = num % p
         if den % p == 0:
@@ -67,23 +70,38 @@ class FieldSpec:
         return num
 
     # -- arithmetic ----------------------------------------------------
+    # over Q an int result is canonical as it stands; only a Fraction
+    # result needs the denominator test
 
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        if self.char:
+            return (a + b) % self.char
+        c = a + b
+        return c if c.__class__ is int else _canonical(c)
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        if self.char:
+            return (a - b) % self.char
+        c = a - b
+        return c if c.__class__ is int else _canonical(c)
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        if self.char:
+            return (a * b) % self.char
+        c = a * b
+        return c if c.__class__ is int else _canonical(c)
 
     def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
+        return (-a) % self.char if self.char else -a
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.char == 0 else pow(a, -1, self.char)
+        if self.char:
+            return pow(a, -1, self.char)
+        if a.__class__ is int:
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        return _canonical(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
 
 from .errors import EquipureError, RootSearchBudgetExceeded
 from .groebner import _memoized, buchberger, normal_form
@@ -340,7 +339,7 @@ def linear_roots(f: Polynomial):
         lead = ints[deg]
         const = ints.get(0, 0)
         if const == 0:
-            roots.append(Fraction(0))
+            roots.append(fld.zero)
             mink = min(k for k, c in ints.items() if c)
             ints = {k - mink: c for k, c in ints.items() if c}
             const = ints.get(0, 0)
@@ -349,7 +348,7 @@ def linear_roots(f: Polynomial):
             for pn in _divisors(abs(const)):
                 for qn in _divisors(abs(lead)):
                     for sign in (1, -1):
-                        cand = Fraction(sign * pn, qn)
+                        cand = fld.of(sign * pn, qn)
                         if cand in roots:
                             continue
                         val = sum(c * cand ** k for k, c in ints.items())

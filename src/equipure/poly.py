@@ -52,7 +52,7 @@ class PolynomialRing:
         return self.const(self.field.one)
 
     def const(self, c) -> "Polynomial":
-        c = self.field.of(c) if isinstance(c, int) else c
+        c = self.field.of(c)
         if not c:
             return self.zero()
         return Polynomial(self, (((0,) * self.nvars, c),))

@@ -78,7 +78,8 @@ def coeff_to_str(c) -> str:
 
 def coeff_from_str(field: FieldSpec, s: str):
     if field.char == 0:
-        return Fraction(s)
+        num, _, den = s.partition("/")
+        return field.of(int(num), int(den) if den else 1)
     return int(s) % field.char
 
 

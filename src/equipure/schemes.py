@@ -191,7 +191,7 @@ class Point:
 
 
 def rational_point(algebra: Algebra, coords, name="") -> Point:
-    coords = tuple(algebra.field.of(c) if isinstance(c, int) else c for c in coords)
+    coords = tuple(algebra.field.of(c) for c in coords)
     if len(coords) != algebra.ring.nvars:
         raise ValueError("coordinate count mismatch")
     if not algebra.contains_point(coords):

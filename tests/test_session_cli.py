@@ -249,6 +249,21 @@ def test_fibers_report_verifies_in_a_fresh_process(tmp_path):
     assert "[FAIL]" not in proc.stdout
 
 
+def test_rationals_report_bytes_are_pinned(tmp_path):
+    # reduced bases, points and maps with coefficients such as 1/2 and 2/3;
+    # digest recorded while every rational was still a Fraction. A fresh
+    # process re-derives each certificate from the parsed report
+    out = tmp_path / "reports.json"
+    main(["run", os.path.join(DATA, "rationals.eqp"), "--seed", "1", "--json", str(out)])
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "8efc0a64bf6b7f6a973765197d3cd410"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "equipure.cli", "verify", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert len(re.findall(r"^\[ok\] ", proc.stdout, re.M)) == 5
+    assert "[FAIL]" not in proc.stdout
+
+
 def test_exponents_past_the_packed_field_width_keep_their_report(tmp_path):
     # gb and dim on ideals whose inputs, products or S-pair lcms leave the
     # first packed field width; digest recorded with the exponent-tuple
