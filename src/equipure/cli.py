@@ -6,11 +6,25 @@ replays the producer of every certificate in a report file, diffs the whole
 payload and names the first differing path, and runs the identity checks
 that hold of the recorded outputs, naming any that fails. A reader that
 closes stdout early ends the output, not the command.
+
+The command line is read against one table of the two modes and their
+options, `_MODES`:
+
+    equipure run SESSION [--seed N] [--budget N] [--frobenius-bound E] [--json PATH]
+    equipure verify REPORT
+
+An option takes its value from the next argument or after '='
+(`--seed 1`, `--seed=1`), options may come before or after the positional
+argument, and `--` ends the options. Options are spelled in full. `-h` or
+`--help`, at the top or after a mode, and `--version` print to stdout and
+exit 0. Any other command line the table does not accept, such as a
+missing mode, an unknown option, a missing or non-integer value or a
+negative `--budget`, exits 2 with one line on stderr that names the fault
+and gives the usage.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -38,31 +52,117 @@ def aggregate_exit(codes) -> int:
     return worst
 
 
+_DESCRIPTION = ("exact checks for equidimensionality, purity, splinters "
+                "and char-p descent, with verifiable certificates")
+
+
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+# what an option's value must be -> its reader, which raises ValueError
+_READERS = {"an integer": int, "a non-negative integer": _count, "a path": str}
+
+# mode -> (help, positional argument, its help,
+#          {option: (metavar, kind of value, default, help)})
+_MODES = {
+    "run": ("execute a session file", "session", "path to the session file", {
+        "--seed": ("N", "an integer", 0, "deterministic seed"),
+        "--budget": ("N", "a non-negative integer", DEFAULT_SPLIT_BUDGET,
+                     "recursion budget for component splitting"),
+        "--frobenius-bound": ("E", "an integer", DEFAULT_FROBENIUS_BOUND,
+                              "Frobenius evidence bound E"),
+        "--json": ("PATH", "a path", None, "write the canonical report list to this path"),
+    }),
+    "verify": ("re-check an emitted report file", "report",
+               "path to a report or report-list JSON file", {}),
+}
+
+_USAGE = "usage: equipure [-h] [--version] {run,verify} ..."
+_HELP_ROW = ("-h, --help", "show this help and exit")
+
+
+class _UsageError(Exception):
+    """A command line the table does not accept: (usage, message)."""
+
+
+def _help(usage, about, rows):
+    return "\n".join([usage, "", about, ""] + [f"  {left:<24}{right}" for left, right in rows])
+
+
+def _is_option(arg):
+    """An argument that names an option: it starts with '-' and is neither
+    '-' nor a negative number."""
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdecimal()
+
+
+def _read_argv(argv):
+    """(mode, {option or positional argument: value}) of a command line,
+    or (None, text to print) when it asks for help or the version."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, _help(_USAGE, _DESCRIPTION, [
+            (mode, spec[0]) for mode, spec in _MODES.items()]
+            + [_HELP_ROW, ("--version", "print the version and exit")])
+    if argv[:1] == ["--version"]:
+        return None, __version__
+    if not argv or argv[0] not in _MODES:
+        what = ("a command is required" if not argv
+                else f"unknown option {argv[0]!r}" if _is_option(argv[0])
+                else f"unknown command {argv[0]!r}")
+        raise _UsageError(_USAGE, f"{what} (run or verify)")
+    mode, rest = argv[0], argv[1:]
+    about, positional, positional_help, options = _MODES[mode]
+    usage = " ".join([f"usage: equipure {mode} [-h]"]
+                     + [f"[{opt} {spec[0]}]" for opt, spec in options.items()] + [positional])
+    args = {opt: spec[2] for opt, spec in options.items()}
+    values, i = [], 0
+    while i < len(rest):
+        arg = rest[i]
+        i += 1
+        if arg in ("-h", "--help"):
+            return None, _help(usage, about, [(positional, positional_help), _HELP_ROW] + [
+                (f"{opt} {meta}", text if default is None else f"{text} (default: {default})")
+                for opt, (meta, _, default, text) in options.items()])
+        if arg == "--":
+            values += rest[i:]
+            break
+        if not _is_option(arg):
+            values.append(arg)
+            continue
+        opt, eq, value = arg.partition("=")
+        if opt not in options:
+            raise _UsageError(usage, f"unknown option {opt!r}")
+        if not eq:
+            if i == len(rest) or _is_option(rest[i]):
+                raise _UsageError(usage, f"option {opt} needs a value")
+            value = rest[i]
+            i += 1
+        kind = options[opt][1]
+        try:
+            args[opt] = _READERS[kind](value)
+        except ValueError:
+            raise _UsageError(usage, f"option {opt}: {value!r} is not {kind}") from None
+    if len(values) != 1:
+        raise _UsageError(usage, f"unexpected argument {values[1]!r}" if values
+                          else f"the {positional} argument is required")
+    args[positional] = values[0]
+    return mode, args
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="equipure",
-        description="exact checks for equidimensionality, purity, splinters "
-                    "and char-p descent, with verifiable certificates")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="mode", required=True)
-
-    runp = sub.add_parser("run", help="execute a session file")
-    runp.add_argument("session", help="path to the session file")
-    runp.add_argument("--seed", type=int, default=0, help="deterministic seed")
-    runp.add_argument("--budget", type=int, default=DEFAULT_SPLIT_BUDGET,
-                      help="recursion budget for component splitting")
-    runp.add_argument("--frobenius-bound", type=int, default=DEFAULT_FROBENIUS_BOUND,
-                      help="Frobenius evidence bound E")
-    runp.add_argument("--json", dest="json_path", default=None,
-                      help="write the canonical report list to this path")
-
-    verp = sub.add_parser("verify", help="re-check an emitted report file")
-    verp.add_argument("report", help="path to a report or report-list JSON file")
-
-    args = parser.parse_args(argv)
-    if args.mode == "run":
-        return _run(args)
-    return _verify(args)
+    try:
+        mode, args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        usage, message = exc.args
+        print(f"equipure: error: {message}; {usage}", file=sys.stderr)
+        return EXIT_ERROR
+    if mode is None:
+        _say(args)
+        return EXIT_OK
+    return _run(args) if mode == "run" else _verify(args)
 
 
 def _run(args) -> int:
@@ -70,16 +170,13 @@ def _run(args) -> int:
     from .session import SessionError, parse_session, run_session
 
     try:
-        with open(args.session, "r", encoding="utf-8") as fh:
+        with open(args["session"], "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read session: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    options = {
-        "seed": args.seed,
-        "budget": args.budget,
-        "frobenius_bound": args.frobenius_bound,
-    }
+    options = {"seed": args["--seed"], "budget": args["--budget"],
+               "frobenius_bound": args["--frobenius-bound"]}
     try:
         session = parse_session(text, options)
     except SessionError as exc:
@@ -88,15 +185,15 @@ def _run(args) -> int:
     reports = run_session(session)
     for rep in reports:
         _say(f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}")
-    if args.json_path:
+    if args["--json"]:
         payload = [rep.to_obj() for rep in reports]
         try:
-            with open(args.json_path, "w", encoding="utf-8") as fh:
+            with open(args["--json"], "w", encoding="utf-8") as fh:
                 fh.write(canonical_json(payload))
         except OSError as exc:
             print(f"cannot write reports: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        _say(f"wrote {len(reports)} report(s) to {args.json_path}")
+        _say(f"wrote {len(reports)} report(s) to {args['--json']}")
     return aggregate_exit(rep.exit_class for rep in reports) if reports else EXIT_OK
 
 
@@ -119,7 +216,7 @@ def _tag(exit_class: int) -> str:
 
 def _verify(args) -> int:
     try:
-        with open(args.report, "r", encoding="utf-8") as fh:
+        with open(args["report"], "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 only for `run`, and `reports` imports `purity` and `charp` only in the
 producers and checks of their certificate kinds, so the fiber and
 equidimensionality commands, and their replays, never compile `charp`,
-`purity` or `modules`, and `verify` never compiles `session`. Each check
-runs in a fresh interpreter with `src` on PYTHONPATH."""
+`purity` or `modules`, and `verify` never compiles `session`. Neither mode
+imports `argparse` or compiles a regular expression from the package's own
+code. Each check runs in a fresh interpreter with `src` on PYTHONPATH."""
 
 import json
 import os
@@ -44,40 +45,73 @@ def _fresh(code):
     return out.stdout.strip().splitlines()[-1]
 
 
+# records each pattern `re` compiles whose nearest caller outside `re` is
+# a file under src/equipure; installed before anything imports equipure
+COMPILE_GUARD = f"""
+import json, os, re, sys
+RE_DIR = os.path.dirname(re.__file__)
+compiled = []
+inner = re._compiler.compile
+
+def compile(pattern, flags=0):
+    frame = sys._getframe(1)
+    while frame.f_code.co_filename.startswith(RE_DIR):
+        frame = frame.f_back
+    if frame.f_code.co_filename.startswith({os.path.join(SRC, "equipure")!r}):
+        compiled.append(f"{{frame.f_code.co_filename}}:{{frame.f_lineno}}: {{pattern}}")
+    return inner(pattern, flags)
+
+re._compiler.compile = compile
+"""
+
+
 def _cli(*argv):
-    """(exit code, the equipure modules loaded) of `equipure.cli.main(argv)`
-    in a fresh interpreter."""
-    code = ("import json, sys\n"
-            "from equipure.cli import main\n"
+    """(exit code, the equipure modules loaded, whether argparse was
+    imported, the patterns compiled from equipure code) of
+    `equipure.cli.main(argv)` in a fresh interpreter."""
+    code = (COMPILE_GUARD
+            + "from equipure.cli import main\n"
             f"code = main({list(argv)!r})\n"
             "print(json.dumps([code, sorted(m for m in sys.modules"
-            " if m.startswith('equipure'))]))")
-    exit_code, modules = json.loads(_fresh(code))
-    return exit_code, set(modules)
+            " if m.startswith('equipure')), 'argparse' in sys.modules, compiled]))")
+    exit_code, modules, argparse, compiled = json.loads(_fresh(code))
+    return exit_code, set(modules), argparse, compiled
 
 
 def test_fiber_commands_load_no_purity_charp_or_session_modules(tmp_path):
     session = tmp_path / "fibers.eqp"
     session.write_text(FIBER_SESSION, encoding="utf-8")
     report = tmp_path / "fibers.json"
-    code, loaded = _cli("run", str(session), "--json", str(report))
+    code, loaded, _, _ = _cli("run", str(session), "--json", str(report))
     assert code in (0, 1)
     assert "equipure.session" in loaded
     assert not loaded & COMMAND_MODULES
-    code, loaded = _cli("verify", str(report))
+    code, loaded, _, _ = _cli("verify", str(report))
     assert code == 0
     assert "equipure.reports" in loaded
     assert not loaded & (COMMAND_MODULES | {"equipure.session"})
 
 
-def test_a_corpus_session_loads_what_it_needs_and_verifies(tmp_path):
-    report = tmp_path / "corpus.json"
-    _, loaded = _cli("run", CORPUS, "--seed", "1", "--json", str(report))
+@pytest.fixture(scope="module")
+def corpus_processes(tmp_path_factory):
+    """`_cli` of a corpus `run --seed 1` and of the `verify` of its report."""
+    report = tmp_path_factory.mktemp("corpus") / "corpus.json"
+    return (_cli("run", CORPUS, "--seed", "1", "--json", str(report)),
+            _cli("verify", str(report)))
+
+
+def test_a_corpus_session_loads_what_it_needs_and_verifies(corpus_processes):
+    (_, loaded, _, _), (code, verify_loaded, _, _) = corpus_processes
     assert loaded >= COMMAND_MODULES | {"equipure.session"}
-    code, loaded = _cli("verify", str(report))
     assert code == 0
-    assert loaded >= COMMAND_MODULES
-    assert "equipure.session" not in loaded
+    assert verify_loaded >= COMMAND_MODULES
+    assert "equipure.session" not in verify_loaded
+
+
+def test_a_corpus_run_and_verify_import_no_argparse_and_compile_no_regex(corpus_processes):
+    run, verify = corpus_processes
+    assert run[0] == 1 and (run[2], run[3]) == (False, [])
+    assert verify[0] == 0 and (verify[2], verify[3]) == (False, [])
 
 
 @pytest.mark.parametrize("module", ["cli", "session", "reports", "charp", "purity"])
