@@ -43,6 +43,7 @@ from .errors import (
     PreconditionFailed,
     UnsupportedPointKind,
 )
+from .groebner import _memoized
 from .ideals import IdealHandle, krull_dim, pure_powers, radical_membership
 from .orders import GREVLEX, block_order
 from .parametric import DenominatorLog, ParamPoly, generic_oracle, param_buchberger
@@ -307,7 +308,26 @@ def extend_with_tags(target: Algebra, e: int):
 def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
                         seed: int = 0) -> FactorizationCertificate:
     """Run the full pipeline and emit a certificate; any failed sub-check
-    aborts with the failed predicate named."""
+    aborts with the failed predicate named.
+
+    Computed once per process for each (morphism, y, x0, probes, seed).
+    Each call gets a certificate of its own around its own morphism,
+    points and probes, with copies of the predicates' evidence. The
+    induced map, shared, is named after the morphism and its algebras,
+    so their names are part of the key; a call that fails stores
+    nothing."""
+    probes = tuple(probes)
+    names = (morphism.name, morphism.target.name, morphism.source.name)
+    key = ("factorization", morphism.key, names, y.key, x0.key,
+           tuple(p.key for p in probes), seed)
+    cert = _memoized(key, lambda: _build_factorization(morphism, y, x0, probes, seed))
+    predicates = [PredicateRecord(p.name, p.ok, _copied(p.evidence))
+                  for p in cert.predicates]
+    return FactorizationCertificate(morphism, y, x0, cert.e, cert.lifted, cert.induced,
+                                    predicates, seed, cert.notes, probes)
+
+
+def _build_factorization(morphism, y, x0, probes, seed):
     fm = fiber(morphism, y)
     if fm.empty:
         raise PreconditionFailed("empty fiber: y is not in the image")
@@ -423,6 +443,17 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
     return cert
 
 
+def _copied(evidence):
+    """A copy of evidence data, its dicts and lists copied all the way
+    down; every other value in it is immutable. (`copy.deepcopy` would
+    add a module import to every process.)"""
+    if isinstance(evidence, dict):
+        return {k: _copied(v) for k, v in evidence.items()}
+    if isinstance(evidence, list):
+        return [_copied(v) for v in evidence]
+    return evidence
+
+
 def _stratum_of_fiber_generic_point(strata, morphism, y, e):
     """The stratum whose locus contains the generic point of p^-1(y): over a
     rational y, constraints must vanish identically in the tag variables and
@@ -482,7 +513,16 @@ class EquidimReport:
 def verify_equidimensional_at(morphism: Morphism, x: Point, probes=()) -> EquidimReport:
     """Checks the dominance + constant-fiber-dimension characterization at x,
     at each probe, and at the generic point of each dominated target
-    component."""
+    component. Computed once per process for each (morphism, x, probes);
+    each call gets its own copy of the evidence."""
+    probes = tuple(probes)
+    key = ("equidim", morphism.key, x.key, tuple(p.key for p in probes))
+    report = _memoized(key, lambda: _verify_equidimensional_at(morphism, x, probes))
+    return EquidimReport(report.e, report.verdict, _copied(report.evidence),
+                         _copied(report.witness))
+
+
+def _verify_equidimensional_at(morphism, x, probes):
     evidence = []
     try:
         e0 = fiber_dim_at(morphism, x)

@@ -18,13 +18,23 @@ monomial, so repeated runs are byte-identical. Division, S-polynomials, the
 criteria and inter-reduction run on packed monomials (`orders.Packing`); the
 module engine runs the same division and inter-reduction.
 
-Each engine's public entry point (`buchberger` here,
-`modules.module_buchberger`, `parametric.param_buchberger`),
-`ideals.IdealHandle.contains` and the tight-closure level test
-`charp._level_inside` compute a result once per process: `_memoized`
-stores it under a key holding the full content of the inputs, and an
-identical later call gets the stored result back. Every engine is
+These compute a result once per process: each engine's public entry
+point (`buchberger` here, `modules.module_buchberger`,
+`parametric.param_buchberger`), `ideals.IdealHandle.contains`,
+`ideals.radical_membership`, the tight-closure level test
+`charp._level_inside`, and the scheme layer above them:
+`schemes.decompose_components` (without a supplied cover), `fiber`,
+`fiber_dim_at`, `dominates` and `finite_locus_strata`, and
+`factorization.verify_equidimensional_at` and `build_factorization`.
+`_memoized` stores a result under a key holding the full content of the
+inputs, and an identical later call gets the stored result back, or its
+own copy where a caller could change it. Every computation is
 deterministic, so a stored result is what recomputation would return.
+Algebras, morphisms and points enter keys by their `key`, their content
+without names (see `schemes`), and a key holds every name the stored
+result records: a factorization's key holds the names its induced map is
+built from, and results that would record the caller's objects, as a
+fiber or a certificate does, are rebuilt around them instead.
 """
 
 from __future__ import annotations

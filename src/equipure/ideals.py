@@ -1,10 +1,11 @@
 """Ideal handles and the operations layered on Groebner bases.
 
 An IdealHandle owns a generator list and a per-order cache of reduced
-Groebner bases (write-once per order); membership answers are stored for
-the process, keyed by content. Conventions, fixed once so nothing
-downstream has to guess: the zero ideal's reduced basis is the empty list,
-the unit ideal's is [1], and the unit ideal has dimension -1.
+Groebner bases (write-once per order); membership and radical membership
+answers are stored for the process, keyed by content. Conventions, fixed
+once so nothing downstream has to guess: the zero ideal's reduced basis is
+the empty list, the unit ideal's is [1], and the unit ideal has
+dimension -1.
 
 Intersection and radical membership adjoin a tag variable in front
 (`Polynomial.embed`); radical membership first tries to decide from a
@@ -230,7 +231,13 @@ def radical_membership(f: Polynomial, handle: IdealHandle) -> bool:
     f in I: True. A basis or a generating set of pivot shape
     (`prime_by_pivots`) makes I prime, so radical: f outside I is outside
     sqrt(I), False. Only the rest adjoins w and asks whether
-    I + (1 - w*f) is the unit ideal."""
+    I + (1 - w*f) is the unit ideal. Decided once per process for each
+    (ring, generators, f)."""
+    return _memoized(("radical", handle.ring, handle.generators, f),
+                     lambda: _radical_membership(f, handle))
+
+
+def _radical_membership(f, handle):
     if f.is_zero():
         return True
     basis, _ = handle.groebner_any()

@@ -11,6 +11,15 @@ orders with the source block in front eliminate upstairs variables and
 contractions land in the target's ambient ring; polynomials enter it by
 `Polynomial.embed`. A point is rational closed (RATIONAL, by coordinates)
 or the generic point of a component (GENERIC); fibers exist over both.
+
+Each algebra, morphism and point carries a `key`, built once at
+construction: its content, everything a report writes for it
+(`reports.algebra_to_obj`, `morphism_to_obj`, `point_to_obj`) but names.
+The component cover, fiber, fiber dimension, dominance and strata entry
+points compute a result once per process under a key of these
+(`groebner._memoized`) and hand each caller its own copy. None of these
+results records a name: a fiber, which records its morphism and point, is
+rebuilt around the caller's own.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from .errors import (
     UnitIdealError,
     UnsupportedPointKind,
 )
-from .groebner import normal_form
+from .groebner import _memoized, normal_form
 from .ideals import (
     IdealError,
     IdealHandle,
@@ -40,6 +49,7 @@ from .orders import GREVLEX, block_order
 from .parametric import (
     CoeffDomain,
     DenominatorLog,
+    ParamPoly,
     generic_oracle,
     param_buchberger,
     param_dim,
@@ -60,6 +70,7 @@ class Algebra:
         self.ring = ring
         self.relations = relations
         self.name = name
+        self.key = (ring, relations.generators)
 
     @property
     def field(self):
@@ -105,6 +116,7 @@ class Morphism:
             if not img.is_zero():
                 raise IllDefinedError(rel, img)
         self._graph = None
+        self.key = (target.key, source.key, self.images)
 
     def apply(self, f: Polynomial) -> Polynomial:
         """phi(f) for f in the target's ambient ring, reduced mod J_B."""
@@ -184,6 +196,9 @@ class Point:
                 raise ValueError(f"point ideal misses relation {g}")
         if ideal.is_unit():
             raise ValueError("the unit ideal is not a point")
+        self.key = (kind, self.coords, ideal.generators,
+                    component.generators if component is not None else None,
+                    comp_dim, algebra.key)
 
     def __repr__(self):
         inner = ", ".join(map(str, self.ideal.generators)) or "0"
@@ -227,7 +242,10 @@ def decompose_components(handle: IdealHandle, budget: int = DEFAULT_SPLIT_BUDGET
     neither factor in sqrt(I). Leaves are pseudo-prime: not splittable by the
     search strategy, with no primality certificate.
 
-    Returns (components, all_pseudo_prime_flag).
+    Returns (components, all_pseudo_prime_flag). Without `supplied` the
+    cover is computed once per process for each (ring, generators, budget)
+    and every call gets its own list; a search that exhausts the budget
+    stores nothing.
     """
     if handle.is_unit():
         raise ValueError("cannot decompose the unit ideal")
@@ -236,6 +254,12 @@ def decompose_components(handle: IdealHandle, budget: int = DEFAULT_SPLIT_BUDGET
         if not verify_component_cover(handle, comps):
             raise ValueError("supplied decomposition fails the radical cover check")
         return comps, "user-supplied"
+    comps = _memoized(("components", handle.ring, handle.generators, budget),
+                      lambda: _decompose(handle, budget))
+    return list(comps), "splitter"
+
+
+def _decompose(handle, budget):
     work = [handle]
     leaves = []
     steps = 0
@@ -270,7 +294,7 @@ def decompose_components(handle: IdealHandle, budget: int = DEFAULT_SPLIT_BUDGET
             final.append(c)
     if not verify_component_cover(handle, final):
         raise RecursionBudgetExceeded("splitter produced a cover failing verification")
-    return final, "splitter"
+    return tuple(final)
 
 
 def _find_splitter(handle: IdealHandle):
@@ -286,13 +310,9 @@ def _find_splitter(handle: IdealHandle):
     gb = handle.groebner()
     if not gb or prime_by_pivots(gb) or prime_by_pivots(handle.generators):
         return None
-    in_radical = {}
 
     def rad(f):
-        key = f.terms
-        if key not in in_radical:
-            in_radical[key] = radical_membership(f, handle)
-        return in_radical[key]
+        return radical_membership(f, handle)
 
     # variable pairs
     for i in range(ring.nvars):
@@ -390,9 +410,20 @@ class FiberModel:
 
 
 def fiber(morphism: Morphism, y: Point) -> FiberModel:
-    """B tensor kappa(y) presented over the source variables."""
+    """B tensor kappa(y) presented over the source variables, computed once
+    per process for each (morphism, y) and rebuilt around the caller's
+    objects, with its own copy of a parametric basis."""
     if y.algebra is not morphism.target and y.algebra.ring != morphism.target.ring:
         raise ValueError("point does not live on the target")
+    fm = _memoized(("fiber", morphism.key, y.key), lambda: _fiber(morphism, y))
+    basis = fm.param_basis
+    if basis is not None:
+        basis = [ParamPoly(g.main, g.domain, g.terms) for g in basis]
+    return FiberModel(morphism, y, fm.kind, fm.relations, fm.denominators,
+                      fm.domain, basis, fm.empty)
+
+
+def _fiber(morphism, y):
     if y.kind == RATIONAL:
         src = morphism.source.ring
         gens = list(morphism.source.relations.generators)
@@ -419,9 +450,13 @@ def fiber(morphism: Morphism, y: Point) -> FiberModel:
 
 def fiber_dim_at(morphism: Morphism, x: Point) -> int:
     """dim_x of the fiber through x: the largest component of the fiber cover
-    containing x."""
+    containing x. Computed once per process for each (morphism, x)."""
     if x.kind != RATIONAL:
         raise UnsupportedPointKind("fiber_dim_at needs a rational-closed source point")
+    return _memoized(("fiber_dim_at", morphism.key, x.key), lambda: _fiber_dim_at(morphism, x))
+
+
+def _fiber_dim_at(morphism, x):
     y_coords = morphism.image_point_coords(x.coords)
     y = rational_point(morphism.target, y_coords)
     fib = fiber(morphism, y)
@@ -456,8 +491,14 @@ def dominates(component: IdealHandle, morphism: Morphism):
 
     Returns (bool, witness_or_contraction): on success the witness is the
     matching component of the target's cover; on failure the contraction
-    ideal is returned as evidence.
+    ideal is returned as evidence. Computed once per process for each
+    (component, morphism).
     """
+    return _memoized(("dominates", component.ring, component.generators, morphism.key),
+                     lambda: _dominates(component, morphism))
+
+
+def _dominates(component, morphism):
     gring, gideal, src_idx, tgt_idx, tgt_names = morphism.graph()
     total = gideal.with_extra([g.embed(gring) for g in component.generators])
     contraction_ext = eliminate(total, src_idx)
@@ -522,7 +563,15 @@ def finite_locus_strata(morphism: Morphism, depth_budget: int = 12):
     """Groebner-system recursion over the target: branch on vanishing versus
     non-vanishing of the parametric leading coefficients; on each leaf report
     whether every source variable shows a pure-power leading term. The strata
-    partition the target."""
+    partition the target. Computed once per process for each (morphism,
+    depth_budget); every call gets its own strata."""
+    strata = _memoized(("strata", morphism.key, depth_budget),
+                       lambda: tuple(_finite_locus_strata(morphism, depth_budget)))
+    return [Stratum(s.constraints, s.nonzeros, s.quasi_finite, s.fiber_empty,
+                    None if s.witness is None else dict(s.witness)) for s in strata]
+
+
+def _finite_locus_strata(morphism, depth_budget):
     gring, gideal, src_idx, tgt_idx, _ = morphism.graph()
     tring = morphism.target.ring
     main = morphism.source.ring

@@ -25,10 +25,11 @@ Grammar (statements end with ';', '#' starts a comment):
 Names must be declared before use; redeclaration is rejected. A name is a
 run of word characters. A ring's variables are names the polynomial parser
 reads: a letter or '_', then letters, digits, '_' or '~'. A morphism gives
-each generator of its target exactly one image. An ideal declared `in R`
-keeps its generators as written; `dim` measures it inside R (relations
-folded in), `gb` reports the reduced basis of the generators in the ambient
-polynomial ring.
+each generator of its target exactly one image. An ideal's generators, a
+ring's relations and a point's coordinates have no empty entry; `()` is the
+zero ideal. An ideal declared `in R` keeps its generators as written; `dim`
+measures it inside R (relations folded in), `gb` reports the reduced basis
+of the generators in the ambient polynomial ring.
 
 Statements are read with `str` methods, not regular expressions. A word
 character is one with `ch.isalnum() or ch == "_"` and whitespace is
@@ -214,8 +215,8 @@ def _declare_ring(session, line, name, ftok, vars_str, rel_str):
             raise SessionError(f"bad ring declaration: {v!r} is not a variable name", line)
     ring = PolynomialRing(field, variables)
     rels = []
-    if rel_str and rel_str.strip():
-        for piece in _split_top(rel_str):
+    if rel_str:
+        for piece in _entries(rel_str, f"ring {name}: relation", line):
             rels.append(parse_poly(ring, piece))
     try:
         alg = make_algebra(field, variables, rels, name=name)
@@ -225,7 +226,10 @@ def _declare_ring(session, line, name, ftok, vars_str, rel_str):
 
 
 def _split_top(text: str):
-    """Split on commas at parenthesis depth zero."""
+    """Split on commas at parenthesis depth zero. Blank text has no
+    pieces; otherwise every piece is kept, an empty one too."""
+    if not text.strip():
+        return []
     out, depth, buf = [], 0, []
     for ch in text:
         if ch == "(":
@@ -237,10 +241,18 @@ def _split_top(text: str):
             buf = []
         else:
             buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        out.append(tail)
+    out.append("".join(buf).strip())
     return out
+
+
+def _entries(text: str, what: str, line):
+    """The pieces of `text` (see `_split_top`); an empty one is rejected,
+    named by its position."""
+    pieces = _split_top(text)
+    for k, piece in enumerate(pieces, 1):
+        if not piece:
+            raise SessionError(f"{what} entry {k} is empty", line)
+    return pieces
 
 
 def _ideal_parts(stmt):
@@ -259,11 +271,8 @@ def _ideal_parts(stmt):
 
 def _declare_ideal(session, line, name, gens_str, ring_name):
     alg = session._lookup(session.algebras, ring_name, "ring", line)
-    gens = []
-    for piece in _split_top(gens_str):
-        if not piece:
-            continue
-        gens.append(parse_poly(alg.ring, piece))
+    gens = [parse_poly(alg.ring, piece)
+            for piece in _entries(gens_str, f"ideal {name}: generator", line)]
     session._declare(session.ideals, name, (IdealHandle(alg.ring, gens), ring_name), line)
 
 
@@ -311,7 +320,7 @@ def _declare_point(session, line, name, rhs):
     if form == "closed":
         alg = session._lookup(session.algebras, args[0], "ring", line)
         coords = []
-        for piece in _split_top(args[1]):
+        for piece in _entries(args[1], f"point {name}: coordinate", line):
             val = parse_poly(alg.ring, piece)
             if not val.is_constant():
                 raise SessionError(f"coordinate {piece!r} is not a constant", line)

@@ -1,16 +1,29 @@
-"""The per-process memos of the three Groebner engines and of ideal
-membership: a stored result equals what the private loop computes, callers
-cannot change it, and the parametric engine replays its oracle so a hit has
-the effects a fresh run would have."""
+"""The per-process memos of the three Groebner engines, of ideal and
+radical membership, and of the scheme layer above them (component covers,
+fibers, fiber dimensions, dominance, strata, equidimensionality reports and
+factorizations): a stored result equals what the private implementation
+computes, callers cannot change it, a call that raises stores nothing, a
+certificate records its caller's names, and the parametric engine replays
+its oracle so a hit has the effects a fresh run would have."""
 
+import collections
+import json
+import os
 import random
 
 import pytest
 
-from equipure import groebner, ideals, modules, parametric
+from equipure import factorization, groebner, ideals, modules, parametric, schemes
+from equipure.cli import main
+from equipure.errors import RecursionBudgetExceeded
+from equipure.factorization import (
+    build_factorization,
+    maximal_points_of_fiber,
+    verify_equidimensional_at,
+)
 from equipure.fields import GF, QQ
 from equipure.groebner import _buchberger, buchberger
-from equipure.ideals import IdealHandle
+from equipure.ideals import IdealHandle, radical_membership
 from equipure.modules import (
     _module_buchberger,
     graph_kernel_elim_order,
@@ -27,11 +40,30 @@ from equipure.parametric import (
     param_buchberger,
 )
 from equipure.poly import PolynomialRing, parse_poly
-from equipure.schemes import BranchSignal
+from equipure.reports import (
+    canonical_json,
+    equidim_certificate_obj,
+    factorization_certificate_obj,
+)
+from equipure.schemes import (
+    Algebra,
+    BranchSignal,
+    decompose_components,
+    dominates,
+    fiber,
+    fiber_dim_at,
+    finite_locus_strata,
+    generic_point_of,
+    make_morphism,
+    rational_point,
+)
+from equipure.session import parse_session, run_session
 
+from conftest import origin
 from test_division import random_param_poly, random_poly
 
 FIELDS = [GF(7), QQ]
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "corpus.eqp")
 
 
 def _no_recompute(*args, **kwargs):
@@ -215,3 +247,247 @@ def test_param_buchberger_hit_with_other_answers():
     assert ("other answers", "basis", False) in outcomes
     assert ("same answers", "basis", True) in outcomes
     assert {kind for _, kind, _ in outcomes} == {"basis", "branch"}
+
+
+# -- the scheme layer ----------------------------------------------------------
+
+
+def _generators(handles):
+    return [h.generators for h in handles]
+
+
+def _cover_cases(field):
+    ring = PolynomialRing(field, ["x", "y", "z"])
+    return [IdealHandle(ring, [parse_poly(ring, text) for text in gens])
+            for gens in (["x*y", "x*z"], ["x^2 - 1", "y - z"], ["x*y - z^2"], [])]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+def test_cover_hit_equals_private_search(field, monkeypatch):
+    cases = _cover_cases(field)
+    expected = [_generators(schemes._decompose(h, 64)) for h in cases]
+    assert any(len(comps) > 1 for comps in expected)
+    first = [decompose_components(h) for h in cases]
+    assert [(_generators(comps), flag) for comps, flag in first] == [
+        (comps, "splitter") for comps in expected]
+    first[0][0].clear()
+    first[1][0].append(first[1][0][0])
+    monkeypatch.setattr(schemes, "_decompose", _no_recompute)
+    again = [decompose_components(IdealHandle(h.ring, h.generators)) for h in cases]
+    assert [_generators(comps) for comps, _ in again] == expected
+
+
+def test_a_cover_search_past_its_budget_stores_nothing(monkeypatch):
+    ring = PolynomialRing(QQ, ["x", "y"])
+    handle = IdealHandle(ring, [parse_poly(ring, "x*y")])
+    search, budgets = schemes._decompose, []
+    monkeypatch.setattr(schemes, "_decompose",
+                        lambda h, budget: budgets.append(budget) or search(h, budget))
+    for _ in range(2):
+        with pytest.raises(RecursionBudgetExceeded):
+            decompose_components(handle, budget=1)
+    assert budgets == [1, 1]
+    assert ("components", ring, handle.generators, 1) not in groebner._MEMO
+    comps, _ = decompose_components(handle, budget=3)
+    assert len(comps) == 2 and budgets == [1, 1, 3]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+def test_radical_membership_hit_equals_fresh_decision(field, monkeypatch):
+    rng = random.Random(f"memo-radical-{field.char}")
+    ring = PolynomialRing(field, ["x", "y", "z"])
+    cases = []
+    for _ in range(6):
+        g = random_poly(ring, rng, nterms=2, maxdeg=1)
+        handle = IdealHandle(ring, [g * g, random_poly(ring, rng, nterms=2)])
+        cases += [(g, handle), (random_poly(ring, rng, nterms=2, maxdeg=1), handle)]
+    expected = [ideals._radical_membership(f, IdealHandle(h.ring, h.generators))
+                for f, h in cases]
+    assert True in expected and False in expected
+    assert [radical_membership(f, h) for f, h in cases] == expected
+    monkeypatch.setattr(ideals, "_radical_membership", _no_recompute)
+    assert [radical_membership(f, IdealHandle(h.ring, h.generators))
+            for f, h in cases] == expected
+
+
+def _fiber_content(fm):
+    return (fm.kind, fm.relations and fm.relations.generators, fm.denominators,
+            fm.domain and (fm.domain.ring, fm.domain.constraint.generators),
+            fm.param_basis and [(g.main, dict(g.terms)) for g in fm.param_basis], fm.empty)
+
+
+def test_fiber_hit_equals_fresh_fiber_around_the_callers_objects(cone_composite, cone_q,
+                                                                 monkeypatch):
+    points = [origin(cone_q), generic_point_of(cone_q, cone_q.relations)]
+    expected = [_fiber_content(schemes._fiber(cone_composite, y)) for y in points]
+    assert [kind for kind, *_ in expected] == ["rational", "generic"]
+    first = [fiber(cone_composite, y) for y in points]
+    assert [_fiber_content(fm) for fm in first] == expected
+    first[1].param_basis[0].terms.clear()
+    first[1].param_basis.clear()
+    monkeypatch.setattr(schemes, "_fiber", _no_recompute)
+    phi = make_morphism(cone_composite.target, cone_composite.source,
+                        cone_composite.images, cone_composite.name)
+    copies = [origin(cone_q), generic_point_of(cone_q, cone_q.relations)]
+    again = [fiber(phi, y) for y in copies]
+    assert [_fiber_content(fm) for fm in again] == expected
+    assert all(fm.morphism is phi and fm.point is y for fm, y in zip(again, copies))
+
+
+def _strata_content(strata):
+    return [(s.describe(), s.witness) for s in strata]
+
+
+def test_fiber_dims_dominance_and_strata_hits_equal_fresh_results(
+        cone_composite, blowup_chart, veronese_q, monkeypatch):
+    maps = [cone_composite, blowup_chart, veronese_q]
+    dims = [schemes._fiber_dim_at(phi, origin(phi.source)) for phi in maps]
+    pairs = [(c, phi) for phi in maps for c in decompose_components(phi.source.relations)[0]]
+    dominance = [(ok, wit.generators) for ok, wit in
+                 (schemes._dominates(c, phi) for c, phi in pairs)]
+    strata = [_strata_content(schemes._finite_locus_strata(phi, 12)) for phi in maps]
+    assert any(witness for content in strata for _, witness in content)
+    assert [fiber_dim_at(phi, origin(phi.source)) for phi in maps] == dims
+    assert [(ok, wit.generators) for ok, wit in (dominates(c, phi) for c, phi in pairs)] \
+        == dominance
+    first = [finite_locus_strata(phi) for phi in maps]
+    assert [_strata_content(s) for s in first] == strata
+    for s in first:
+        for stratum in s:
+            if stratum.witness:
+                stratum.witness.clear()
+    first[0].clear()
+    for name in ("_fiber_dim_at", "_dominates", "_finite_locus_strata"):
+        monkeypatch.setattr(schemes, name, _no_recompute)
+    assert [fiber_dim_at(phi, origin(phi.source)) for phi in maps] == dims
+    assert [(ok, wit.generators) for ok, wit in (dominates(c, phi) for c, phi in pairs)] \
+        == dominance
+    assert [_strata_content(finite_locus_strata(phi)) for phi in maps] == strata
+
+
+def test_equidim_and_factorization_hits_equal_fresh_certificates(cone_composite, cone_q,
+                                                                monkeypatch):
+    phi, wO, y = cone_composite, origin(cone_composite.source), origin(cone_q)
+    x0 = maximal_points_of_fiber(phi, y)[0]
+    fresh_report = equidim_certificate_obj(
+        phi, wO, [wO], factorization._verify_equidimensional_at(phi, wO, (wO,)))
+    fresh_cert = factorization_certificate_obj(
+        factorization._build_factorization(phi, y, x0, (wO,), 0))
+    report = verify_equidimensional_at(phi, wO, [wO])
+    cert = build_factorization(phi, y, x0, probes=[wO])
+    assert equidim_certificate_obj(phi, wO, [wO], report) == fresh_report
+    assert factorization_certificate_obj(cert) == fresh_cert
+    report.evidence[0]["dim"] = 7
+    report.evidence.clear()
+    cert.predicates[0].evidence["images"].append("edited")
+    cert.predicates.clear()
+    cert.lifted.clear()
+    cert.notes.append("edited")
+    monkeypatch.setattr(factorization, "_verify_equidimensional_at", _no_recompute)
+    monkeypatch.setattr(factorization, "_build_factorization", _no_recompute)
+    again = verify_equidimensional_at(phi, wO, [wO])
+    assert equidim_certificate_obj(phi, wO, [wO], again) == fresh_report
+    y_copy = rational_point(cone_q, [0, 0, 0], name="another")
+    cert = build_factorization(phi, y_copy, x0, probes=(wO,))
+    assert factorization_certificate_obj(cert) == fresh_cert
+    assert cert.morphism is phi and cert.y is y_copy and cert.probes == (wO,)
+
+
+def test_a_renamed_morphism_shares_name_free_results_but_not_its_factorization(
+        cone_composite, cone_q, monkeypatch):
+    phi, wO, y = cone_composite, origin(cone_composite.source), origin(cone_q)
+    x0 = maximal_points_of_fiber(phi, y)[0]
+    report = verify_equidimensional_at(phi, wO, [wO])
+    cert = build_factorization(phi, y, x0, probes=[wO])
+    target = Algebra(cone_q.ring, cone_q.relations, "cone-renamed")
+    twin = make_morphism(target, phi.source, phi.images, "twin")
+    monkeypatch.setattr(factorization, "_verify_equidimensional_at", _no_recompute)
+    shared = verify_equidimensional_at(twin, wO, [wO])
+    assert (shared.e, shared.verdict, shared.evidence, shared.witness) == (
+        report.e, report.verdict, report.evidence, report.witness)
+    built, build = [], factorization._build_factorization
+    monkeypatch.setattr(factorization, "_build_factorization",
+                        lambda morphism, *args: built.append(morphism) or build(morphism, *args))
+    y_twin = origin(target)
+    twin_cert = build_factorization(twin, y_twin, maximal_points_of_fiber(twin, y_twin)[0],
+                                    probes=[wO])
+    assert built == [twin]
+    assert (cert.induced.name, cert.induced.target.name) == ("cone-composite_factor",
+                                                             "cone[T^1]")
+    assert (twin_cert.induced.name, twin_cert.induced.target.name) == ("twin_factor",
+                                                                       "cone-renamed[T^1]")
+    first, second = (factorization_certificate_obj(c) for c in (cert, twin_cert))
+    assert second["predicates"] == first["predicates"]
+    assert second["morphism"]["name"] == "twin"
+
+
+# two morphisms with the same images and relations under other names
+NAMED = {"comp": ("R", "W", "m", "wO", "x0"), "twin": ("R2", "W2", "m2", "wO2", "x02")}
+
+
+def _named_session(*names):
+    decls, commands = [], []
+    for name in names:
+        tgt, src, y, probe, x0 = NAMED[name]
+        decls += [f"ring {tgt} = Q[a,b,c] / (a*b - c^2);", f"ring {src} = Q[x,y,w];",
+                  f"morphism {name} : {tgt} -> {src} = [a -> x^2, b -> y^2, c -> x*y];",
+                  f"point {y} = closed({tgt} : 0, 0, 0);",
+                  f"point {probe} = closed({src} : 0, 0, 0);",
+                  f"point {x0} = fiber-point({name}, {y}, 0);"]
+        commands += [f"factorize {name} at {y} from {x0} probes ({probe});",
+                     f"strong-purity {name} base normal-Q-hypersurface probes ({probe});"]
+    return "\n".join(decls + commands)
+
+
+def _entries(text, options=None):
+    return {rep.command: canonical_json(rep.to_obj())
+            for rep in run_session(parse_session(text, options))}
+
+
+def test_each_entry_is_the_one_its_morphism_gives_alone(monkeypatch):
+    monkeypatch.setattr(groebner, "_MEMO", {})
+    both = _entries(_named_session("comp", "twin"))
+    assert len(both) == 4
+    for name in NAMED:
+        monkeypatch.setattr(groebner, "_MEMO", {})
+        alone = _entries(_named_session(name))
+        assert alone == {command: entry for command, entry in both.items()
+                         if f" {name} " in command}
+        for entry in alone.values():
+            assert '"certificate-emitted"' in entry
+            assert f'"name":"{name}"' in entry and f'"name":"{NAMED[name][0]}"' in entry
+
+
+def test_seed_and_budget_are_parts_of_the_keys(monkeypatch):
+    monkeypatch.setattr(groebner, "_MEMO", {})
+    text = _named_session("comp") + "\npoint eta = generic(R);"
+    for seed, budget in ((0, 64), (1, 64), (1, 32)):
+        _entries(text, {"seed": seed, "budget": budget})
+    keys = groebner._MEMO
+    assert {key[-1] for key in keys if key[0] == "factorization"} == {0, 1}
+    relations = parse_session(text).algebras["R"].relations
+    assert {key[3] for key in keys if key[:3] == ("components", relations.ring,
+                                                  relations.generators)} == {32, 64}
+
+
+def test_one_corpus_run_factorizes_once_and_covers_each_ideal_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(groebner, "_MEMO", {})
+    built, covers = collections.Counter(), collections.Counter()
+    build, search = factorization._build_factorization, schemes._decompose
+
+    def counted_build(morphism, *args):
+        built[morphism.name] += 1
+        return build(morphism, *args)
+
+    def counted_search(handle, budget):
+        covers[handle.ring, handle.generators, budget] += 1
+        return search(handle, budget)
+
+    monkeypatch.setattr(factorization, "_build_factorization", counted_build)
+    monkeypatch.setattr(schemes, "_decompose", counted_search)
+    out = tmp_path / "corpus.json"
+    assert main(["run", CORPUS, "--seed", "1", "--json", str(out)]) == 1
+    commands = [entry["command"] for entry in json.loads(out.read_text())]
+    assert sum(c.startswith(("factorize comp", "strong-purity comp")) for c in commands) == 2
+    assert built == {"comp": 1}
+    assert len(covers) > 5 and set(covers.values()) == {1}

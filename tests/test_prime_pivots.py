@@ -11,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from equipure import ideals, schemes
+from equipure import groebner, ideals, schemes
 from equipure.errors import RecursionBudgetExceeded
 from equipure.fields import GF, QQ
 from equipure.ideals import IdealHandle, prime_by_pivots, radical_membership
@@ -61,9 +61,12 @@ def pivot_ideals(draw):
 
 def without_shortcut(call, *args):
     """`call(*args)` with `prime_by_pivots` false at both of its users: the
-    splitter search and radical membership as they run without it."""
+    splitter search and radical membership as they run without it, on a
+    memo of their own, so that they compute afresh and store nothing a
+    later call with the shortcut would find."""
     with mock.patch.object(schemes, "prime_by_pivots", lambda basis: False), \
-            mock.patch.object(ideals, "prime_by_pivots", lambda basis: False):
+            mock.patch.object(ideals, "prime_by_pivots", lambda basis: False), \
+            mock.patch.object(groebner, "_MEMO", {}):
         return call(*args)
 
 
@@ -152,6 +155,7 @@ def test_a_rational_fiber_is_settled_without_a_tag_ring(monkeypatch):
     ring = PolynomialRing(QQ, ["u", "x", "z"])
     handle = IdealHandle(ring, [parse_poly(ring, "u - 1"), parse_poly(ring, "u^2*x + z^3 - 67")])
     assert prime_by_pivots(handle.groebner())
+    monkeypatch.setattr(groebner, "_MEMO", {})    # the cover and answers are computed here
     extended = _spy_on_extend(monkeypatch)
     comps, _ = decompose_components(handle)
     assert [c.generators for c in comps] == [tuple(handle.groebner())]
@@ -177,6 +181,7 @@ def test_the_twisted_cubic_is_settled_from_its_generators(monkeypatch, field):
     monkeypatch.setattr(schemes, "radical_membership", lambda *args: asked.append(args))
     assert schemes._find_splitter(handle) is None and not asked    # no search
     monkeypatch.undo()
+    monkeypatch.setattr(groebner, "_MEMO", {})    # the cover and answers are computed here
     extended = _spy_on_extend(monkeypatch)
     assert _cover(handle) == searched == ([tuple(handle.groebner())], "splitter")
     assert not radical_membership(f, handle)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from equipure import groebner
 from equipure.errors import IllDefinedError, UnitIdealError
 from equipure.fields import QQ
 from equipure.ideals import IdealError, IdealHandle
@@ -96,6 +97,8 @@ def test_splitter_lets_unexpected_division_errors_propagate(monkeypatch):
     def inexact(f, g):
         raise IdealError("division is not exact")
 
+    # a stored cover would answer without dividing again
+    monkeypatch.setattr(groebner, "_MEMO", {})
     monkeypatch.setattr(schemes, "exact_divide", inexact)
     comps, _ = decompose_components(handle)
     assert len(comps) == 1
@@ -103,6 +106,7 @@ def test_splitter_lets_unexpected_division_errors_propagate(monkeypatch):
     def faulty(f, g):
         raise ZeroDivisionError("fault inside the division")
 
+    monkeypatch.setattr(groebner, "_MEMO", {})
     monkeypatch.setattr(schemes, "exact_divide", faulty)
     with pytest.raises(ZeroDivisionError, match="fault inside the division"):
         decompose_components(handle)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from equipure import factorization
+from equipure import factorization, groebner
 from equipure.cli import main
 from equipure.errors import EquipureError
 from equipure.ideals import IdealError
@@ -357,6 +357,7 @@ DEEP = "(" * 5000 + "x" + ")" * 5000
 @pytest.mark.parametrize("text", [
     "field k = F4;", "ring R = Q[x,x];",
     pytest.param(f"ring R = Q[x]; ideal I = ({DEEP}) in R;", id="deep-parentheses"),
+    pytest.param("ring R = Q[x,y]; ideal I = (x,,y,) in R;", id="empty-generator"),
 ])
 def test_parse_time_value_errors_exit_2(tmp_path, text):
     path = tmp_path / "bad.eqp"
@@ -448,6 +449,8 @@ def test_points_round_trip(corpus_reports):
 
 def test_exhausted_parametric_budget_is_an_error_report(monkeypatch):
     assert issubclass(IdealError, EquipureError)
+    # factorizations stored by earlier tests would answer without the engine
+    monkeypatch.setattr(groebner, "_MEMO", {})
     monkeypatch.setattr(factorization, "param_buchberger",
                         functools.partial(factorization.param_buchberger, budget=1))
     [rep] = [r for r in run_session(parse_session(FIBERS))

@@ -239,6 +239,11 @@ DIVERGENCES = [
     ("ring R = Q[x,,y]", "bad ring declaration: '' is not a variable name"),
     ("ring R = Q[x y]", "bad ring declaration: 'x y' is not a variable name"),
     ("morphism f : R -> S = [x -> y, x -> y^2]", "generator 'x' has more than one image"),
+    ("ideal I = (x,,x,) in R", "ideal I: generator entry 2 is empty"),
+    ("ideal J = (,) in R", "ideal J: generator entry 1 is empty"),
+    ("ideal K = (x,) in R", "ideal K: generator entry 2 is empty"),
+    ("ring T = Q[a] / (a,)", "ring T: relation entry 2 is empty"),
+    ("point p = closed(R : 0,)", "point p: coordinate entry 2 is empty"),
 ]
 
 
@@ -257,6 +262,13 @@ def test_ring_entries_must_be_variable_names(entries):
         parse_session(f"ring R = Q[{entries}];")
     assert "bad ring declaration: " in str(err.value)
     assert "is not a variable name" in str(err.value)
+
+
+def test_an_empty_generator_list_is_the_zero_ideal():
+    session = parse_session("ring R = Q[x];\nideal Z = () in R;\nideal B = ( ) in R;\n"
+                            "ring T = Q[y] / ();")
+    assert session.ideals["Z"][0].generators == session.ideals["B"][0].generators == ()
+    assert session.algebras["T"].relations.generators == ()
 
 
 def test_variable_names_are_the_polynomial_parsers_names():
