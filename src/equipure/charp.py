@@ -79,13 +79,6 @@ def frobenius_power(handle: IdealHandle, e: int, ctx: FrobeniusContext) -> Ideal
                        [frobenius_poly_power(g, e, ctx.p) for g in handle.generators])
 
 
-def _membership_mod(algebra: Algebra, gens, f: Polynomial) -> bool:
-    """f in (gens) + relations, inside the quotient ring."""
-    handle = IdealHandle(algebra.ring,
-                         list(gens) + list(algebra.relations.generators))
-    return handle.contains(f)
-
-
 def _level_inside(algebra: Algebra, bracket: IdealHandle, z: Polynomial,
                   multiplier: Polynomial, e: int, p: int) -> bool:
     """multiplier * z^(p^e) in bracket + relations, where `bracket` is
@@ -104,9 +97,10 @@ def _level_inside(algebra: Algebra, bracket: IdealHandle, z: Polynomial,
 
 
 def fedder_f_pure(defining: Polynomial, m: Point, ctx: FrobeniusContext) -> bool:
-    """Hypersurface F-purity at a rational maximal ideal: f^(p-1) must stay
-    outside m^[p]. The criterion is the classical hypersurface test, used
-    here as the package's F-purity oracle."""
+    """Hypersurface F-purity at a rational point c by Fedder's criterion
+    (Trans. AMS 278, 1983): f^(p-1) must stay outside m^[p]. Moved by
+    x_i -> x_i + c_i, m^[p] is the monomial ideal (x_i^p), so some term of
+    the moved f^(p-1) must have every exponent below p."""
     p = ctx.p
     if defining.ring.field.char != p:
         raise BadCharacteristic("defining polynomial not over the context field")
@@ -115,20 +109,16 @@ def fedder_f_pure(defining: Polynomial, m: Point, ctx: FrobeniusContext) -> bool
     if defining.eval_at(m.coords) != defining.ring.field.zero:
         raise NotHypersurface("the point does not lie on the hypersurface")
     ring = defining.ring
-    bracket = [
-        (ring.var(i) - ring.const(c)) ** p for i, c in enumerate(m.coords)
-    ]
-    fpow = defining ** (p - 1)
-    handle = IdealHandle(ring, bracket)
-    return not handle.contains(fpow)
+    moved = defining.map_vars(ring, [ring.var(i) + ring.const(c)
+                                     for i, c in enumerate(m.coords)])
+    return any(all(e < p for e in exp) for exp, _ in (moved ** (p - 1)).terms)
 
 
 def is_parameter_sequence(algebra: Algebra, elems) -> bool:
     """Dimension-drop test, valid for the equidimensional catenary corpus
     rings: each cut must lower the dimension by exactly one. The base must be
     equidimensional per its component cover."""
-    comps, _ = decompose_components(algebra.relations)
-    dims = {krull_dim(c) for c in comps}
+    dims = {krull_dim(c) for c in decompose_components(algebra.relations)}
     if len(dims) > 1:
         raise NotEquidimensionalBase(f"component dimensions {sorted(dims)} differ")
     d0 = krull_dim(algebra.relations)
@@ -153,7 +143,7 @@ def jacobian_test_candidates(algebra: Algebra, ctx: FrobeniusContext):
         raise NotHypersurface("candidates need a principal relation ideal")
     h = gb[0]
     partials = [h.derivative(i) for i in range(ring.nvars)]
-    comps, _ = decompose_components(algebra.relations)
+    comps = decompose_components(algebra.relations)
     out = []
     jac = IdealHandle(ring, [h] + partials)
     if jac.is_unit():
@@ -191,7 +181,7 @@ class TCVerdict:
         if any(not 1 <= e <= self.bound for e, _ in self.levels):
             return False
         if self.status == self.MEMBER:
-            return _membership_mod(self.algebra, self.ideal.generators, self.z)
+            return self.ideal.with_extra(self.algebra.relations.generators).contains(self.z)
         for e, inside in self.levels:
             bracket = frobenius_power(self.ideal, e, ctx)
             if _level_inside(self.algebra, bracket, self.z, self.multiplier,
@@ -228,7 +218,7 @@ def tc_member_certificate(z: Polynomial, ideal: IdealHandle, multiplier: Polynom
     if multiplier.is_zero():
         raise ValueError("multiplier must be nonzero")
     alg = ctx.algebra
-    if _membership_mod(alg, ideal.generators, z):
+    if ideal.with_extra(alg.relations.generators).contains(z):
         return TCVerdict(alg, z, ideal, multiplier, bound, TCVerdict.MEMBER)
     levels = []
     for e in range(1, bound + 1):
@@ -260,21 +250,23 @@ class FRationalReport:
         return f"FRationalReport({self.verdict})"
 
 
-def standard_monomials(algebra: Algebra, handle: IdealHandle, cap: int = 40):
+# the degree cap of the standard monomials an F-rationality probe tests
+MONOMIAL_DEGREE_CAP = 40
+
+
+def standard_monomials(algebra: Algebra, handle: IdealHandle):
     """Monomial basis of the quotient by (handle + relations), degree-capped."""
-    total = IdealHandle(algebra.ring,
-                        list(handle.generators) + list(algebra.relations.generators))
-    gb = total.groebner()
+    gb = handle.with_extra(algebra.relations.generators).groebner()
     if gb and gb[0].is_constant():
         return []
     leads = [g.leading(GREVLEX)[0] for g in gb]
     return [Polynomial(algebra.ring, ((exps, algebra.field.one),))
-            for exps in standard_exponents(leads, algebra.ring.nvars, cap)]
+            for exps in standard_exponents(leads, algebra.ring.nvars, MONOMIAL_DEGREE_CAP)]
 
 
-def f_rational_probe(algebra: Algebra, sops, bound: int, ctx: FrobeniusContext,
-                     degree_cap: int = 40) -> FRationalReport:
-    """For each supplied parameter sequence, test every standard monomial of
+def f_rational_probe(algebra: Algebra, sops, bound: int,
+                     ctx: FrobeniusContext) -> FRationalReport:
+    """For each given parameter sequence, test every standard monomial of
     the quotient against every multiplier candidate. Never claims
     F-rationality outright; a clean run is bounded evidence only."""
     candidates = jacobian_test_candidates(algebra, ctx)
@@ -288,8 +280,8 @@ def f_rational_probe(algebra: Algebra, sops, bound: int, ctx: FrobeniusContext,
             raise HypothesisFailed("parameter-sequence",
                                    f"{[str(s) for s in seq]} fails the dimension-drop test")
         ideal = IdealHandle(algebra.ring, list(seq))
-        for z in standard_monomials(algebra, ideal, cap=degree_cap):
-            if _membership_mod(algebra, ideal.generators, z):
+        for z in standard_monomials(algebra, ideal):
+            if ideal.with_extra(algebra.relations.generators).contains(z):
                 continue
             z_record = {"z": str(z), "ideal": [str(s) for s in seq], "runs": []}
             certified_out = False
@@ -318,13 +310,12 @@ def f_rational_probe(algebra: Algebra, sops, bound: int, ctx: FrobeniusContext,
 
 class DescentReport:
     def __init__(self, morphism, verdict, source_report, target_report,
-                 purity_witness, equidim_report, alarms, assumptions):
+                 purity_witness, alarms, assumptions):
         self.morphism = morphism
         self.verdict = verdict
         self.source_report = source_report
         self.target_report = target_report
         self.purity_witness = purity_witness
-        self.equidim_report = equidim_report
         self.alarms = list(alarms)
         self.assumptions = list(assumptions)
 
@@ -332,8 +323,8 @@ class DescentReport:
         return f"DescentReport({self.verdict})"
 
 
-def f_rational_descent_check(morphism: Morphism, y: Point, probes, bound: int,
-                      source_sops=None, target_sops=None) -> DescentReport:
+def f_rational_descent_check(morphism: Morphism, y: Point, probes,
+                             bound: int) -> DescentReport:
     """Cross-check F-rationality descent along an equidimensional map that is
     pure at y. Refuses non-equidimensional input; flags a soundness alarm if
     the source probes clean while the target shows a counterexample with all
@@ -368,10 +359,8 @@ def f_rational_descent_check(morphism: Morphism, y: Point, probes, bound: int,
 
     src_alg, tgt_alg = morphism.source, morphism.target
     src_ctx, tgt_ctx = FrobeniusContext(src_alg), FrobeniusContext(tgt_alg)
-    source_sops = source_sops or [_default_sop(src_alg)]
-    target_sops = target_sops or [_default_sop(tgt_alg)]
-    src_rep = f_rational_probe(src_alg, source_sops, bound, src_ctx)
-    tgt_rep = f_rational_probe(tgt_alg, target_sops, bound, tgt_ctx)
+    src_rep = f_rational_probe(src_alg, [_default_sop(src_alg)], bound, src_ctx)
+    tgt_rep = f_rational_probe(tgt_alg, [_default_sop(tgt_alg)], bound, tgt_ctx)
 
     alarms = []
     if src_rep.clean() and not tgt_rep.clean():
@@ -380,7 +369,7 @@ def f_rational_descent_check(morphism: Morphism, y: Point, probes, bound: int,
             "target shows a counterexample")
     verdict = "consistent" if not alarms else "inconsistent"
     return DescentReport(morphism, verdict, src_rep, tgt_rep, purity_witness,
-                         report, alarms, assumptions)
+                         alarms, assumptions)
 
 
 def _default_sop(algebra: Algebra):

@@ -20,7 +20,9 @@ argument, and `--` ends the options. Options are spelled in full. `-h` or
 exit 0. Any other command line the table does not accept, such as a
 missing mode, an unknown option, a missing or non-integer value or a
 negative `--budget`, exits 2 with one line on stderr that names the fault
-and gives the usage.
+and gives the usage. `--budget` bounds only the component search behind
+`generic(...)` point declarations; every cover a command computes runs at
+its default, `schemes.DEFAULT_SPLIT_BUDGET`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _MODES = {
     "run": ("execute a session file", "session", "path to the session file", {
         "--seed": ("N", "an integer", 0, "deterministic seed"),
         "--budget": ("N", "a non-negative integer", DEFAULT_SPLIT_BUDGET,
-                     "recursion budget for component splitting"),
+                     "component-splitting step budget of generic(...) point declarations"),
         "--frobenius-bound": ("E", "an integer", DEFAULT_FROBENIUS_BOUND,
                               "Frobenius evidence bound E"),
         "--json": ("PATH", "a path", None, "write the canonical report list to this path"),

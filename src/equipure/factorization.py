@@ -165,7 +165,7 @@ def _tag_variables(ts):
     return out if len(set(out)) == len(out) else None
 
 
-def _candidate_streams(ring: PolynomialRing, e: int, seed: int, budget: int):
+def _candidate_streams(ring: PolynomialRing, e: int, seed: int):
     """Deterministic candidate tuples (kind, [t polynomials])."""
     n = ring.nvars
     fld = ring.field
@@ -179,7 +179,7 @@ def _candidate_streams(ring: PolynomialRing, e: int, seed: int, budget: int):
             yield "linear", [ring.var(i) + ring.var(m) for i in combo]
     rng = random.Random(seed)
     hi = fld.char - 1 if fld.char else 3
-    for _ in range(budget):
+    for _ in range(NOETHER_BUDGET):
         ts = []
         for _ in range(e):
             coeffs = [rng.randint(0, hi) for _ in range(n)]
@@ -202,10 +202,14 @@ def _candidate_streams(ring: PolynomialRing, e: int, seed: int, budget: int):
                     yield "power-substitution", ts
 
 
-def noether_normalize(fm: FiberModel, seed: int = 0, budget: int = 60) -> NoetherData:
-    """Search variable subsets, then seeded sparse linear combinations, then
-    power substitutions, verifying module-finiteness and algebraic
-    independence of each candidate before accepting it."""
+# the seeded linear candidates a normalization search draws
+NOETHER_BUDGET = 60
+
+
+def noether_normalize(fm: FiberModel, seed: int = 0) -> NoetherData:
+    """Search variable subsets, then `NOETHER_BUDGET` seeded sparse linear
+    combinations, then power substitutions, verifying module-finiteness and
+    algebraic independence of each candidate before accepting it."""
     if fm.empty:
         raise PreconditionFailed("cannot normalize the zero ring")
     e = fm.dim()
@@ -216,11 +220,11 @@ def noether_normalize(fm: FiberModel, seed: int = 0, budget: int = 60) -> Noethe
                 "zero-dimensional fiber failed the finiteness check" if fm.kind == "rational"
                 else "zero-dimensional generic fiber failed the finiteness check")
         return NoetherData(fm, 0, [], "trivial", seed, witness)
-    for kind, ts in _candidate_streams(fm.morphism.source.ring, e, seed, budget):
+    for kind, ts in _candidate_streams(fm.morphism.source.ring, e, seed):
         ok, witness, contraction = _over_tags(fm, ts)
         if ok and not contraction:  # a contraction means the tags are dependent
             return NoetherData(fm, e, ts, kind, seed, witness)
-    raise NormalizationBudgetExceeded(f"no normalization found within budget {budget}")
+    raise NormalizationBudgetExceeded(f"no normalization found within budget {NOETHER_BUDGET}")
 
 
 def adapted_check(component, nd: NoetherData) -> bool:
@@ -393,10 +397,9 @@ def _build_factorization(morphism, y, x0, probes, seed):
     predicates.append(PredicateRecord("point-contracts-to-generic", p4_ok, p4_evi))
 
     # P5: every source component dominates affine e-space over the target
-    comps, cover_tag = decompose_components(src_alg.relations)
     dom_evi = []
     dom_ok = True
-    for c in comps:
+    for c in decompose_components(src_alg.relations):
         ok, wit = dominates(c, induced)
         dom_evi.append({
             "component": [str(g) for g in c.generators],
@@ -408,7 +411,7 @@ def _build_factorization(morphism, y, x0, probes, seed):
         "components-dominate-affine-space", dom_ok, {"components": dom_evi}))
 
     # P6: quasi-finiteness on strata covering the generic point of p^-1(y)
-    # and every supplied probe
+    # and every given probe
     strata = finite_locus_strata(induced)
     p6_evi = {"strata": [s.describe() for s in strata]}
     p6_ok = True
@@ -530,8 +533,7 @@ def _verify_equidimensional_at(morphism, x, probes):
         return EquidimReport(None, "inconclusive", [{"error": str(exc)}])
     evidence.append({"check": "fiber-dim-at-x", "dim": e0})
 
-    comps, _ = decompose_components(morphism.source.relations)
-    through_x = [c for c in comps
+    through_x = [c for c in decompose_components(morphism.source.relations)
                  if all(g.eval_at(x.coords) == morphism.source.field.zero
                         for g in c.generators)]
     witnesses = []
@@ -581,8 +583,7 @@ def maximal_points_of_fiber(morphism: Morphism, y: Point):
         if fm.empty:
             return []
         fiber_alg = Algebra(morphism.source.ring, fm.relations, name="fiber")
-        comps, _ = decompose_components(fm.relations)
-        return [generic_point_of(fiber_alg, c) for c in comps]
+        return [generic_point_of(fiber_alg, c) for c in decompose_components(fm.relations)]
     # generic fiber: presented as a single pseudo-prime component
     ideal_lift = _pullback_fiber_ideal(fm)
     pt = Point(morphism.source, ideal_lift, GENERIC,

@@ -23,8 +23,7 @@ point (`buchberger` here, `modules.module_buchberger`,
 `parametric.param_buchberger`), `ideals.IdealHandle.contains`,
 `ideals.radical_membership`, the tight-closure level test
 `charp._level_inside`, and the scheme layer above them:
-`schemes.decompose_components` (without a supplied cover), `fiber`,
-`fiber_dim_at`, `dominates` and `finite_locus_strata`, and
+`schemes.decompose_components`, `fiber` and `fiber_dim_at`, and
 `factorization.verify_equidimensional_at` and `build_factorization`.
 `_memoized` stores a result under a key holding the full content of the
 inputs, and an identical later call gets the stored result back, or its
@@ -44,7 +43,7 @@ from heapq import heapify, heappop, heappush
 
 from .errors import ParamBudgetError
 from .orders import PackingOverflow, _packed_run
-from .poly import Polynomial, PolynomialRing, _poly_from_packed
+from .poly import Polynomial, _poly_from_packed
 
 
 # key -> result, for the life of the process; see `_memoized`
@@ -157,12 +156,11 @@ def _reduce(work, divisors, packing, fld, quotients=None):
     return remainder
 
 
-def buchberger(generators, order, ring: PolynomialRing = None):
+def buchberger(generators, order):
     """The unique reduced Groebner basis of the given generators.
 
     Computed once per process for each (generators, order); the generators
-    are keyed as Polynomials, which compare by ring and terms, so `ring`
-    adds nothing to the key and does not enter the result.
+    are keyed as Polynomials, which compare by ring and terms.
     """
     gens = tuple(generators)
     key = ("buchberger", gens, order)

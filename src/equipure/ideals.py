@@ -52,7 +52,7 @@ class IdealHandle:
     def groebner(self, order: MonomialOrder = GREVLEX):
         basis = self._gb_cache.get(order)
         if basis is None:
-            basis = tuple(buchberger(self.generators, order, self.ring))
+            basis = tuple(buchberger(self.generators, order))
             self._gb_cache[order] = basis
         return list(basis)
 

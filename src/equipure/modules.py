@@ -24,34 +24,29 @@ criterion is not sound for modules and stays off.
 from __future__ import annotations
 
 from .groebner import _inter_reduce, _memoized, _pair_loop, _reduce, _s_work
-from .orders import GREVLEX, PACKING_BITS, _grevlex_fields, _packed_run, _packing
+from .orders import GREVLEX, MonomialOrder, _grevlex_fields, _key, _packed_run
 from .poly import PolynomialRing, _poly_from_packed
 
 
 class ModuleOrder:
-    """Sort key on (position, exponent) pairs; bigger key = bigger monomial.
+    """An order on (position, exponent) pairs, stated by its packed fields,
+    position fields included (see `orders.Packing`); `key` reads its sort
+    key off them, bigger key = bigger monomial.
 
     The tag names the constructor and every parameter it was given, so two
-    orders are equal, and hash alike, exactly when their tags are. `fields`
-    gives the packed fields of the key on a number of variables, position
-    fields included (see `orders.Packing`)."""
+    orders are equal, and hash alike, exactly when their tags are.
+    `fields(nvars)` gives the fields on a number of variables, as
+    `MonomialOrder.fields` does, and `packing` is `MonomialOrder.packing`."""
 
-    def __init__(self, keyfn, tag, fields):
-        self._keyfn = keyfn
+    def __init__(self, tag, fields):
         self.tag = tag
-        self._fields = fields
+        self.fields = fields
         self._packings = {}
 
     def key(self, pos, exp):
-        return self._keyfn(pos, exp)
+        return _key(self.packing(len(exp)).fields, exp, pos)
 
-    def packing(self, nvars):
-        """The first-width `Packing` of this order on `nvars` variables."""
-        p = self._packings.get(nvars)
-        if p is None:
-            p = self._packings[nvars] = _packing(self._fields(nvars), nvars,
-                                                 PACKING_BITS)
-        return p
+    packing = MonomialOrder.packing
 
     def __eq__(self, other):
         return isinstance(other, ModuleOrder) and self.tag == other.tag
@@ -65,18 +60,13 @@ class ModuleOrder:
 
 def pot_order(mono_order=GREVLEX) -> ModuleOrder:
     """Plain position-over-term: position 0 is the biggest."""
-    return ModuleOrder(lambda pos, exp: (-pos, mono_order.key(exp)), f"pot,{mono_order!r}",
-                       lambda n: (("pos",),) + mono_order.fields(n))
+    return ModuleOrder(f"pot,{mono_order!r}", lambda n: (("pos",),) + mono_order.fields(n))
 
 
 def graph_kernel_order(lead_positions: int, mono_order=GREVLEX) -> ModuleOrder:
     """Anything in the first `lead_positions` positions beats everything else;
     position-over-term within each class."""
-
-    def keyfn(pos, exp):
-        return (1 if pos < lead_positions else 0, -pos, mono_order.key(exp))
-
-    return ModuleOrder(keyfn, f"graph<{lead_positions},{mono_order!r}",
+    return ModuleOrder(f"graph<{lead_positions},{mono_order!r}",
                        lambda n: (("lead", lead_positions), ("pos",)) + mono_order.fields(n))
 
 
@@ -87,21 +77,13 @@ def graph_kernel_elim_order(lead_positions: int, front_vars, nvars) -> ModuleOrd
     front = tuple(sorted(front_vars))
     back = tuple(i for i in range(nvars) if i not in front)
 
-    def keyfn(pos, exp):
-        fpart = tuple(exp[i] for i in front)
-        bpart = tuple(exp[i] for i in back)
-        fkey = (sum(fpart), tuple(-e for e in reversed(fpart)))
-        bkey = (sum(bpart), tuple(-e for e in reversed(bpart)))
-        return (1 if pos < lead_positions else 0, fkey, -pos, bkey)
-
     def fields(n):
         if n != nvars:
             raise ValueError(f"order built for {nvars} variables, not {n}")
         return ((("lead", lead_positions),) + _grevlex_fields(front) + (("pos",),)
                 + _grevlex_fields(back))
 
-    return ModuleOrder(keyfn, f"graph-elim<{lead_positions},front{list(front)},nvars={nvars}",
-                       fields)
+    return ModuleOrder(f"graph-elim<{lead_positions},front{list(front)},nvars={nvars}", fields)
 
 
 # -- vector helpers ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monomial orders on exponent vectors, and their packed monomials.
 
-Orders expose a sort key: `key(exp)` returns a tuple that compares the way
+An order is stated once, by its packed fields (`fields`, below); its sort
+key `key(exp)` is the tuple of those fields' values, which compares the way
 the monomials do (bigger key == bigger monomial). Supported kinds:
 
   lex            plain lexicographic in the ring's variable order
@@ -43,10 +44,6 @@ from operator import mul
 PACKING_BITS = 16
 
 
-def _grevlex_key(exp):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
 class MonomialOrder:
     __slots__ = ("kind", "front", "perm", "_packings")
 
@@ -63,16 +60,7 @@ class MonomialOrder:
         self._packings = {}
 
     def key(self, exp):
-        if self.kind == "lex":
-            return exp
-        if self.kind == "grevlex":
-            return _grevlex_key(exp)
-        if self.kind == "grevlex-perm":
-            return _grevlex_key(tuple(exp[i] for i in self.perm))
-        front = self.front
-        fpart = tuple(exp[i] for i in front)
-        bpart = tuple(e for i, e in enumerate(exp) if i not in front)
-        return (_grevlex_key(fpart), _grevlex_key(bpart))
+        return _key(self.packing(len(exp)).fields, exp, 0)
 
     def fields(self, nvars):
         """The packed fields of `key` on `nvars` variables; see `Packing`."""
@@ -117,6 +105,27 @@ def _grevlex_fields(idx):
     each exponent complemented, last variable first."""
     idx = tuple(idx)
     return (("deg", idx),) + tuple(("cexp", i) for i in reversed(idx))
+
+
+def _key(fields, exp, pos):
+    """The sort key of the monomial (pos, exp) under packed `fields` (see
+    `Packing`; an ideal's monomials are at position 0): the value of each
+    field, most significant first. A degree field gives the sum of its
+    block, ("exp", i) gives e_i, ("cexp", i) gives -e_i, ("pos",) gives -pos
+    and ("lead", L) gives pos < L."""
+    out = []
+    for kind, *arg in fields:
+        if kind == "deg":
+            out.append(sum(exp[i] for i in arg[0]))
+        elif kind == "exp":
+            out.append(exp[arg[0]])
+        elif kind == "cexp":
+            out.append(-exp[arg[0]])
+        elif kind == "pos":
+            out.append(-pos)
+        else:
+            out.append(pos < arg[0])
+    return tuple(out)
 
 
 class PackingOverflow(ArithmeticError):
@@ -184,10 +193,7 @@ class Packing:
         return self.one + sum(map(mul, exp, self.steps))
 
     def _fits(self, exp):
-        top = self.top
-        return all(sum(exp[i] for i in arg[0]) <= top if kind == "deg"
-                   else kind not in ("exp", "cexp") or exp[arg[0]] <= top
-                   for kind, *arg in self.fields)
+        return all(abs(v) <= self.top for v in _key(self.fields, exp, 0))
 
     def lcm(self, a, b):
         """K of the lcm of the monomials of a and b, in the position of a."""

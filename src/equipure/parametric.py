@@ -47,6 +47,12 @@ from .orders import GREVLEX, PackingOverflow, _packed_run, _packing
 from .poly import Polynomial, PolynomialRing, poly_from_dict
 
 
+# the most pairs a parametric Buchberger run pops, skipped ones included,
+# and the most terms one fraction-free reduction pops
+PARAM_PAIR_BUDGET = 4000
+PARAM_REDUCTION_STEPS = 20000
+
+
 class CoeffDomain:
     """k[params]/q with normal-form representatives."""
 
@@ -106,8 +112,7 @@ class ParamPoly:
     def is_zero(self):
         return not self.terms
 
-    def renormalize(self, domain=None):
-        domain = domain or self.domain
+    def renormalize(self, domain):
         return ParamPoly.build(self.main, domain, self.terms.items())
 
     def leading(self, order):
@@ -121,8 +126,8 @@ class ParamPoly:
             acc[e] = acc[e] - c if e in acc else -c
         return ParamPoly.build(self.main, self.domain, acc.items())
 
-    def sorted_terms(self, order=GREVLEX):
-        return _packed_run(order.packing(self.main.nvars), lambda packing: sorted(
+    def sorted_terms(self):
+        return _packed_run(GREVLEX.packing(self.main.nvars), lambda packing: sorted(
             self.terms.items(), key=lambda t: packing.encode(t[0]), reverse=True))
 
     def __repr__(self):
@@ -294,7 +299,7 @@ def _reduce(work, domain, divisors, packing, is_invertible):
     steps = 0
     while heap:
         steps += 1
-        if steps > 20000:
+        if steps > PARAM_REDUCTION_STEPS:
             raise ParamBudgetError("parametric reduction budget exceeded")
         k = -heappop(heap)
         coeff = work.pop(k)
@@ -380,14 +385,14 @@ def _product(a, b, cpacking, fld):
     return out
 
 
-def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=4000):
+def param_buchberger(gens, order, domain: CoeffDomain, is_invertible):
     """Fraction-free Buchberger over the coefficient domain. Over the fraction
     field of the domain (or over each point of a stratum where the assumed
     coefficients stay nonzero), the output monomials are those of a Groebner
     basis of the extended ideal.
 
     The pairs run through the shared loop `groebner._pair_loop` with the
-    coprime and chain criteria and `budget` popped pairs at most; each pair's
+    coprime and chain criteria and `PARAM_PAIR_BUDGET` popped pairs at most; each pair's
     S-polynomial is reduced by the fraction-free `_reduce`, and a nonzero
     remainder joins the basis as it is. The output is the minimal basis of
     what the loop ends with (see `groebner._minimal`), not a reduced one,
@@ -397,7 +402,7 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
 
     Computed once per process for each (gens, order, domain, budget): the
     key holds each generator's ring and terms in order, the coefficient
-    ring, the constraint generators and `budget`. The oracle has effects (a
+    ring, the constraint generators and the budget. The oracle has effects (a
     `DenominatorLog` entry, or a `BranchSignal`), so the stored basis keeps
     the distinct coefficients the oracle was asked about, with its answers,
     in first-occurrence order. An identical later call asks its own oracle
@@ -409,6 +414,7 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible, budget=400
     entry once); both oracles in the package meet it. The replay then has
     exactly the effects of the oracle calls a fresh run would make."""
     gens = list(gens)
+    budget = PARAM_PAIR_BUDGET
     key = ("param_buchberger", _content(gens), order, domain.ring,
            domain.constraint.generators, budget)
 

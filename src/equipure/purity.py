@@ -25,6 +25,7 @@ from .modules import (
 from .orders import GREVLEX, block_order
 from .poly import Polynomial
 from .schemes import (
+    PSEUDO_PRIME_NOTE,
     Algebra,
     Morphism,
     Point,
@@ -38,11 +39,10 @@ from .schemes import (
 class ModulePresentation:
     """B as an A-module: monomial generators and a relation matrix over A."""
 
-    def __init__(self, morphism: Morphism, generators, relations, graph_data):
+    def __init__(self, morphism: Morphism, generators, relations):
         self.morphism = morphism
         self.generators = list(generators)   # monomials in the source ring
         self.relations = list(relations)     # vectors over the target ring
-        self.graph_data = graph_data
 
     @property
     def rank(self):
@@ -62,7 +62,7 @@ class ModulePresentation:
 def module_presentation(morphism: Morphism) -> ModulePresentation:
     """Standard monomials of the graph ideal under the source-block order,
     with relations computed as the coefficient-restricted syzygies."""
-    gring, gideal, src_idx, tgt_idx, tgt_names = morphism.graph()
+    gring, gideal, src_idx, tgt_idx, _ = morphism.graph()
     order = block_order(src_idx)
     basis = gideal.groebner(order)
     ns = len(src_idx)
@@ -85,8 +85,7 @@ def module_presentation(morphism: Morphism) -> ModulePresentation:
         tuple(_project_tgt(gring, tring, src_idx, tgt_idx, f) for f in vec)
         for vec in kern
     ]
-    return ModulePresentation(morphism, gens, relations,
-                              (gring, src_idx, tgt_idx, tgt_names))
+    return ModulePresentation(morphism, gens, relations)
 
 
 def _project_tgt(gring, tring, src_idx, tgt_idx, f: Polynomial) -> Polynomial:
@@ -254,7 +253,7 @@ class SplinterReport:
 
 
 def splinter_probe(base: Algebra, covers) -> SplinterReport:
-    """Probe the splinter property of `base` against the supplied module-finite
+    """Probe the splinter property of `base` against the given module-finite
     covers with surjective Spec. Explicitly a probe over the given covers,
     never a full splinter proof."""
     verdicts = []
@@ -281,9 +280,8 @@ def splinter_probe(base: Algebra, covers) -> SplinterReport:
 def _surjectivity_evidence(phi: Morphism) -> bool:
     """Module-finite + every target component dominated by some source
     component: the image is closed and dense, hence everything."""
-    tcomps, _ = decompose_components(phi.target.relations)
-    scomps, _ = decompose_components(phi.source.relations)
-    for tc in tcomps:
+    scomps = decompose_components(phi.source.relations)
+    for tc in decompose_components(phi.target.relations):
         hit = False
         for sc in scomps:
             ok, wit = dominates(sc, phi)
@@ -371,8 +369,7 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
                             "text": "base ring asserted to be a splinter by the user"})
     assumptions.append({"status": "cited",
                         "text": "the affine-space projection is faithfully flat, hence pure"})
-    assumptions.append({"status": "assumed",
-                        "text": "component covers are pseudo-prime: leaves carry no primality certificate"})
+    assumptions.append(PSEUDO_PRIME_NOTE)
 
     probe_records = []
     for probe in probes:

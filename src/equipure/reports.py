@@ -29,9 +29,10 @@ from .factorization import build_factorization, verify_equidimensional_at
 from .fields import FieldSpec
 from .groebner import is_groebner, normal_form
 from .ideals import IdealHandle, krull_dim
-from .orders import GREVLEX, LEX, MonomialOrder, block_order
+from .orders import GREVLEX, MonomialOrder
 from .poly import Polynomial, PolynomialRing
 from .schemes import (
+    PSEUDO_PRIME_NOTE,
     Algebra,
     Morphism,
     Point,
@@ -72,10 +73,6 @@ def ring_from_obj(obj) -> PolynomialRing:
     return PolynomialRing(FieldSpec(int(obj["char"])), obj["vars"])
 
 
-def coeff_to_str(c) -> str:
-    return str(c)
-
-
 def coeff_from_str(field: FieldSpec, s: str):
     if field.char == 0:
         num, _, den = s.partition("/")
@@ -84,7 +81,7 @@ def coeff_from_str(field: FieldSpec, s: str):
 
 
 def poly_to_obj(f: Polynomial):
-    return [[[str(e) for e in exp], coeff_to_str(c)] for exp, c in f.terms]
+    return [[[str(e) for e in exp], str(c)] for exp, c in f.terms]
 
 
 def poly_from_obj(ring: PolynomialRing, obj) -> Polynomial:
@@ -108,14 +105,9 @@ def order_to_obj(order: MonomialOrder):
 
 
 def order_from_obj(obj) -> MonomialOrder:
-    kind = obj["kind"]
-    if kind == "lex":
-        return LEX
-    if kind == "grevlex":
-        return GREVLEX
-    if kind == "block":
-        return block_order([int(i) for i in obj["front"]])
-    return MonomialOrder("grevlex-perm", perm=[int(i) for i in obj["perm"]])
+    perm = obj["perm"]
+    return MonomialOrder(obj["kind"], front=[int(i) for i in obj["front"]],
+                         perm=None if perm is None else [int(i) for i in perm])
 
 
 def algebra_to_obj(alg: Algebra):
@@ -150,7 +142,7 @@ def morphism_from_obj(obj) -> Morphism:
 def point_to_obj(p: Point):
     return {
         "kind": p.kind,
-        "coords": [coeff_to_str(c) for c in p.coords] if p.coords is not None else None,
+        "coords": [str(c) for c in p.coords] if p.coords is not None else None,
         "ideal": ideal_to_obj(p.ideal),
         "component": ideal_to_obj(p.component) if p.component is not None else None,
         "comp_dim": p.comp_dim,
@@ -346,10 +338,6 @@ DEFAULT_FROBENIUS_BOUND = 3
 # certificate does not record them ignores them.
 
 
-PSEUDO_PRIME_NOTE = {
-    "status": "assumed",
-    "text": "component covers are pseudo-prime: leaves carry no primality certificate",
-}
 TEST_ELEMENT_NOTE = {
     "status": "assumed",
     "text": "multiplier candidates are treated as test elements; negative closure verdicts are conditional on that",
@@ -557,7 +545,7 @@ def _sigma_identities(p, inputs):
     tring = phi.target.ring
     pres = ModulePresentation(
         phi, [poly_from_obj(phi.source.ring, g) for g in p["generators"]],
-        [[poly_from_obj(tring, c) for c in col] for col in p["relation_columns"]], None)
+        [[poly_from_obj(tring, c) for c in col] for col in p["relation_columns"]])
     cert = SplitCertificate(phi, None, [poly_from_obj(tring, s) for s in p["sigma"]], pres)
     at_one, annihilates = cert.sigma_identities()
     return ([] if at_one else ["sigma-evaluation-at-1"]) + (

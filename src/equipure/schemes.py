@@ -15,11 +15,11 @@ or the generic point of a component (GENERIC); fibers exist over both.
 Each algebra, morphism and point carries a `key`, built once at
 construction: its content, everything a report writes for it
 (`reports.algebra_to_obj`, `morphism_to_obj`, `point_to_obj`) but names.
-The component cover, fiber, fiber dimension, dominance and strata entry
-points compute a result once per process under a key of these
-(`groebner._memoized`) and hand each caller its own copy. None of these
-results records a name: a fiber, which records its morphism and point, is
-rebuilt around the caller's own.
+The component cover, fiber and fiber dimension entry points compute a
+result once per process under a key of these (`groebner._memoized`) and
+hand each caller its own copy. None of these results records a name: a
+fiber, which records its morphism and point, is rebuilt around the
+caller's own.
 """
 
 from __future__ import annotations
@@ -234,29 +234,28 @@ def generic_point_of(algebra: Algebra, component: IdealHandle, name="") -> Point
 # the step budget of component splitting, unless a caller sets another
 DEFAULT_SPLIT_BUDGET = 64
 
+# the ledger entry of every report whose verdict rests on a component cover
+PSEUDO_PRIME_NOTE = {
+    "status": "assumed",
+    "text": "component covers are pseudo-prime: leaves carry no primality certificate",
+}
 
-def decompose_components(handle: IdealHandle, budget: int = DEFAULT_SPLIT_BUDGET,
-                         supplied=None):
+
+def decompose_components(handle: IdealHandle, budget: int = DEFAULT_SPLIT_BUDGET):
     """A component cover of V(I): a list of ideals whose intersection has the
     same radical as I, found by repeatedly splitting on products fg in I with
     neither factor in sqrt(I). Leaves are pseudo-prime: not splittable by the
-    search strategy, with no primality certificate.
+    search strategy, with no primality certificate (`PSEUDO_PRIME_NOTE`).
 
-    Returns (components, all_pseudo_prime_flag). Without `supplied` the
-    cover is computed once per process for each (ring, generators, budget)
-    and every call gets its own list; a search that exhausts the budget
-    stores nothing.
+    The cover is computed once per process for each (ring, generators,
+    budget) and every call gets its own list; a search that exhausts the
+    budget stores nothing.
     """
     if handle.is_unit():
         raise ValueError("cannot decompose the unit ideal")
-    if supplied is not None:
-        comps = list(supplied)
-        if not verify_component_cover(handle, comps):
-            raise ValueError("supplied decomposition fails the radical cover check")
-        return comps, "user-supplied"
     comps = _memoized(("components", handle.ring, handle.generators, budget),
                       lambda: _decompose(handle, budget))
-    return list(comps), "splitter"
+    return list(comps)
 
 
 def _decompose(handle, budget):
@@ -462,7 +461,7 @@ def _fiber_dim_at(morphism, x):
     fib = fiber(morphism, y)
     if fib.empty:
         raise ValueError("fiber through the given point is empty; point not on source?")
-    comps, _ = decompose_components(fib.relations)
+    comps = decompose_components(fib.relations)
     best = None
     for c in comps:
         if all(g.eval_at(x.coords) == morphism.source.field.zero for g in c.generators):
@@ -491,14 +490,8 @@ def dominates(component: IdealHandle, morphism: Morphism):
 
     Returns (bool, witness_or_contraction): on success the witness is the
     matching component of the target's cover; on failure the contraction
-    ideal is returned as evidence. Computed once per process for each
-    (component, morphism).
+    ideal is returned as evidence.
     """
-    return _memoized(("dominates", component.ring, component.generators, morphism.key),
-                     lambda: _dominates(component, morphism))
-
-
-def _dominates(component, morphism):
     gring, gideal, src_idx, tgt_idx, tgt_names = morphism.graph()
     total = gideal.with_extra([g.embed(gring) for g in component.generators])
     contraction_ext = eliminate(total, src_idx)
@@ -506,8 +499,7 @@ def _dominates(component, morphism):
     contraction = IdealHandle(
         tring, [Polynomial(tring, f.terms) for f in contraction_ext.generators]
     )
-    tcomps, _ = decompose_components(morphism.target.relations)
-    for tc in tcomps:
+    for tc in decompose_components(morphism.target.relations):
         if same_radical(contraction, tc):
             return True, tc
     return False, contraction
@@ -559,19 +551,15 @@ class Stratum:
                 f"V({list(map(str, self.nonzeros))}), qf={self.quasi_finite})")
 
 
-def finite_locus_strata(morphism: Morphism, depth_budget: int = 12):
+# the deepest branching of the strata recursion
+STRATA_DEPTH_BUDGET = 12
+
+
+def finite_locus_strata(morphism: Morphism):
     """Groebner-system recursion over the target: branch on vanishing versus
     non-vanishing of the parametric leading coefficients; on each leaf report
     whether every source variable shows a pure-power leading term. The strata
-    partition the target. Computed once per process for each (morphism,
-    depth_budget); every call gets its own strata."""
-    strata = _memoized(("strata", morphism.key, depth_budget),
-                       lambda: tuple(_finite_locus_strata(morphism, depth_budget)))
-    return [Stratum(s.constraints, s.nonzeros, s.quasi_finite, s.fiber_empty,
-                    None if s.witness is None else dict(s.witness)) for s in strata]
-
-
-def _finite_locus_strata(morphism, depth_budget):
+    partition the target."""
     gring, gideal, src_idx, tgt_idx, _ = morphism.graph()
     tring = morphism.target.ring
     main = morphism.source.ring
@@ -579,7 +567,7 @@ def _finite_locus_strata(morphism, depth_budget):
     out = []
 
     def run(constraint_gens, nonzeros, depth):
-        if depth > depth_budget:
+        if depth > STRATA_DEPTH_BUDGET:
             raise RecursionBudgetExceeded("strata recursion depth exceeded")
         constraints = IdealHandle(tring, constraint_gens)
         if constraints.is_unit():

@@ -337,7 +337,7 @@ def _declare_point(session, line, name, rhs):
         else:
             handle, index = alg.relations, 0
         budget = int(session.options.get("budget", DEFAULT_SPLIT_BUDGET))
-        comps, _ = decompose_components(handle, budget=budget)
+        comps = decompose_components(handle, budget=budget)
         if index >= len(comps):
             raise SessionError(f"component index {index} out of range ({len(comps)} components)", line)
         session._declare(session.points, name,

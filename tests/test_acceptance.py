@@ -295,7 +295,7 @@ def test_criterion_2_adaptation():
         nd = noether_normalize(fm)
         e = fm.dim()
         assert nd.e == e
-        comps, _ = decompose_components(fm.relations)
+        comps = decompose_components(fm.relations)
         for comp in comps:
             if krull_dim(comp) == e:
                 assert adapted_check(comp, nd), (texts, [str(t) for t in nd.ts])

@@ -4,6 +4,7 @@ F-rationality probe and the descent harness."""
 import random
 
 import pytest
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from equipure.charp import (
     FrobeniusContext,
@@ -111,6 +112,42 @@ def test_fedder_invariant_under_linear_substitution():
         galg = make_algebra(GF(p), ["x", "y", "z"], [g], "fermat-sub")
         assert fedder_f_pure(g, rational_point(amb, [0, 0, 0]),
                              FrobeniusContext(galg)) is base
+
+
+def groebner_f_pure(f, coords, p):
+    """The Groebner route to Fedder's test: f^(p-1) outside m^[p], m the
+    maximal ideal of `coords`, by membership in the bracket power."""
+    ring = f.ring
+    bracket = [(ring.var(i) - ring.const(c)) ** p for i, c in enumerate(coords)]
+    return not IdealHandle(ring, bracket).contains(f ** (p - 1))
+
+
+@st.composite
+def hypersurfaces_through_points(draw):
+    """(f, coordinates of a rational point on f = 0, p): f is a random
+    polynomial over F_p minus its value at the point."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    names = ["x", "y", "z"][:draw(st.integers(2, 3))]
+    ring = PolynomialRing(GF(p), names)
+    coords = tuple(draw(st.lists(st.integers(0, p - 1), min_size=len(names),
+                                 max_size=len(names))))
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * len(names)),
+                                    st.integers(1, p - 1)), min_size=1, max_size=4))
+    g = ring.from_terms([(exp, ring.field.of(c)) for exp, c in terms])
+    f = g - ring.const(g.eval_at(coords))
+    assume(not f.is_zero())
+    return f, coords, p
+
+
+# no shrink phase: a disagreement fails at once
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(hypersurfaces_through_points())
+def test_fedder_agrees_with_the_groebner_route(case):
+    f, coords, p = case
+    amb = make_algebra(f.ring.field, list(f.ring.vars), [], "amb")
+    assert fedder_f_pure(f, rational_point(amb, coords),
+                         FrobeniusContext(amb)) is groebner_f_pure(f, coords, p)
 
 
 def test_parameter_sequences(plane7, cone7):

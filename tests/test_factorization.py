@@ -93,7 +93,7 @@ def test_adapted_check_examples():
     nd = noether_normalize(fm)
     from equipure.schemes import decompose_components
 
-    comps, _ = decompose_components(fm.relations)
+    comps = decompose_components(fm.relations)
     for c in comps:
         assert adapted_check(c, nd)
 

@@ -1,7 +1,7 @@
 """The per-process memos of the three Groebner engines, of ideal and
 radical membership, and of the scheme layer above them (component covers,
-fibers, fiber dimensions, dominance, strata, equidimensionality reports and
-factorizations): a stored result equals what the private implementation
+fibers, fiber dimensions, equidimensionality reports and factorizations): a
+stored result equals what the private implementation
 computes, callers cannot change it, a call that raises stores nothing, a
 certificate records its caller's names, and the parametric engine replays
 its oracle so a hit has the effects a fresh run would have."""
@@ -49,10 +49,8 @@ from equipure.schemes import (
     Algebra,
     BranchSignal,
     decompose_components,
-    dominates,
     fiber,
     fiber_dim_at,
-    finite_locus_strata,
     generic_point_of,
     make_morphism,
     rational_point,
@@ -268,13 +266,12 @@ def test_cover_hit_equals_private_search(field, monkeypatch):
     expected = [_generators(schemes._decompose(h, 64)) for h in cases]
     assert any(len(comps) > 1 for comps in expected)
     first = [decompose_components(h) for h in cases]
-    assert [(_generators(comps), flag) for comps, flag in first] == [
-        (comps, "splitter") for comps in expected]
-    first[0][0].clear()
-    first[1][0].append(first[1][0][0])
+    assert [_generators(comps) for comps in first] == expected
+    first[0].clear()
+    first[1].append(first[1][0])
     monkeypatch.setattr(schemes, "_decompose", _no_recompute)
     again = [decompose_components(IdealHandle(h.ring, h.generators)) for h in cases]
-    assert [_generators(comps) for comps, _ in again] == expected
+    assert [_generators(comps) for comps in again] == expected
 
 
 def test_a_cover_search_past_its_budget_stores_nothing(monkeypatch):
@@ -288,7 +285,7 @@ def test_a_cover_search_past_its_budget_stores_nothing(monkeypatch):
             decompose_components(handle, budget=1)
     assert budgets == [1, 1]
     assert ("components", ring, handle.generators, 1) not in groebner._MEMO
-    comps, _ = decompose_components(handle, budget=3)
+    comps = decompose_components(handle, budget=3)
     assert len(comps) == 2 and budgets == [1, 1, 3]
 
 
@@ -334,35 +331,13 @@ def test_fiber_hit_equals_fresh_fiber_around_the_callers_objects(cone_composite,
     assert all(fm.morphism is phi and fm.point is y for fm, y in zip(again, copies))
 
 
-def _strata_content(strata):
-    return [(s.describe(), s.witness) for s in strata]
-
-
-def test_fiber_dims_dominance_and_strata_hits_equal_fresh_results(
-        cone_composite, blowup_chart, veronese_q, monkeypatch):
+def test_fiber_dim_hits_equal_fresh_results(cone_composite, blowup_chart, veronese_q,
+                                            monkeypatch):
     maps = [cone_composite, blowup_chart, veronese_q]
     dims = [schemes._fiber_dim_at(phi, origin(phi.source)) for phi in maps]
-    pairs = [(c, phi) for phi in maps for c in decompose_components(phi.source.relations)[0]]
-    dominance = [(ok, wit.generators) for ok, wit in
-                 (schemes._dominates(c, phi) for c, phi in pairs)]
-    strata = [_strata_content(schemes._finite_locus_strata(phi, 12)) for phi in maps]
-    assert any(witness for content in strata for _, witness in content)
     assert [fiber_dim_at(phi, origin(phi.source)) for phi in maps] == dims
-    assert [(ok, wit.generators) for ok, wit in (dominates(c, phi) for c, phi in pairs)] \
-        == dominance
-    first = [finite_locus_strata(phi) for phi in maps]
-    assert [_strata_content(s) for s in first] == strata
-    for s in first:
-        for stratum in s:
-            if stratum.witness:
-                stratum.witness.clear()
-    first[0].clear()
-    for name in ("_fiber_dim_at", "_dominates", "_finite_locus_strata"):
-        monkeypatch.setattr(schemes, name, _no_recompute)
+    monkeypatch.setattr(schemes, "_fiber_dim_at", _no_recompute)
     assert [fiber_dim_at(phi, origin(phi.source)) for phi in maps] == dims
-    assert [(ok, wit.generators) for ok, wit in (dominates(c, phi) for c, phi in pairs)] \
-        == dominance
-    assert [_strata_content(finite_locus_strata(phi)) for phi in maps] == strata
 
 
 def test_equidim_and_factorization_hits_equal_fresh_certificates(cone_composite, cone_q,

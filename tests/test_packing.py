@@ -1,4 +1,5 @@
-"""Packed monomials: for every order family the package uses, one int per
+"""Packed monomials: for every order family the package uses, the order
+key read off the packed fields sorts as the textbook key, one int per
 monomial compares as the order key does, multiplies by addition, tests
 divisibility and forms quotients by one masked subtraction, decodes back,
 and reports a field that would overflow; the division and Buchberger loops
@@ -57,6 +58,60 @@ MODULE_ORDERS = [pot_order(), pot_order(LEX), graph_kernel_order(2),
 # mostly small exponents, and now and then one at or past the field width
 EXPONENT = st.one_of(st.integers(0, 5), st.sampled_from([TOP - 1, TOP, TOP + 1, 2 ** 20 + 1]))
 EXP = st.tuples(*[EXPONENT] * NVARS)
+
+
+# -- the textbook keys (Cox, Little & O'Shea, ch. 2 §2), written out per
+# order kind: the reference that `order.key`, read off packed fields, sorts
+# as
+
+
+def grevlex_key(exp):
+    """Total degree first, then the smaller exponent in the last variable
+    where two monomials differ wins."""
+    return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def reference_key(order, exp):
+    if order.kind == "lex":
+        return exp
+    if order.kind == "grevlex":
+        return grevlex_key(exp)
+    if order.kind == "grevlex-perm":
+        return grevlex_key(tuple(exp[i] for i in order.perm))
+    return (grevlex_key(tuple(exp[i] for i in order.front)),
+            grevlex_key(tuple(e for i, e in enumerate(exp) if i not in order.front)))
+
+
+def elim_key(lead, front, pos, exp):
+    """Leading positions first, then grevlex on the front variables, then
+    position, then grevlex on the rest."""
+    return (pos < lead, grevlex_key(tuple(exp[i] for i in front)), -pos,
+            grevlex_key(tuple(e for i, e in enumerate(exp) if i not in front)))
+
+
+# each module order with its textbook key on (position, exponent)
+MODULE_REFERENCES = [
+    (pot_order(), lambda pos, exp: (-pos, grevlex_key(exp))),
+    (pot_order(LEX), lambda pos, exp: (-pos, exp)),
+    (graph_kernel_order(2), lambda pos, exp: (pos < 2, -pos, grevlex_key(exp))),
+    (graph_kernel_order(1, LEX), lambda pos, exp: (pos < 1, -pos, exp)),
+    (graph_kernel_elim_order(2, {0, 2}, NVARS),
+     lambda pos, exp: elim_key(2, (0, 2), pos, exp)),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(MONOMIAL_ORDERS), st.lists(EXP, max_size=8))
+def test_monomial_order_keys_sort_as_the_textbook_keys(order, exps):
+    assert sorted(exps, key=order.key) == sorted(exps, key=lambda e: reference_key(order, e))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(MODULE_REFERENCES),
+       st.lists(st.tuples(st.integers(0, 4), EXP), max_size=8))
+def test_module_order_keys_sort_as_the_textbook_keys(reference, terms):
+    order, key = reference
+    assert sorted(terms, key=lambda t: order.key(*t)) == sorted(terms, key=lambda t: key(*t))
 
 
 def fitting(packing, *exps):

@@ -71,8 +71,7 @@ def without_shortcut(call, *args):
 
 
 def _cover(handle):
-    comps, kind = decompose_components(handle)
-    return [c.generators for c in comps], kind
+    return [c.generators for c in decompose_components(handle)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -88,7 +87,7 @@ def test_components_match_the_search_without_the_shortcut(inputs):
     basis = handle.groebner()
     if prime_by_pivots(basis) or prime_by_pivots(gens):
         # a prime ideal is its own one component
-        assert cover == ([tuple(basis)], "splitter")
+        assert cover == [tuple(basis)]
 
 
 @st.composite
@@ -157,7 +156,7 @@ def test_a_rational_fiber_is_settled_without_a_tag_ring(monkeypatch):
     assert prime_by_pivots(handle.groebner())
     monkeypatch.setattr(groebner, "_MEMO", {})    # the cover and answers are computed here
     extended = _spy_on_extend(monkeypatch)
-    comps, _ = decompose_components(handle)
+    comps = decompose_components(handle)
     assert [c.generators for c in comps] == [tuple(handle.groebner())]
     assert not radical_membership(parse_poly(ring, "x"), handle)
     assert not any(name.startswith("w~") for name in extended)
@@ -183,7 +182,7 @@ def test_the_twisted_cubic_is_settled_from_its_generators(monkeypatch, field):
     monkeypatch.undo()
     monkeypatch.setattr(groebner, "_MEMO", {})    # the cover and answers are computed here
     extended = _spy_on_extend(monkeypatch)
-    assert _cover(handle) == searched == ([tuple(handle.groebner())], "splitter")
+    assert _cover(handle) == searched == [tuple(handle.groebner())]
     assert not radical_membership(f, handle)
     assert not any(name.startswith("w~") for name in extended)
 

@@ -72,15 +72,14 @@ def test_fiber_dim_at_examples(flat_projection, blowup_chart, veronese_q):
 
 def test_decompose_examples():
     R2 = PolynomialRing(QQ, ["x", "y"])
-    comps, tag = decompose_components(IdealHandle(R2, [parse_poly(R2, "x*y")]))
+    comps = decompose_components(IdealHandle(R2, [parse_poly(R2, "x*y")]))
     assert sorted(str(c.generators[0]) for c in comps) == ["x", "y"]
-    assert tag == "splitter"
     R3 = PolynomialRing(QQ, ["x", "y", "z"])
     cone = IdealHandle(R3, [parse_poly(R3, "x*y - z^2")])
-    comps2, _ = decompose_components(cone)
+    comps2 = decompose_components(cone)
     assert len(comps2) == 1     # pseudo-prime leaf
     zero = IdealHandle(R2, [])
-    comps3, _ = decompose_components(zero)
+    comps3 = decompose_components(zero)
     assert len(comps3) == 1 and comps3[0].is_zero()
 
 
@@ -91,7 +90,7 @@ def test_splitter_lets_unexpected_division_errors_propagate(monkeypatch):
 
     R1 = PolynomialRing(QQ, ["x"])
     handle = IdealHandle(R1, [parse_poly(R1, "x^2 - 1")])
-    comps, _ = decompose_components(handle)
+    comps = decompose_components(handle)
     assert sorted(str(c.generators[0]) for c in comps) == ["x + 1", "x - 1"]
 
     def inexact(f, g):
@@ -100,7 +99,7 @@ def test_splitter_lets_unexpected_division_errors_propagate(monkeypatch):
     # a stored cover would answer without dividing again
     monkeypatch.setattr(groebner, "_MEMO", {})
     monkeypatch.setattr(schemes, "exact_divide", inexact)
-    comps, _ = decompose_components(handle)
+    comps = decompose_components(handle)
     assert len(comps) == 1
 
     def faulty(f, g):
@@ -114,7 +113,7 @@ def test_splitter_lets_unexpected_division_errors_propagate(monkeypatch):
 
 def test_decompose_two_planes():
     R3 = PolynomialRing(QQ, ["x", "y", "z"])
-    comps, _ = decompose_components(
+    comps = decompose_components(
         IdealHandle(R3, [parse_poly(R3, "x*z"), parse_poly(R3, "y*z")]))
     gens = sorted(tuple(sorted(str(g) for g in c.groebner())) for c in comps)
     assert gens == [("x", "y"), ("z",)]
@@ -124,12 +123,9 @@ def test_user_supplied_cover_is_verified():
     R2 = PolynomialRing(QQ, ["x", "y"])
     handle = IdealHandle(R2, [parse_poly(R2, "x*y")])
     good = [IdealHandle(R2, [R2.var(0)]), IdealHandle(R2, [R2.var(1)])]
-    comps, tag = decompose_components(handle, supplied=good)
-    assert tag == "user-supplied"
+    assert verify_component_cover(handle, good)
     bad = [IdealHandle(R2, [R2.var(0)])]
     assert not verify_component_cover(handle, bad)
-    with pytest.raises(ValueError):
-        decompose_components(handle, supplied=bad)
 
 
 def test_dominates_examples():
@@ -137,7 +133,7 @@ def test_dominates_examples():
     R2 = PolynomialRing(QQ, ["x", "y"])
     cross = make_algebra(QQ, ["x", "y"], [parse_poly(R2, "x*y")], "cross")
     pr = make_morphism(line, cross, [P(cross.ring, "x")], "pr")
-    comps, _ = decompose_components(cross.relations)
+    comps = decompose_components(cross.relations)
     by_gen = {str(c.generators[0]): c for c in comps}
     ok_y, wit = dominates(by_gen["y"], pr)
     assert ok_y and wit.is_zero()

@@ -1,7 +1,6 @@
 """Session parsing, command dispatch, canonical reports, the verifier and
 the CLI: determinism is byte-level, tampering is caught by name."""
 
-import functools
 import hashlib
 import json
 import os
@@ -13,7 +12,7 @@ import time
 
 import pytest
 
-from equipure import factorization, groebner
+from equipure import groebner, parametric
 from equipure.cli import main
 from equipure.errors import EquipureError
 from equipure.ideals import IdealError
@@ -451,10 +450,10 @@ def test_exhausted_parametric_budget_is_an_error_report(monkeypatch):
     assert issubclass(IdealError, EquipureError)
     # factorizations stored by earlier tests would answer without the engine
     monkeypatch.setattr(groebner, "_MEMO", {})
-    monkeypatch.setattr(factorization, "param_buchberger",
-                        functools.partial(factorization.param_buchberger, budget=1))
-    [rep] = [r for r in run_session(parse_session(FIBERS))
-             if r.command.startswith("factorize")]
+    # the declarations' fibers run at the full budget, the factorization at 1
+    session = parse_session(FIBERS)
+    monkeypatch.setattr(parametric, "PARAM_PAIR_BUDGET", 1)
+    [rep] = [r for r in run_session(session) if r.command.startswith("factorize")]
     assert rep.exit_class == 2
     assert rep.verdict == "error: parametric Buchberger budget exceeded"
 
