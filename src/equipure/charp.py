@@ -353,9 +353,7 @@ def f_rational_descent_check(morphism: Morphism, y: Point, probes,
             raise HypothesisFailed("partial-purity", "splitting ideal contained in y")
     else:
         raise HypothesisFailed(
-            "partial-purity",
-            "no purity witness: the harness requires a module-finite map or an "
-            "externally supplied strong-purity certificate")
+            "partial-purity", "no purity witness: the harness requires a module-finite map")
 
     src_alg, tgt_alg = morphism.source, morphism.target
     src_ctx, tgt_ctx = FrobeniusContext(src_alg), FrobeniusContext(tgt_alg)

@@ -103,9 +103,6 @@ class FieldSpec:
             return a if a == 1 or a == -1 else Fraction(1, a)
         return _canonical(Fraction(a.denominator, a.numerator))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- misc ----------------------------------------------------------
 
     def __eq__(self, other):

@@ -18,11 +18,11 @@ monomial, so repeated runs are byte-identical. Division, S-polynomials, the
 criteria and inter-reduction run on packed monomials (`orders.Packing`); the
 module engine runs the same division and inter-reduction.
 
-These compute a result once per process: each engine's public entry
-point (`buchberger` here, `modules.module_buchberger`,
-`parametric.param_buchberger`), `ideals.IdealHandle.contains`,
-`ideals.radical_membership`, the tight-closure level test
-`charp._level_inside`, and the scheme layer above them:
+These compute a result once per process: the ideal and module engines'
+entry points (`buchberger` here, `modules.module_buchberger`),
+`ideals.IdealHandle.contains`, `ideals.radical_membership`, the
+tight-closure level test `charp._level_inside`, and the scheme layer above
+them:
 `schemes.decompose_components`, `fiber` and `fiber_dim_at`, and
 `factorization.verify_equidimensional_at` and `build_factorization`.
 `_memoized` stores a result under a key holding the full content of the
@@ -34,6 +34,9 @@ without names (see `schemes`), and a key holds every name the stored
 result records: a factorization's key holds the names its induced map is
 built from, and results that would record the caller's objects, as a
 fiber or a certificate does, are rebuilt around them instead.
+The parametric engine, `parametric.param_buchberger`, stores nothing: its
+oracle has effects, the fibers that call it are stored, and a
+factorization runs each fiber-level check once.
 """
 
 from __future__ import annotations
@@ -50,19 +53,16 @@ from .poly import Polynomial, _poly_from_packed
 _MEMO = {}
 
 
-def _memoized(key, compute, reuse=None):
+def _memoized(key, compute):
     """The result stored under `key`, or `compute()` stored under it.
 
     A key holds the full content of a computation's inputs, so equal keys
-    mean equal results. `reuse(stored)`, when given, decides whether a
-    stored result may be returned; when it says no, the result is computed
-    afresh and replaces the stored one. A computation that raises stores
-    nothing. Private, so that a tracer wrapping public functions leaves it
-    unwrapped and a hit's time stays with the entry point that made it."""
+    mean equal results. A computation that raises stores nothing. Private,
+    so that a tracer wrapping public functions leaves it unwrapped and a
+    hit's time stays with the entry point that made it."""
     stored = _MEMO.get(key)
-    if stored is not None and (reuse is None or reuse(stored)):
-        return stored
-    stored = _MEMO[key] = compute()
+    if stored is None:
+        stored = _MEMO[key] = compute()
     return stored
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .errors import ParamBudgetError
-from .groebner import _divisor as _field_divisor, _memoized, _minimal, _pair_loop
+from .groebner import _divisor as _field_divisor, _minimal, _pair_loop
 from .groebner import _reduce as _field_reduce, normal_form
 from .ideals import IdealHandle, independent_dim
 from .orders import GREVLEX, PackingOverflow, _packed_run, _packing
@@ -195,7 +195,7 @@ def generic_oracle(domain: CoeffDomain, log: DenominatorLog):
 def _keyed(g, packing, cpacking):
     """The terms of a ParamPoly as a dict K -> packed coefficient, as
     (K, element) pairs under `cpacking`. The pairs are not kept on the
-    coefficient Polynomials, which can outlive the run in the memo."""
+    coefficient Polynomials, which outlive the run in its output."""
     cencode = cpacking.encode
     return {packing.encode(e): tuple([(cencode(ce), v) for ce, v in c.terms])
             for e, c in g.terms.items()}
@@ -400,46 +400,14 @@ def param_buchberger(gens, order, domain: CoeffDomain, is_invertible):
     depend on which pairs the criteria skip, but its elements and the
     oracle's questions do.
 
-    Computed once per process for each (gens, order, domain, budget): the
-    key holds each generator's ring and terms in order, the coefficient
-    ring, the constraint generators and the budget. The oracle has effects (a
-    `DenominatorLog` entry, or a `BranchSignal`), so the stored basis keeps
-    the distinct coefficients the oracle was asked about, with its answers,
-    in first-occurrence order. An identical later call asks its own oracle
-    the same questions in the same order. If every answer matches, it gets
-    copies of the stored basis on its own `domain`; if one differs, the
-    basis is computed afresh; if the oracle raises, the raise propagates.
-    This rests on an oracle's answer being a function of its argument, and
-    on a repeated question adding no effect (`DenominatorLog` keeps each
-    entry once); both oracles in the package meet it. The replay then has
-    exactly the effects of the oracle calls a fresh run would make."""
-    gens = list(gens)
-    budget = PARAM_PAIR_BUDGET
-    key = ("param_buchberger", _content(gens), order, domain.ring,
-           domain.constraint.generators, budget)
-
-    def compute():
-        answers = {}
-
-        def recording(c):
-            answer = is_invertible(c)
-            answers.setdefault(c, answer)
-            return answer
-
-        basis = _param_buchberger(gens, order, domain, recording, budget)
-        return _content(basis), tuple(answers.items())
-
-    def reuse(stored):
-        return all(is_invertible(c) == answer for c, answer in stored[1])
-
-    basis, _ = _memoized(key, compute, reuse)
-    return [ParamPoly(main, domain, terms) for main, terms in basis]
-
-
-def _content(polys):
-    """(main ring, terms in order) of each ParamPoly: everything but the
-    domain."""
-    return tuple((g.main, tuple(g.terms.items())) for g in polys)
+    The oracle has effects (a `DenominatorLog` entry, or a `BranchSignal`),
+    and the engine relies on its contract: an answer is a function of its
+    argument, and a repeated question adds no effect (`DenominatorLog`
+    keeps each entry once). Both oracles in the package meet it. `_reduce`
+    asks about each divisor once per call on that ground, and a run that
+    overflows its packing is rerun wider, asking a prefix of its questions
+    again."""
+    return _param_buchberger(gens, order, domain, is_invertible, PARAM_PAIR_BUDGET)
 
 
 def _param_buchberger(gens, order, domain, is_invertible, budget):

@@ -118,10 +118,6 @@ class Morphism:
         self._graph = None
         self.key = (target.key, source.key, self.images)
 
-    def apply(self, f: Polynomial) -> Polynomial:
-        """phi(f) for f in the target's ambient ring, reduced mod J_B."""
-        return self.source.reduce(f.map_vars(self.source.ring, self.images))
-
     # -- graph ring -----------------------------------------------------
 
     def graph(self):
@@ -151,14 +147,6 @@ class Morphism:
     def image_point_coords(self, coords):
         """Coordinates of f(x) downstairs for a rational source point."""
         return tuple(img.eval_at(coords) for img in self.images)
-
-    def compose(self, other: "Morphism") -> "Morphism":
-        """self: A -> B composed with other: B -> C gives A -> C."""
-        if other.target.ring != self.source.ring:
-            raise ValueError("morphisms not composable")
-        images = [other.apply(img) for img in self.images]
-        return Morphism(self.target, other.source, images,
-                        name=f"{other.name or '?'}o{self.name or '?'}")
 
     def __repr__(self):
         arrows = ", ".join(

@@ -121,3 +121,17 @@ def veronese7():
 
 def origin(algebra):
     return rational_point(algebra, [0] * algebra.ring.nvars)
+
+
+def apply(phi, f):
+    """phi(f) for f in the target's ambient ring, reduced by the source's
+    relations."""
+    return phi.source.reduce(f.map_vars(phi.source.ring, phi.images))
+
+
+def compose(first, second):
+    """first: A -> B followed by second: B -> C, as A -> C."""
+    assert second.target.ring == first.source.ring, "morphisms not composable"
+    return make_morphism(first.target, second.source,
+                         [apply(second, img) for img in first.images],
+                         f"{second.name or '?'}o{first.name or '?'}")

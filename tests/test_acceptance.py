@@ -52,7 +52,7 @@ from equipure.schemes import (
 )
 from equipure.session import parse_session, run_session
 
-from conftest import P, origin
+from conftest import P, apply, origin
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA, "corpus.eqp")
@@ -84,7 +84,7 @@ def oracle_divide(f, basis, order):
             gexp, gcoeff = oracle_leading(g, order)
             if all(a >= b for a, b in zip(exp, gexp)):
                 mult = tuple(a - b for a, b in zip(exp, gexp))
-                scale = fld.div(coeff, gcoeff)
+                scale = fld.mul(coeff, fld.inv(gcoeff))
                 for e2, c2 in g.terms:
                     if e2 == gexp:
                         continue
@@ -186,8 +186,8 @@ def persistence_spot_check(phi, z, ideal, multiplier, bound):
     up = tc_member_certificate(z, ideal, multiplier, bound, tgt_ctx)
     if up.status == TCVerdict.NOT_IN_CLOSURE:
         return True  # nothing to persist
-    image_ideal = IdealHandle(phi.source.ring, [phi.apply(g) for g in ideal.generators])
-    down = tc_member_certificate(phi.apply(z), image_ideal, phi.apply(multiplier),
+    image_ideal = IdealHandle(phi.source.ring, [apply(phi, g) for g in ideal.generators])
+    down = tc_member_certificate(apply(phi, z), image_ideal, apply(phi, multiplier),
                                  bound, src_ctx)
     return down.status in (TCVerdict.MEMBER, TCVerdict.EVIDENCE)
 
@@ -195,8 +195,8 @@ def persistence_spot_check(phi, z, ideal, multiplier, bound):
 def contraction_spot_check(phi, z, ideal):
     """For split maps: phi(z) in phi(I)*S forces z in I. Checked as exact
     memberships; vacuously true when the image membership fails."""
-    image_ideal = IdealHandle(phi.source.ring, [phi.apply(g) for g in ideal.generators])
-    img_in = _membership_mod(phi.source, image_ideal.generators, phi.apply(z))
+    image_ideal = IdealHandle(phi.source.ring, [apply(phi, g) for g in ideal.generators])
+    img_in = _membership_mod(phi.source, image_ideal.generators, apply(phi, z))
     if not img_in:
         return True
     return _membership_mod(phi.target, ideal.generators, z)

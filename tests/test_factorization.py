@@ -3,6 +3,7 @@ equidimensionality reports."""
 
 import pytest
 
+from equipure import factorization, groebner
 from equipure.errors import LiftFailure, PreconditionFailed, RecursionBudgetExceeded
 from equipure.factorization import (
     NoetherData,
@@ -68,8 +69,8 @@ def test_noether_power_substitution_over_f2():
 def test_lift_failure_on_bogus_normalization_data():
     fm = point_fiber(["x*y"], ["x", "y"])
     ring = fm.relations.ring
-    bogus = NoetherData(fm, 1, [ring.var(0)], "manual", 0, {})
-    pt_alg = fm.morphism.target
+    # x/2 lifts to x, which is re-checked and fails: y is not integral over x
+    bogus = NoetherData(fm, 1, [ring.var(0).scale(QQ.of(1, 2))], "manual", 0, {})
     with pytest.raises(LiftFailure):
         lift_clear_denominators(bogus, fm.morphism)
 
@@ -123,7 +124,7 @@ def test_lift_clears_rational_denominators():
     fm = fiber(incl, rational_point(pt_alg, []))
     half_x = parse_poly(alg.ring, "x").scale(QQ.of(1, 2))
     nd = NoetherData(fm, 1, [half_x], "manual", 0, {})
-    ss = lift_clear_denominators(nd, incl)
+    ss, _ = lift_clear_denominators(nd, incl)
     assert [str(s) for s in ss] == ["x"]
 
 
@@ -134,7 +135,7 @@ def test_lift_clears_generic_denominator():
     eta = generic_point_of(A, IdealHandle(A.ring, []))
     fm = fiber(incl, eta)
     nd = NoetherData(fm, 1, [P(B.ring, "x")], "manual", 0, {})
-    ss = lift_clear_denominators(nd, incl)
+    ss, _ = lift_clear_denominators(nd, incl)
     assert [str(s) for s in ss] == ["x"]
 
 
@@ -149,10 +150,10 @@ def test_generic_lift_reduces_by_source_relations_and_rational_lift_does_not():
     assert str(B.reduce(t)) == "x + z"
     eta = generic_point_of(A, IdealHandle(A.ring, []))
     generic = NoetherData(fiber(incl, eta), 1, [t], "manual", 0, {})
-    assert lift_clear_denominators(generic, incl) == [B.reduce(t)]
+    assert lift_clear_denominators(generic, incl)[0] == [B.reduce(t)]
     y = rational_point(A, [1])
     rational = NoetherData(fiber(incl, y), 1, [t], "manual", 0, {})
-    assert lift_clear_denominators(rational, incl) == [t]
+    assert lift_clear_denominators(rational, incl)[0] == [t]
 
 
 def test_build_factorization_e0(double_cover, line_q):
@@ -178,6 +179,32 @@ def test_build_factorization_projection(flat_projection):
     assert [str(s) for s in cert.lifted] == ["w"]
     ok, failed = verify_certificate(recorded(factorization_certificate_obj(cert)))
     assert ok, failed
+
+
+@pytest.mark.parametrize("kind", ["rational", "generic"])
+def test_the_accepted_normalization_is_checked_once(kind, cone_composite, cone_q,
+                                                    monkeypatch):
+    monkeypatch.setattr(groebner, "_MEMO", {})
+    checks, accepted = [], []
+    over_tags, normalize = factorization._over_tags, factorization.noether_normalize
+
+    def counted(fm, ts, gens=None):
+        checks.append((list(ts), gens))
+        return over_tags(fm, ts, gens)
+
+    def normalized(fm, seed):
+        accepted.append(normalize(fm, seed))
+        return accepted[-1]
+
+    monkeypatch.setattr(factorization, "_over_tags", counted)
+    monkeypatch.setattr(factorization, "noether_normalize", normalized)
+    y = origin(cone_q) if kind == "rational" else generic_point_of(cone_q, cone_q.relations)
+    x0 = maximal_points_of_fiber(cone_composite, y)[0]
+    assert fiber(cone_composite, y).kind == kind
+    cert = build_factorization(cone_composite, y, x0)
+    [nd] = accepted
+    assert nd.e == 1 and cert.lifted == nd.ts
+    assert checks.count((nd.ts, None)) == 1
 
 
 def test_build_factorization_cone_composite(cone_composite):

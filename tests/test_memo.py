@@ -1,10 +1,11 @@
-"""The per-process memos of the three Groebner engines, of ideal and
-radical membership, and of the scheme layer above them (component covers,
-fibers, fiber dimensions, equidimensionality reports and factorizations): a
-stored result equals what the private implementation
+"""The per-process memos of the ideal and module Groebner engines, of ideal
+and radical membership, and of the scheme layer above them (component
+covers, fibers, fiber dimensions, equidimensionality reports and
+factorizations): a stored result equals what the private implementation
 computes, callers cannot change it, a call that raises stores nothing, a
-certificate records its caller's names, and the parametric engine replays
-its oracle so a hit has the effects a fresh run would have."""
+certificate records its caller's names, and every kind of result stored
+on the benchmark sessions is asked for again there. The parametric engine
+stores nothing."""
 
 import collections
 import json
@@ -13,7 +14,7 @@ import random
 
 import pytest
 
-from equipure import factorization, groebner, ideals, modules, parametric, schemes
+from equipure import factorization, groebner, ideals, modules, schemes
 from equipure.cli import main
 from equipure.errors import RecursionBudgetExceeded
 from equipure.factorization import (
@@ -32,13 +33,6 @@ from equipure.modules import (
     pot_order,
 )
 from equipure.orders import GREVLEX, LEX, block_order
-from equipure.parametric import (
-    CoeffDomain,
-    DenominatorLog,
-    _param_buchberger,
-    generic_oracle,
-    param_buchberger,
-)
 from equipure.poly import PolynomialRing, parse_poly
 from equipure.reports import (
     canonical_json,
@@ -47,7 +41,6 @@ from equipure.reports import (
 )
 from equipure.schemes import (
     Algebra,
-    BranchSignal,
     decompose_components,
     fiber,
     fiber_dim_at,
@@ -58,7 +51,8 @@ from equipure.schemes import (
 from equipure.session import parse_session, run_session
 
 from conftest import origin
-from test_division import random_param_poly, random_poly
+from test_division import random_poly
+from test_session_grammar import _workloads
 
 FIELDS = [GF(7), QQ]
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "corpus.eqp")
@@ -66,10 +60,6 @@ CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "corpu
 
 def _no_recompute(*args, **kwargs):
     raise AssertionError("a stored result was expected")
-
-
-def _basis_terms(basis):
-    return [(g.main, g.domain, dict(g.terms)) for g in basis]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
@@ -146,105 +136,6 @@ def test_contains_hit_equals_fresh_decision(field, monkeypatch):
     assert [h.contains(f) for h, f in cases] == expected
     monkeypatch.setattr(ideals.IdealHandle, "_contains", _no_recompute)
     assert [IdealHandle(h.ring, h.generators).contains(f) for h, f in cases] == expected
-
-
-def _param_cases(field, rng):
-    params = PolynomialRing(field, ["t", "s"])
-    main = PolynomialRing(field, ["x", "y"])
-    cases = []
-    for constraint in ("", "t^2 - s"):
-        gens = [parse_poly(params, constraint)] if constraint else []
-        domain = CoeffDomain(params, IdealHandle(params, gens))
-        for _ in range(3):
-            cases.append(([random_param_poly(main, domain, rng, nterms=2, maxdeg=1)
-                           for _ in range(2)], domain))
-    return cases
-
-
-def _fresh(gens, order, domain, oracle):
-    return _param_buchberger(gens, order, domain, oracle, 4000)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
-def test_param_buchberger_hit_replays_the_log(field, monkeypatch):
-    rng = random.Random(f"memo-param-{field.char}")
-    cases = _param_cases(field, rng)
-    expected = []
-    for gens, domain in cases:
-        log = DenominatorLog(domain)
-        expected.append((_basis_terms(_fresh(gens, GREVLEX, domain,
-                                             generic_oracle(domain, log))), log.entries))
-    assert any(entries for _, entries in expected)
-    first = []
-    for gens, domain in cases:
-        log = DenominatorLog(domain)
-        basis = param_buchberger(gens, GREVLEX, domain, generic_oracle(domain, log))
-        first.append((_basis_terms(basis), log.entries))
-        if basis:
-            basis[0].terms.clear()
-            basis.append(basis[0])
-    assert first == expected
-    monkeypatch.setattr(parametric, "_param_buchberger", _no_recompute)
-    for (gens, domain), (terms, entries) in zip(cases, expected):
-        # a copy of the domain: the hit is built on the caller's domain
-        own = CoeffDomain(domain.ring, IdealHandle(domain.ring, domain.constraint.generators))
-        log = DenominatorLog(own)
-        basis = param_buchberger(gens, GREVLEX, own, generic_oracle(own, log))
-        assert [(g.main, dict(g.terms)) for g in basis] == [(m, t) for m, _, t in terms]
-        assert all(g.domain is own for g in basis)
-        assert log.entries == entries
-
-
-def branching_oracle(domain, assumed):
-    """The quasi-finite strata oracle: coefficients assumed nonzero are
-    invertible, any other nonzero nonconstant one forks the computation."""
-    assumed = {domain.reduce(a).terms for a in assumed}
-
-    def oracle(c):
-        red = domain.reduce(c)
-        if red.is_zero():
-            return False
-        if red.is_constant() or red.terms in assumed:
-            return True
-        raise BranchSignal(red)
-
-    return oracle
-
-
-def _outcome(run):
-    try:
-        return "basis", _basis_terms(run())
-    except BranchSignal as signal:
-        return "branch", signal.coeff
-
-
-def test_param_buchberger_hit_with_other_answers():
-    cases = [case for field in FIELDS
-             for case in _param_cases(field, random.Random(f"memo-branch-{field.char}"))]
-    outcomes = set()
-    for gens, domain in cases:
-        log = DenominatorLog(domain)
-        stored = ("basis", _basis_terms(
-            param_buchberger(gens, GREVLEX, domain, generic_oracle(domain, log))))
-        refuse = {c.terms for c in log.entries}
-
-        def refusing(c):
-            # treats every coefficient the stored run inverted as zero
-            red = domain.reduce(c)
-            return not red.is_zero() and red.terms not in refuse
-
-        oracles = {"same answers": branching_oracle(domain, log.entries),
-                   "branch": branching_oracle(domain, []),
-                   "later branch": branching_oracle(domain, log.entries[:1]),
-                   "other answers": refusing}
-        for name, oracle in oracles.items():
-            expected = _outcome(lambda: _fresh(gens, GREVLEX, domain, oracle))
-            got = _outcome(lambda: param_buchberger(gens, GREVLEX, domain, oracle))
-            assert got == expected
-            outcomes.add((name, got[0], got == stored))
-    assert ("other answers", "basis", False) in outcomes
-    assert ("same answers", "basis", True) in outcomes
-    assert {kind for _, kind, _ in outcomes} == {"basis", "branch"}
 
 
 # -- the scheme layer ----------------------------------------------------------
@@ -466,3 +357,29 @@ def test_one_corpus_run_factorizes_once_and_covers_each_ideal_once(tmp_path, mon
     assert sum(c.startswith(("factorize comp", "strong-purity comp")) for c in commands) == 2
     assert built == {"comp": 1}
     assert len(covers) > 5 and set(covers.values()) == {1}
+
+
+class _CountedMemo(dict):
+    """A memo that counts its hits per kind of key."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = collections.Counter()
+
+    def get(self, key, default=None):
+        stored = super().get(key, default)
+        if stored is not None:
+            self.hits[key[0]] += 1
+        return stored
+
+
+def test_every_stored_kind_is_hit_on_the_benchmark_sessions(tmp_path, monkeypatch):
+    fibers = tmp_path / "fibers.eqp"
+    fibers.write_text(_workloads().fibers(1).text)
+    memo = _CountedMemo()
+    monkeypatch.setattr(groebner, "_MEMO", memo)
+    for session in (CORPUS, str(fibers)):
+        main(["run", session, "--seed", "1", "--json", str(tmp_path / "report.json")])
+    stored = {key[0] for key in memo}
+    assert len(stored) > 5
+    assert [kind for kind in sorted(stored) if not memo.hits[kind]] == []

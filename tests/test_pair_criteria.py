@@ -47,7 +47,10 @@ def parametric_inputs(draw):
 
 
 # no shrink phase: a counterexample fails at once, where shrinking one
-# through the criterion-free route ran for minutes
+# through the criterion-free route ran for minutes. `derandomize` seeds the
+# examples from this test's source text, so editing its body draws other
+# inputs, some of which run for minutes through the criterion-free route:
+# time the test again after any edit.
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
 @given(parametric_inputs())

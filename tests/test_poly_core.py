@@ -24,7 +24,7 @@ def test_field_arithmetic_exact():
     f7 = GF(7)
     assert f7.of(10) == 3
     assert f7.inv(3) == 5
-    assert f7.div(1, 2) == 4
+    assert f7.mul(1, f7.inv(2)) == 4
     with pytest.raises(ValueError):
         FieldSpec(6)
     q = QQ

@@ -24,7 +24,7 @@ from equipure.schemes import (
     rational_point,
 )
 
-from conftest import P, origin
+from conftest import P, compose, origin
 
 
 def test_presentation_free_rank_two(double_cover):
@@ -130,7 +130,7 @@ def test_split_composes(line_q):
     first = make_morphism(base, line_q, [P(line_q.ring, "t^2")], "sq1")
     second = make_morphism(line_q, aff, [P(aff.ring, "x^2")], "sq2")
     assert splits(first)[0] and splits(second)[0]
-    composite = first.compose(second)
+    composite = compose(first, second)
     ok, cert = splits(composite)
     assert ok
     ok1, ok2 = cert.sigma_identities()

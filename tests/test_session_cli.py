@@ -90,6 +90,17 @@ def test_error_report_for_bad_command():
     assert "unknown ideal" in reports[0].verdict
 
 
+def test_descent_of_a_map_that_is_not_module_finite_is_refused():
+    session = parse_session("ring A7 = F7[x]; ring B7 = F7[x,y]; "
+                            "morphism pr : A7 -> B7 = [x -> x]; "
+                            "point a0 = closed(A7 : 0); point b0 = closed(B7 : 0, 0); "
+                            "descend-check pr at a0 probes (b0);")
+    (rep,) = run_session(session)
+    assert rep.exit_class == 2
+    assert rep.verdict == ("refused: hypothesis failed: partial-purity "
+                           "(no purity witness: the harness requires a module-finite map)")
+
+
 @pytest.mark.parametrize("command", [
     "dim I extra", "gb Circle lex junk", "splits ver please",
     "pure-at nu at cuspO now", "fedder F at fO twice", "fiber-dim ver at sO extra",
