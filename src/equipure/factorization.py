@@ -32,6 +32,10 @@ elements that clearing denominators changed, and predicates P2, P3 and,
 over a generic point, P4 record the last check's witness. Over a rational
 point the adaptedness check and P4 run it on the generators of x0's
 component and of x0.
+
+The maximal points x0 is drawn from are `schemes.maximal_points_of_fiber`,
+in the scheme layer, so a session's `fiber-point` declarations parse
+without compiling this module.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .orders import GREVLEX, block_order
 from .parametric import DenominatorLog, ParamPoly, generic_oracle, param_buchberger
 from .poly import Polynomial, PolynomialRing
 from .schemes import (
-    GENERIC,
     RATIONAL,
     Algebra,
     FiberModel,
@@ -107,11 +110,11 @@ def _over_tags(fm: FiberModel, ts, gens=None):
     (Cox, Little & O'Shea, ch. 3 §1), and over a generic one it is empty
     exactly when the adjoined route's is.
 
-    `gens` default to the fiber's relations. For a rational fiber they are
-    Polynomials of the source ring and the ideal engine runs. For a generic
-    fiber they are ParamPolys over its residue domain and the parametric
-    engine runs, `generic_oracle` certifying every inverted coefficient
-    nonzero."""
+    For a rational fiber `gens`, Polynomials of the source ring, default
+    to the fiber's relations and the ideal engine runs. A generic fiber
+    takes its parametric basis, over its residue domain, and no `gens`;
+    the parametric engine runs, `generic_oracle` certifying every inverted
+    coefficient nonzero."""
     src = fm.morphism.source.ring
     n, e = src.nvars, len(ts)
     ext = src.extend(src.fresh_names("T", e))
@@ -140,7 +143,7 @@ def _over_tags(fm: FiberModel, ts, gens=None):
             return ParamPoly.build(ext, domain, ((exp, domain.ring.const(c)) for exp, c in f.terms))
 
         gens = [ParamPoly.build(ext, domain, ((lift(exp), c) for exp, c in g.terms.items()))
-                for g in (fm.param_basis if gens is None else gens)]
+                for g in fm.param_basis]
         gens += [constant_coeffs(tag).sub(constant_coeffs(t)) for tag, t in adjoined]
         basis = param_buchberger(gens, order, domain, generic_oracle(domain, DenominatorLog(domain)))
     witness = {i: w[0] for i, w in pure_powers(basis, front, order).items()}
@@ -574,32 +577,3 @@ def _verify_equidimensional_at(morphism, x, probes):
                                  witness={"target_component": list(key),
                                           "generic_dim": d})
     return EquidimReport(e0, "certified-at-probes", evidence)
-
-
-def maximal_points_of_fiber(morphism: Morphism, y: Point):
-    """Generic points of the fiber's component cover, tagged with dimension."""
-    fm = fiber(morphism, y)
-    if fm.kind == "rational":
-        if fm.empty:
-            return []
-        fiber_alg = Algebra(morphism.source.ring, fm.relations, name="fiber")
-        return [generic_point_of(fiber_alg, c) for c in decompose_components(fm.relations)]
-    # generic fiber: presented as a single pseudo-prime component
-    ideal_lift = _pullback_fiber_ideal(fm)
-    pt = Point(morphism.source, ideal_lift, GENERIC,
-               component=None, comp_dim=fm.dim(), name="fiber-generic")
-    return [pt]
-
-
-def _pullback_fiber_ideal(fm: FiberModel) -> IdealHandle:
-    """Image of the generic-fiber relations inside B, coefficients pushed
-    through the morphism's generator images."""
-    src = fm.morphism.source.ring
-    gens = list(fm.morphism.source.relations.generators)
-    for g in fm.param_basis:
-        s = src.zero()
-        for mexp, coeff in sorted(g.terms.items()):
-            mapped = coeff.map_vars(src, fm.morphism.images)
-            s = s + mapped * Polynomial(src, ((mexp, src.field.one),))
-        gens.append(fm.morphism.source.reduce(s))
-    return IdealHandle(src, [g for g in gens if not g.is_zero()])

@@ -12,7 +12,7 @@ column, both identities machine-checked.
 from __future__ import annotations
 
 from .errors import HypothesisFailed, NotHypersurface, NotModuleFinite
-from .factorization import build_factorization, maximal_points_of_fiber, verify_equidimensional_at
+from .factorization import build_factorization, verify_equidimensional_at
 from .groebner import normal_form
 from .ideals import IdealHandle, krull_dim, pure_powers, standard_exponents
 from .modules import (
@@ -32,6 +32,7 @@ from .schemes import (
     decompose_components,
     dominates,
     is_module_finite,
+    maximal_points_of_fiber,
     rational_point,
 )
 

@@ -464,6 +464,35 @@ def is_quasi_finite_at(morphism: Morphism, x: Point) -> bool:
     return fiber_dim_at(morphism, x) == 0
 
 
+def maximal_points_of_fiber(morphism: Morphism, y: Point):
+    """Generic points of the fiber's component cover, tagged with dimension."""
+    fm = fiber(morphism, y)
+    if fm.kind == "rational":
+        if fm.empty:
+            return []
+        fiber_alg = Algebra(morphism.source.ring, fm.relations, name="fiber")
+        return [generic_point_of(fiber_alg, c) for c in decompose_components(fm.relations)]
+    # generic fiber: presented as a single pseudo-prime component
+    ideal_lift = _pullback_fiber_ideal(fm)
+    pt = Point(morphism.source, ideal_lift, GENERIC,
+               component=None, comp_dim=fm.dim(), name="fiber-generic")
+    return [pt]
+
+
+def _pullback_fiber_ideal(fm: FiberModel) -> IdealHandle:
+    """Image of the generic-fiber relations inside B, coefficients pushed
+    through the morphism's generator images."""
+    src = fm.morphism.source.ring
+    gens = list(fm.morphism.source.relations.generators)
+    for g in fm.param_basis:
+        s = src.zero()
+        for mexp, coeff in sorted(g.terms.items()):
+            mapped = coeff.map_vars(src, fm.morphism.images)
+            s = s + mapped * Polynomial(src, ((mexp, src.field.one),))
+        gens.append(fm.morphism.source.reduce(s))
+    return IdealHandle(src, [g for g in gens if not g.is_zero()])
+
+
 # -- dominance ---------------------------------------------------------------
 
 

@@ -35,40 +35,27 @@ Statements are read with `str` methods, not regular expressions. A word
 character is one with `ch.isalnum() or ch == "_"` and whitespace is
 `ch.isspace()`: the classes `re` gives `\\w` and `\\s`, so a statement reads
 as the earlier regular-expression grammar read it.
+
+Parsing needs the scheme layer and below only. `COMMANDS` names each
+command's producer, and `run_command` looks the name up in `reports` when
+the command runs, so `parse_session` compiles none of `reports`,
+`factorization`, `purity`, `charp`, `modules` or `cli`.
 """
 
 from __future__ import annotations
 
 from .errors import EquipureError
-from .factorization import maximal_points_of_fiber
 from .fields import GF, QQ, FieldSpec
 from .ideals import IdealHandle
 from .orders import GREVLEX, LEX
 from .poly import PolynomialRing, parse_poly
-from .reports import (
-    DEFAULT_FROBENIUS_BOUND,
-    EXIT_ERROR,
-    Report,
-    produce_descent,
-    produce_dimension,
-    produce_equidim,
-    produce_f_rational,
-    produce_factorization,
-    produce_fedder,
-    produce_fiber_dim,
-    produce_groebner,
-    produce_pure_at,
-    produce_split,
-    produce_splinter,
-    produce_strong_purity,
-    produce_tc,
-)
 from .schemes import (
     DEFAULT_SPLIT_BUDGET,
     decompose_components,
     generic_point_of,
     make_algebra,
     make_morphism,
+    maximal_points_of_fiber,
     rational_point,
 )
 
@@ -520,7 +507,8 @@ _SLOT_KINDS = {
 
 
 class Command:
-    """One command: its grammar and the producer of its certificate kind."""
+    """One command: its grammar and the name in `reports` of the producer
+    of its certificate kind."""
 
     def __init__(self, grammar, producer):
         self.grammar = grammar
@@ -600,24 +588,24 @@ class Command:
 
 
 COMMANDS = {c.grammar.split()[0]: c for c in (
-    Command("gb <ideal>[ <order>]", produce_groebner),
-    Command("dim <ideal:ideal-in-ring>", produce_dimension),
-    Command("fiber-dim <morphism> at <x:point>", produce_fiber_dim),
+    Command("gb <ideal>[ <order>]", "produce_groebner"),
+    Command("dim <ideal:ideal-in-ring>", "produce_dimension"),
+    Command("fiber-dim <morphism> at <x:point>", "produce_fiber_dim"),
     Command("equidim-check <morphism> at <x:point>[ probes <probes:points>]",
-            produce_equidim),
+            "produce_equidim"),
     Command("factorize <morphism> at <y:point> from <x0:point>[ probes <probes:points>]",
-            produce_factorization),
-    Command("splits <morphism>", produce_split),
-    Command("pure-at <morphism> at <point>", produce_pure_at),
-    Command("splinter-probe <base:ring> covers <covers:morphisms>", produce_splinter),
+            "produce_factorization"),
+    Command("splits <morphism>", "produce_split"),
+    Command("pure-at <morphism> at <point>", "produce_pure_at"),
+    Command("splinter-probe <base:ring> covers <covers:morphisms>", "produce_splinter"),
     Command("strong-purity <morphism> base <base_class:word> probes <probes:points>",
-            produce_strong_purity),
-    Command("fedder <algebra:ring> at <point>", produce_fedder),
+            "produce_strong_purity"),
+    Command("fedder <algebra:ring> at <point>", "produce_fedder"),
     Command("tc-member <z:poly> in <ideal> mult <multiplier:poly> in <algebra:ring>",
-            produce_tc),
-    Command("f-rational-probe <algebra:ring> sops <sops:sequences>", produce_f_rational),
+            "produce_tc"),
+    Command("f-rational-probe <algebra:ring> sops <sops:sequences>", "produce_f_rational"),
     Command("descend-check <morphism> at <y:point> probes <probes:points>",
-            produce_descent),
+            "produce_descent"),
 )}
 
 
@@ -626,17 +614,21 @@ def run_session(session: Session):
     return [run_command(session, line, cmd) for line, cmd in session.commands]
 
 
-def run_command(session: Session, line: int, command: str) -> Report:
+def run_command(session: Session, line: int, command: str):
+    """The `reports.Report` of one command, whose producer is looked up in
+    `reports` by name."""
+    from . import reports
+
     seed = int(session.options.get("seed", 0))
-    bound = int(session.options.get("frobenius_bound", DEFAULT_FROBENIUS_BOUND))
+    bound = int(session.options.get("frobenius_bound", reports.DEFAULT_FROBENIUS_BOUND))
     try:
         head = command.split()[0]
         entry = COMMANDS.get(head)
         if entry is None:
             raise SessionError(f"unknown command {head!r}", line)
-        verdict, exit_class, cert, assumptions = entry.producer(
+        verdict, exit_class, cert, assumptions = getattr(reports, entry.producer)(
             **entry.resolve(session, command, line), seed=seed, bound=bound)
     except (EquipureError, SessionError, ValueError) as exc:
-        return Report(command, f"error: {exc}", EXIT_ERROR, seed=seed)
-    return Report(command, verdict, exit_class, certificate=cert,
-                  assumptions=assumptions, seed=seed)
+        return reports.Report(command, f"error: {exc}", reports.EXIT_ERROR, seed=seed)
+    return reports.Report(command, verdict, exit_class, certificate=cert,
+                          assumptions=assumptions, seed=seed)

@@ -29,7 +29,6 @@ from equipure.factorization import (
     NoetherData,
     adapted_check,
     build_factorization,
-    maximal_points_of_fiber,
     noether_normalize,
 )
 from equipure.fields import GF, QQ
@@ -48,6 +47,7 @@ from equipure.schemes import (
     fiber,
     make_algebra,
     make_morphism,
+    maximal_points_of_fiber,
     rational_point,
 )
 from equipure.session import parse_session, run_session

@@ -1,17 +1,24 @@
-"""Which modules a `run` or `verify` process loads. `cli` imports `session`
-only for `run`, and `reports` imports `purity` and `charp` only in the
-producers and checks of their certificate kinds, so the fiber and
-equidimensionality commands, and their replays, never compile `charp`,
-`purity` or `modules`, and `verify` never compiles `session`. Neither mode
-imports `argparse` or compiles a regular expression from the package's own
-code. Each check runs in a fresh interpreter with `src` on PYTHONPATH."""
+"""Which modules a parse, a `run` or a `verify` process loads. Parsing a
+session loads the scheme layer and below only: `session.COMMANDS` names
+each producer, which `run_command` looks up in `reports` when the command
+runs. `cli` imports `session` only for `run`, and `reports` imports
+`purity` and `charp` only in the producers and checks of their
+certificate kinds, so the fiber and equidimensionality commands, and
+their replays, never compile `charp`, `purity` or `modules`, and `verify`
+never compiles `session`. Neither mode imports `argparse` or compiles a
+regular expression from the package's own code. Each check runs in a
+fresh interpreter with `src` on PYTHONPATH."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from equipure import reports
+from equipure.session import COMMANDS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -34,6 +41,9 @@ fiber-dim c at co;
 """
 
 COMMAND_MODULES = {"equipure.charp", "equipure.purity", "equipure.modules"}
+# the command layer, which parsing a session never compiles
+COMMAND_LAYER = COMMAND_MODULES | {"equipure.reports", "equipure.factorization",
+                                   "equipure.cli"}
 
 
 def _fresh(code):
@@ -76,6 +86,30 @@ def _cli(*argv):
             " if m.startswith('equipure')), 'argparse' in sys.modules, compiled]))")
     exit_code, modules, argparse, compiled = json.loads(_fresh(code))
     return exit_code, set(modules), argparse, compiled
+
+
+@pytest.mark.parametrize("source", ["corpus", "fibers"])
+def test_parsing_a_session_loads_only_the_scheme_layer_and_below(source):
+    if source == "corpus":
+        with open(CORPUS, encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = FIBER_SESSION
+    loaded = set(json.loads(_fresh(
+        "import json, sys\n"
+        "from equipure.session import parse_session\n"
+        f"session = parse_session({text!r}, {{'seed': 1}})\n"
+        "assert session.commands and session.points\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('equipure'))))")))
+    assert "equipure.schemes" in loaded
+    assert not loaded & COMMAND_LAYER
+
+
+def test_every_command_names_a_public_producer_of_reports():
+    for head, command in COMMANDS.items():
+        producer = getattr(reports, command.producer, None)
+        assert not command.producer.startswith("_"), head
+        assert inspect.isfunction(producer) and producer.__module__ == reports.__name__, head
 
 
 def test_fiber_commands_load_no_purity_charp_or_session_modules(tmp_path):

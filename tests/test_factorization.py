@@ -11,7 +11,6 @@ from equipure.factorization import (
     adapted_check,
     build_factorization,
     lift_clear_denominators,
-    maximal_points_of_fiber,
     noether_normalize,
     verify_equidimensional_at,
 )
@@ -25,6 +24,7 @@ from equipure.schemes import (
     generic_point_of,
     make_algebra,
     make_morphism,
+    maximal_points_of_fiber,
     rational_point,
 )
 

@@ -17,11 +17,7 @@ import pytest
 from equipure import factorization, groebner, ideals, modules, schemes
 from equipure.cli import main
 from equipure.errors import RecursionBudgetExceeded
-from equipure.factorization import (
-    build_factorization,
-    maximal_points_of_fiber,
-    verify_equidimensional_at,
-)
+from equipure.factorization import build_factorization, verify_equidimensional_at
 from equipure.fields import GF, QQ
 from equipure.groebner import _buchberger, buchberger
 from equipure.ideals import IdealHandle, radical_membership
@@ -46,6 +42,7 @@ from equipure.schemes import (
     fiber_dim_at,
     generic_point_of,
     make_morphism,
+    maximal_points_of_fiber,
     rational_point,
 )
 from equipure.session import parse_session, run_session
