@@ -7,6 +7,13 @@ payload and names the first differing path, and runs the identity checks
 that hold of the recorded outputs, naming any that fails. A reader that
 closes stdout early ends the output, not the command.
 
+`run` and `verify` fork one worker per usable CPU but one. Commands that
+name one first object (`p3` in `factorize p3 at eta from g`) form a group,
+which one process works through with one memo; each process takes the next
+group from a counter in shared memory. Workers send their results back with
+`marshal` and never print; the parent prints and writes in session order.
+With one CPU or one group nothing is forked.
+
 The command line is read against one table of the two modes and their
 options, `_MODES`:
 
@@ -38,6 +45,8 @@ from .reports import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_REFUTED,
+    Report,
+    _stringify,
     canonical_json,
     verify_certificate,
 )
@@ -169,7 +178,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     # only `run` parses sessions: `verify` never compiles the session layer
-    from .session import SessionError, parse_session, run_session
+    from . import session
 
     try:
         with open(args["session"], "r", encoding="utf-8") as fh:
@@ -180,11 +189,18 @@ def _run(args) -> int:
     options = {"seed": args["--seed"], "budget": args["--budget"],
                "frobenius_bound": args["--frobenius-bound"]}
     try:
-        session = parse_session(text, options)
-    except SessionError as exc:
+        parsed = session.parse_session(text, options)
+    except session.SessionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    reports = run_session(session)
+
+    def report(i):
+        rep = session.run_command(parsed, *parsed.commands[i])
+        return dict(vars(rep), certificate=_stringify(rep.certificate))
+
+    shares = _spread(report, [command for _, command in parsed.commands])
+    reports = (session.run_session(parsed) if shares is None
+               else [Report(**fields) for fields in shares])
     for rep in reports:
         _say(f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}")
     if args["--json"]:
@@ -232,24 +248,99 @@ def _verify(args) -> int:
         print(f"cannot read report: entry {bad} is not a report or certificate object",
               file=sys.stderr)
         return EXIT_ERROR
-    worst = EXIT_OK
-    checked = 0
+    certs, labels = [], []
     for entry in data:
         cert = entry.get("certificate") if "certificate" in entry else entry
-        if cert is None or "kind" not in cert:
-            continue
-        checked += 1
-        ok, failures = verify_certificate(cert)
-        label = entry.get("command", cert.get("kind"))
+        if cert is not None and "kind" in cert:
+            certs.append(cert)
+            labels.append(entry.get("command", cert.get("kind")))
+    if not certs:
+        print("no verifiable certificates found", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    checks = (_spread(lambda i: verify_certificate(certs[i]), labels)
+              or [verify_certificate(cert) for cert in certs])
+    worst = EXIT_OK
+    for label, (ok, failures) in zip(labels, checks):
         if ok:
             _say(f"[ok] {label}: certificate re-verified")
         else:
             worst = EXIT_REFUTED
             _say(f"[FAIL] {label}: {', '.join(failures)}")
-    if checked == 0:
-        print("no verifiable certificates found", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     return worst
+
+
+def _spread(work, labels):
+    """`[work(i) for i in range(len(labels))]`, spread over the usable CPUs
+    as the module docstring says; None, computing nothing, when one process
+    would do it all."""
+    groups = {}
+    for i, label in enumerate(labels):
+        words = str(label).split()
+        groups.setdefault(words[1] if len(words) > 1 else i, []).append(i)
+    groups = list(groups.values())
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if min(cpus, len(groups)) < 2 or not hasattr(os, "fork"):
+        return None
+    import marshal
+    import mmap
+
+    parent, counter = os.getpid(), mmap.mmap(-1, 8)     # shared with the workers
+    token_r, token_w = os.pipe()
+    os.write(token_w, b".")
+
+    def claimed(worker):
+        while not (worker and os.getppid() != parent):   # a worker stops when orphaned
+            os.read(token_r, 1)
+            g = int.from_bytes(counter, "little")
+            counter[:] = (g + 1).to_bytes(8, "little")
+            os.write(token_w, b".")
+            if g >= len(groups):
+                return
+            yield from groups[g]
+
+    workers = {}        # pid -> its result pipe, until it is reaped
+    try:
+        for _ in range(min(cpus, len(groups)) - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(r)
+                    pairs = []
+                    try:
+                        for i in claimed(True):
+                            pairs.append((i, work(i)))
+                    except BaseException:
+                        import traceback
+
+                        pairs = (f"{labels[i]!r} raised in worker process {os.getpid()}:\n"
+                                 + traceback.format_exc())
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(marshal.dumps(pairs))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            workers[pid] = os.fdopen(r, "rb")
+        pairs = [(i, work(i)) for i in claimed(False)]
+        for pid in list(workers):
+            sent = workers[pid].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(pid).close()
+            got = marshal.loads(sent) if sent else (
+                f"worker process {pid} exited with status {status} without sending its results")
+            if isinstance(got, str):    # the worker's error
+                raise RuntimeError(got)
+            pairs += got
+    finally:
+        for pid, fh in workers.items():     # a worker is left here only when raising
+            fh.close()
+            os.kill(pid, 9)     # SIGKILL
+            os.waitpid(pid, 0)
+        os.close(token_r)
+        os.close(token_w)
+    return [result for _, result in sorted(pairs, key=lambda pair: pair[0])]
 
 
 if __name__ == "__main__":

@@ -12,10 +12,9 @@ sigma identities of a splitting, a purity witness inside the splitting ideal
 and outside the point, the recorded Frobenius memberships) and names any
 that fails.
 
-The producers and checks of the purity and char-p kinds import `purity`
-and `charp` when called, so a process whose reports need neither (the
-fiber and equidimensionality commands, and their replays) never compiles
-them, nor `modules` under `purity`.
+The producers that need `factorization`, `purity` or `charp` import it
+when called, so a process whose reports need none of them never compiles
+it (nor `modules` under `purity`): a `gb` session compiles none of them.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import HypothesisFailed, NotHypersurface, PreconditionFailed
-from .factorization import build_factorization, verify_equidimensional_at
 from .fields import FieldSpec
 from .groebner import is_groebner, normal_form
 from .ideals import IdealHandle, krull_dim
@@ -359,6 +357,8 @@ def produce_fiber_dim(morphism, x, **_):
 
 
 def produce_equidim(morphism, x, probes=(), **_):
+    from .factorization import verify_equidimensional_at
+
     report = verify_equidimensional_at(morphism, x, probes)
     exit_class = {"certified-at-probes": EXIT_OK,
                   "refuted": EXIT_REFUTED}.get(report.verdict, EXIT_INCONCLUSIVE)
@@ -367,6 +367,8 @@ def produce_equidim(morphism, x, probes=(), **_):
 
 
 def produce_factorization(morphism, y, x0, seed, probes=(), **_):
+    from .factorization import build_factorization
+
     try:
         cert = build_factorization(morphism, y, x0, probes=probes, seed=seed)
     except PreconditionFailed as exc:

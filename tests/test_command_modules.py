@@ -75,11 +75,14 @@ re._compiler.compile = compile
 """
 
 
-def _cli(*argv):
+def _cli(*argv, one_cpu=False):
     """(exit code, the equipure modules loaded, whether argparse was
     imported, the patterns compiled from equipure code) of
-    `equipure.cli.main(argv)` in a fresh interpreter."""
+    `equipure.cli.main(argv)` in a fresh interpreter; with `one_cpu`, the
+    interpreter runs on one usable CPU, so that one process runs every
+    command."""
     code = (COMPILE_GUARD
+            + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else "")
             + "from equipure.cli import main\n"
             f"code = main({list(argv)!r})\n"
             "print(json.dumps([code, sorted(m for m in sys.modules"
@@ -126,12 +129,24 @@ def test_fiber_commands_load_no_purity_charp_or_session_modules(tmp_path):
     assert not loaded & (COMMAND_MODULES | {"equipure.session"})
 
 
+def test_a_groebner_session_and_its_verify_load_no_factorization(tmp_path):
+    session = tmp_path / "gb.eqp"
+    session.write_text("ring R = Q[x,y];\nideal I = (x^2 - y, x*y) in R;\ngb I;\ndim I;\n",
+                       encoding="utf-8")
+    report = tmp_path / "gb.json"
+    for argv in (("run", str(session), "--json", str(report)), ("verify", str(report))):
+        code, loaded, _, _ = _cli(*argv)
+        assert code == 0 and "equipure.reports" in loaded
+        assert "equipure.factorization" not in loaded | COMMAND_MODULES
+
+
 @pytest.fixture(scope="module")
 def corpus_processes(tmp_path_factory):
-    """`_cli` of a corpus `run --seed 1` and of the `verify` of its report."""
+    """`_cli` of a corpus `run --seed 1` and of the `verify` of its report,
+    each in one process on one CPU."""
     report = tmp_path_factory.mktemp("corpus") / "corpus.json"
-    return (_cli("run", CORPUS, "--seed", "1", "--json", str(report)),
-            _cli("verify", str(report)))
+    return (_cli("run", CORPUS, "--seed", "1", "--json", str(report), one_cpu=True),
+            _cli("verify", str(report), one_cpu=True))
 
 
 def test_a_corpus_session_loads_what_it_needs_and_verifies(corpus_processes):

@@ -333,7 +333,14 @@ def test_seed_and_budget_are_parts_of_the_keys(monkeypatch):
                                                   relations.generators)} == {32, 64}
 
 
+def _on_one_cpu(monkeypatch):
+    """Run `main` in this process alone: on more CPUs, forked workers would
+    share the commands, and each would count and store in its own copy."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 def test_one_corpus_run_factorizes_once_and_covers_each_ideal_once(tmp_path, monkeypatch):
+    _on_one_cpu(monkeypatch)
     monkeypatch.setattr(groebner, "_MEMO", {})
     built, covers = collections.Counter(), collections.Counter()
     build, search = factorization._build_factorization, schemes._decompose
@@ -374,6 +381,7 @@ def test_every_stored_kind_is_hit_on_the_benchmark_sessions(tmp_path, monkeypatc
     fibers = tmp_path / "fibers.eqp"
     fibers.write_text(_workloads().fibers(1).text)
     memo = _CountedMemo()
+    _on_one_cpu(monkeypatch)
     monkeypatch.setattr(groebner, "_MEMO", memo)
     for session in (CORPUS, str(fibers)):
         main(["run", session, "--seed", "1", "--json", str(tmp_path / "report.json")])
