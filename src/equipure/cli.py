@@ -307,17 +307,17 @@ def _spread(work, labels):
             if pid == 0:
                 try:
                     os.close(r)
-                    pairs = []
+                    reply = []      # the (index, result) pairs, or the error
                     try:
                         for i in claimed(True):
-                            pairs.append((i, work(i)))
-                    except BaseException:
+                            reply.append((i, work(i)))
+                    except Exception:
                         import traceback
 
-                        pairs = (f"{labels[i]!r} raised in worker process {os.getpid()}:\n"
+                        reply = (f"{labels[i]!r} raised in worker process {os.getpid()}:\n"
                                  + traceback.format_exc())
                     with os.fdopen(w, "wb") as fh:
-                        fh.write(marshal.dumps(pairs))
+                        fh.write(marshal.dumps(reply))
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -328,11 +328,11 @@ def _spread(work, labels):
             sent = workers[pid].read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             workers.pop(pid).close()
-            got = marshal.loads(sent) if sent else (
+            reply = marshal.loads(sent) if sent else (
                 f"worker process {pid} exited with status {status} without sending its results")
-            if isinstance(got, str):    # the worker's error
-                raise RuntimeError(got)
-            pairs += got
+            if isinstance(reply, str):
+                raise RuntimeError(reply)
+            pairs += reply
     finally:
         for pid, fh in workers.items():     # a worker is left here only when raising
             fh.close()

@@ -12,9 +12,9 @@ sigma identities of a splitting, a purity witness inside the splitting ideal
 and outside the point, the recorded Frobenius memberships) and names any
 that fails.
 
-The producers that need `factorization`, `purity` or `charp` import it
-when called, so a process whose reports need none of them never compiles
-it (nor `modules` under `purity`): a `gb` session compiles none of them.
+The producers and checks that need `factorization`, `purity` or `charp`
+import it when called, so a process whose reports need none of them never
+compiles it (nor `modules` under `purity`): a `gb` session compiles none.
 """
 
 from __future__ import annotations

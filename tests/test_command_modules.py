@@ -2,12 +2,14 @@
 session loads the scheme layer and below only: `session.COMMANDS` names
 each producer, which `run_command` looks up in `reports` when the command
 runs. `cli` imports `session` only for `run`, and `reports` imports
-`purity` and `charp` only in the producers and checks of their
-certificate kinds, so the fiber and equidimensionality commands, and
-their replays, never compile `charp`, `purity` or `modules`, and `verify`
-never compiles `session`. Neither mode imports `argparse` or compiles a
-regular expression from the package's own code. Each check runs in a
-fresh interpreter with `src` on PYTHONPATH."""
+`factorization`, `purity` and `charp` only in the producers and checks
+that use them, so the fiber and equidimensionality commands, and their
+replays, never compile `charp`, `purity` or `modules`, a `gb` session
+compiles none of the four, and `verify` never compiles `session`. Neither
+mode imports `argparse` or compiles a regular expression from the
+package's own code. Each check runs in a fresh interpreter with `src` on
+PYTHONPATH; a check of everything one run loads pins it to one usable CPU,
+since a forked worker's imports stay in the worker."""
 
 import inspect
 import json
@@ -137,7 +139,7 @@ def test_a_groebner_session_and_its_verify_load_no_factorization(tmp_path):
     for argv in (("run", str(session), "--json", str(report)), ("verify", str(report))):
         code, loaded, _, _ = _cli(*argv)
         assert code == 0 and "equipure.reports" in loaded
-        assert "equipure.factorization" not in loaded | COMMAND_MODULES
+        assert not loaded & (COMMAND_MODULES | {"equipure.factorization"})
 
 
 @pytest.fixture(scope="module")
