@@ -12,7 +12,15 @@ name one first object (`p3` in `factorize p3 at eta from g`) form a group,
 which one process works through with one memo; each process takes the next
 group from a counter in shared memory. Workers send their results back with
 `marshal` and never print; the parent prints and writes in session order.
-With one CPU or one group nothing is forked.
+With one CPU or one group nothing is forked. Each process of a split binds
+itself to one usable CPU of its own, the parent to the first, so the split
+does not wait on a kernel that never moves a worker off its parent's CPU;
+a pin the kernel refuses is ignored, and the caller's CPU mask is restored
+when the split ends. Before the command phase, forked or not, the heap is
+frozen (`gc.freeze`): the modules, the parsed session or read report and
+the memo live until exit, and frozen they are neither scanned by the
+collector nor torn down at exit. A caller of `main` in its own process
+keeps the objects frozen, so `gc.get_freeze_count()` grows with each call.
 
 The command line is read against one table of the two modes and their
 options, `_MODES`:
@@ -34,6 +42,7 @@ its default, `schemes.DEFAULT_SPLIT_BUDGET`.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -278,9 +287,13 @@ def _spread(work, labels):
         words = str(label).split()
         groups.setdefault(words[1] if len(words) > 1 else i, []).append(i)
     groups = list(groups.values())
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if min(cpus, len(groups)) < 2 or not hasattr(os, "fork"):
+    # what is alive now (modules, the parsed session or read report, the
+    # memo) lives until exit: keep the collector, and the exit, off it
+    gc.freeze()
+    mask = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    usable = sorted(mask)
+    if min(len(usable), len(groups)) < 2 or not hasattr(os, "fork"):
         return None
     import marshal
     import mmap
@@ -301,11 +314,12 @@ def _spread(work, labels):
 
     workers = {}        # pid -> its result pipe, until it is reaped
     try:
-        for _ in range(min(cpus, len(groups)) - 1):
+        for cpu in usable[1:len(groups)]:
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
+                    _pin({cpu})
                     os.close(r)
                     reply = []      # the (index, result) pairs, or the error
                     try:
@@ -323,6 +337,7 @@ def _spread(work, labels):
                     os._exit(1)
             os.close(w)
             workers[pid] = os.fdopen(r, "rb")
+        _pin({usable[0]})
         pairs = [(i, work(i)) for i in claimed(False)]
         for pid in list(workers):
             sent = workers[pid].read()
@@ -340,7 +355,17 @@ def _spread(work, labels):
             os.waitpid(pid, 0)
         os.close(token_r)
         os.close(token_w)
+        _pin(mask)
     return [result for _, result in sorted(pairs, key=lambda pair: pair[0])]
+
+
+def _pin(cpus):
+    """Bind this process to `cpus`; where the kernel refuses, or cannot
+    bind at all, the process stays as it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ compiles none of the four, and `verify` never compiles `session`. Neither
 mode imports `argparse` or compiles a regular expression from the
 package's own code. Each check runs in a fresh interpreter with `src` on
 PYTHONPATH; a check of everything one run loads pins it to one usable CPU,
-since a forked worker's imports stay in the worker."""
+since a forked worker's imports stay in the worker. Whether forked or not,
+a `run` freezes the heap before its command phase."""
 
 import inspect
 import json
@@ -168,3 +169,14 @@ def test_a_corpus_run_and_verify_import_no_argparse_and_compile_no_regex(corpus_
 @pytest.mark.parametrize("module", ["cli", "session", "reports", "charp", "purity"])
 def test_each_module_imports_on_its_own(module):
     assert _fresh(f"import equipure.{module}; print('ok')") == "ok"
+
+
+@pytest.mark.parametrize("one_cpu", [True, False])
+def test_a_run_freezes_the_heap_with_one_cpu_or_all(tmp_path, one_cpu):
+    report = tmp_path / "corpus.json"
+    code = ("import gc, os\n"
+            + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else "")
+            + "from equipure.cli import main\n"
+            f"main({['run', CORPUS, '--seed', '1', '--json', str(report)]!r})\n"
+            "print(gc.get_freeze_count())")
+    assert int(_fresh(code)) > 0

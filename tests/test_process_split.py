@@ -2,19 +2,25 @@
 among one process per usable CPU. Whatever the number of CPUs, the report
 bytes, the printed lines and the exit codes are those of one process. A
 command that raises in a worker raises in the caller, naming the command,
-and no worker outlives the call; with one CPU nothing is forked."""
+and no worker outlives the call; with one CPU nothing is forked. Each
+process of a split runs on one usable CPU of its own, and the caller's CPU
+mask is as it was when the call returns or raises."""
 
 import os
 import time
 
 import pytest
 
-from equipure import groebner, reports
+from equipure import cli, groebner, reports
 from equipure.cli import main
 
 from test_session_grammar import _workloads
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+two_cpus = pytest.mark.skipif(
+    len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()) < 2,
+    reason="needs two usable CPUs")
 
 
 def _session(tmp_path, name):
@@ -115,3 +121,32 @@ def test_one_cpu_forks_nothing(tmp_path, capsys, monkeypatch):
     assert code == 1 and out.count("\n") == 41
     code, out = _cli(capsys, ["verify", str(report)])
     assert code == 0 and out.count("[ok]") == 24
+
+
+@two_cpus
+def test_each_process_of_a_split_runs_on_one_cpu_of_its_own():
+    def where(i):
+        time.sleep(0.01)    # so that the worker claims groups too
+        return os.getpid(), sorted(os.sched_getaffinity(0))
+
+    mask = os.sched_getaffinity(0)
+    placed = cli._spread(where, [f"factorize p{i} at x" for i in range(8)])
+    assert os.sched_getaffinity(0) == mask
+    assert all(len(cpus) == 1 for _, cpus in placed)
+    cpus_of = {}
+    for pid, cpus in placed:
+        cpus_of.setdefault(pid, set()).update(cpus)
+    assert os.getpid() in cpus_of and len(cpus_of) > 1
+    assert all(len(cpus) == 1 for cpus in cpus_of.values())
+    assert len(set.union(*cpus_of.values())) == len(cpus_of)
+
+
+@two_cpus
+def test_a_failing_worker_leaves_the_callers_cpu_mask_as_it_was(tmp_path, monkeypatch):
+    session = _session(tmp_path, "fibers-1")
+    _failing_in_workers(monkeypatch, _divide_by_zero)
+    mask = os.sched_getaffinity(0)
+    groebner._MEMO.clear()
+    with pytest.raises(RuntimeError, match="ZeroDivisionError"):
+        main(["run", session, "--seed", "1"])
+    assert os.sched_getaffinity(0) == mask
