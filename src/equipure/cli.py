@@ -10,17 +10,20 @@ closes stdout early ends the output, not the command.
 `run` and `verify` fork one worker per usable CPU but one. Commands that
 name one first object (`p3` in `factorize p3 at eta from g`) form a group,
 which one process works through with one memo; each process takes the next
-group from a counter in shared memory. Workers send their results back with
-`marshal` and never print; the parent prints and writes in session order.
-With one CPU or one group nothing is forked. Each process of a split binds
-itself to one usable CPU of its own, the parent to the first, so the split
-does not wait on a kernel that never moves a worker off its parent's CPU;
-a pin the kernel refuses is ignored, and the caller's CPU mask is restored
-when the split ends. Before the command phase, forked or not, the heap is
-frozen (`gc.freeze`): the modules, the parsed session or read report and
-the memo live until exit, and frozen they are neither scanned by the
-collector nor torn down at exit. A caller of `main` in its own process
-keeps the objects frozen, so `gc.get_freeze_count()` grows with each call.
+group from a token, the next group's index, that a pipe passes among them.
+Workers send their results back with `marshal` and never print; the parent
+prints and writes in session order. With one CPU or one group, or without
+`os.fork`, nothing is forked and the parent runs every command itself, in
+session order. A worker whose parent has died stops after its current
+group. Each process of a split binds itself to one usable CPU of its own,
+the parent to the first, so the split does not wait on a kernel that never
+moves a worker off its parent's CPU; a pin the kernel refuses is ignored,
+and the caller's CPU mask is restored when the split ends. Before the
+command phase, forked or not, the heap is frozen (`gc.freeze`): the
+modules, the parsed session or read report and the memo live until exit,
+and frozen they are neither scanned by the collector nor torn down at exit.
+A caller of `main` in its own process keeps the objects frozen, so
+`gc.get_freeze_count()` grows with each call.
 
 The command line is read against one table of the two modes and their
 options, `_MODES`:
@@ -207,9 +210,8 @@ def _run(args) -> int:
         rep = session.run_command(parsed, *parsed.commands[i])
         return dict(vars(rep), certificate=_stringify(rep.certificate))
 
-    shares = _spread(report, [command for _, command in parsed.commands])
-    reports = (session.run_session(parsed) if shares is None
-               else [Report(**fields) for fields in shares])
+    reports = [Report(**fields)
+               for fields in _spread(report, [command for _, command in parsed.commands])]
     for rep in reports:
         _say(f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}")
     if args["--json"]:
@@ -266,8 +268,7 @@ def _verify(args) -> int:
     if not certs:
         print("no verifiable certificates found", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    checks = (_spread(lambda i: verify_certificate(certs[i]), labels)
-              or [verify_certificate(cert) for cert in certs])
+    checks = _spread(lambda i: verify_certificate(certs[i]), labels)
     worst = EXIT_OK
     for label, (ok, failures) in zip(labels, checks):
         if ok:
@@ -280,8 +281,8 @@ def _verify(args) -> int:
 
 def _spread(work, labels):
     """`[work(i) for i in range(len(labels))]`, spread over the usable CPUs
-    as the module docstring says; None, computing nothing, when one process
-    would do it all."""
+    as the module docstring says; with one usable CPU or one group, or
+    without `os.fork`, this process does it all, in index order."""
     groups = {}
     for i, label in enumerate(labels):
         words = str(label).split()
@@ -294,20 +295,17 @@ def _spread(work, labels):
             else range(os.cpu_count() or 1))
     usable = sorted(mask)
     if min(len(usable), len(groups)) < 2 or not hasattr(os, "fork"):
-        return None
+        return [work(i) for i in range(len(labels))]
     import marshal
-    import mmap
 
-    parent, counter = os.getpid(), mmap.mmap(-1, 8)     # shared with the workers
-    token_r, token_w = os.pipe()
-    os.write(token_w, b".")
+    parent = os.getpid()
+    token_r, token_w = os.pipe()    # holds the index of the next group to claim
+    os.write(token_w, (0).to_bytes(8, "little"))
 
     def claimed(worker):
         while not (worker and os.getppid() != parent):   # a worker stops when orphaned
-            os.read(token_r, 1)
-            g = int.from_bytes(counter, "little")
-            counter[:] = (g + 1).to_bytes(8, "little")
-            os.write(token_w, b".")
+            g = int.from_bytes(os.read(token_r, 8), "little")
+            os.write(token_w, (g + 1).to_bytes(8, "little"))
             if g >= len(groups):
                 return
             yield from groups[g]
@@ -319,8 +317,10 @@ def _spread(work, labels):
             pid = os.fork()
             if pid == 0:
                 try:
-                    _pin({cpu})
+                    for fh in workers.values():     # the earlier workers' result pipes
+                        fh.close()
                     os.close(r)
+                    _pin({cpu})
                     reply = []      # the (index, result) pairs, or the error
                     try:
                         for i in claimed(True):

@@ -5,18 +5,18 @@ engine here, `modules.module_buchberger` and `parametric.param_buchberger`.
 It takes pairs from a heap under the normal selection strategy (smallest
 lcm in the active order, ties broken by index), keeps the sorted divisor
 list as the basis grows, and forms no pair of leading terms in different
-module positions. Each engine passes in its division of a pair's
-S-polynomial, how a remainder becomes a basis element, and which of
-Gebauer & Moller's criteria apply: the ideal and parametric engines use the
-coprime leading-term criterion and the chain criterion, the parametric one
-under a pair budget, and the module engine the chain criterion alone (the
-coprime one is not sound for modules). The checker `is_groebner` runs the
-same loop with both criteria and stops at the first S-polynomial that
-leaves a remainder.
+module positions, applying Gebauer & Moller's coprime and chain criteria as
+each caller asks. The ideal and module engines share one Buchberger driver,
+`_basis` (the loop with the chain criterion, the coprime one for ideals
+only, as it is not sound for modules, then inter-reduction), and one
+division driver, `_divide`; each engine passes in how an element becomes a
+divisor entry and how a packed remainder becomes an element. The
+parametric engine runs the loop under a pair budget with its own division.
+The checker `is_groebner` runs the loop with both criteria and stops at
+the first S-polynomial that leaves a remainder.
 Ideal output is always the unique reduced Groebner basis, sorted by leading
 monomial, so repeated runs are byte-identical. Division, S-polynomials, the
-criteria and inter-reduction run on packed monomials (`orders.Packing`); the
-module engine runs the same division and inter-reduction.
+criteria and inter-reduction run on packed monomials (`orders.Packing`).
 
 These compute a result once per process: the ideal and module engines'
 entry points (`buchberger` here, `modules.module_buchberger`),
@@ -72,25 +72,27 @@ def normal_form(f: Polynomial, basis, order, track=False):
     Fully reduced: no remainder term is divisible by any leading term of the
     basis. With track=True also returns quotients q with
     f == sum(q_i * g_i) + r exactly. The division runs on packed monomials;
-    see `_reduce`.
+    see `_divide`.
     """
     ring = f.ring
-    if not basis:
-        return (f, []) if track else f
-    if all(g.is_zero() for g in basis):
-        return (f, [ring.zero() for _ in basis]) if track else f
+    return _packed_run(order.packing(ring.nvars), lambda packing: _divide(
+        dict(f._packed(packing)[0]), basis, Polynomial.is_zero, packing, ring, _divisor,
+        lambda rem: _poly_from_packed(ring, packing, rem), track))
 
-    def run(packing):
-        divisors = sorted(_divisor(g, i, packing) for i, g in enumerate(basis) if g.terms)
-        work = dict(f._packed(packing)[0])
-        quotients = [dict() for _ in basis] if track else None
-        r = _poly_from_packed(ring, packing, _reduce(work, divisors, packing, ring.field,
-                                                     quotients))
-        if track:
-            return r, [_poly_from_packed(ring, packing, q) for q in quotients]
-        return r
 
-    return _packed_run(order.packing(ring.nvars), run)
+def _divide(work, basis, is_zero, packing, ring, divisor, rebuild, track):
+    """The division driver of the ideal and module engines: `rebuild` of the
+    packed remainder of the working dict `work` (K -> coefficient) by the
+    elements of `basis` that are not `is_zero`, whose divisor entries
+    `divisor` makes (see `_divisor`). With `track`, the pair (remainder,
+    quotients): one Polynomial quotient for each element of `basis`, zero
+    for a zero element."""
+    divisors = sorted(divisor(g, i, packing) for i, g in enumerate(basis) if not is_zero(g))
+    quotients = [dict() for _ in basis] if track else None
+    r = rebuild(_reduce(work, divisors, packing, ring.field, quotients))
+    if track:
+        return r, [_poly_from_packed(ring, packing, q) for q in quotients]
+    return r
 
 
 def _divisor(g, i, packing):
@@ -172,26 +174,31 @@ def _buchberger(generators, order):
     if not gens:
         return []
     ring = gens[0].ring
-    fld = ring.field
-
-    def run(packing):
-        def step(fentry, gentry, klcm, divisors, index):
-            rem = _reduce(_s_work(fentry, gentry, klcm, packing, fld), divisors, packing, fld)
-            if rem:
-                return _divisor(_poly_from_packed(ring, packing, rem), index, packing)
-
-        entries = _pair_loop([_divisor(g, i, packing) for i, g in enumerate(gens)], packing,
-                             step, coprime=True, chain=True)
-        # a nonzero constant makes it the unit ideal
-        if any(entry[0] == packing.one for entry in entries):
-            return [ring.one()]
-        return [_poly_from_packed(ring, packing, rem)
-                for rem in _inter_reduce(entries, packing, fld)]
-
-    reduced = _packed_run(order.packing(ring.nvars), run)
+    reduced = _packed_run(order.packing(ring.nvars), lambda packing: _basis(
+        gens, packing, ring.field, _divisor, lambda rem: _poly_from_packed(ring, packing, rem),
+        coprime=True))
     # the output order is stated by the order's key, at the boundary
     reduced.sort(key=lambda g: (order.key(g.leading(order)[0]), g.terms))
     return reduced
+
+
+def _basis(elements, packing, fld, divisor, rebuild, coprime):
+    """The Buchberger driver of the ideal and module engines: the reduced
+    Groebner basis of the nonzero `elements`, unsorted. `_pair_loop` runs
+    with the chain criterion, and the coprime one when `coprime`; `_reduce`
+    divides each S-polynomial by the basis so far, and `_inter_reduce`
+    reduces what the loop ends with, so generators holding a constant end
+    as the basis [1]. `divisor(element, index, packing)` makes an
+    element's divisor entry (see `_divisor`) and `rebuild` an element of a
+    packed dict."""
+    def step(fentry, gentry, klcm, divisors, index):
+        rem = _reduce(_s_work(fentry, gentry, klcm, packing, fld), divisors, packing, fld)
+        if rem:
+            return divisor(rebuild(rem), index, packing)
+
+    entries = _pair_loop([divisor(e, i, packing) for i, e in enumerate(elements)], packing,
+                         step, coprime=coprime, chain=True)
+    return [rebuild(rem) for rem in _inter_reduce(entries, packing, fld)]
 
 
 def _pair_loop(entries, packing, step, coprime=False, chain=False, budget=None):

@@ -11,19 +11,18 @@ everything the package needs:
     elimination).
 
 Each ModuleOrder also packs a module monomial into one int K, its position
-as one more field (see `orders.Packing`), so module division and module
-Buchberger run the ideal engine's packed code (`groebner._reduce`,
-`groebner._s_work`, `groebner._inter_reduce`) on the terms of all positions
-at once, and module Buchberger runs the shared pair loop
-`groebner._pair_loop`, which forms no pair of leading terms in different
-positions. The loop runs here with the chain criterion, whose divisibility
+as one more field (see `orders.Packing`), so the module engine runs the
+ideal engine's drivers on the terms of all positions at once: module
+division is `groebner._divide` and module Buchberger `groebner._basis`,
+whose pair loop forms no pair of leading terms in different positions.
+Module Buchberger runs with the chain criterion alone, whose divisibility
 test on packed Ks already asks for equal position fields; the coprime
 criterion is not sound for modules and stays off.
 """
 
 from __future__ import annotations
 
-from .groebner import _inter_reduce, _memoized, _pair_loop, _reduce, _s_work
+from .groebner import _basis, _divide, _memoized
 from .orders import GREVLEX, MonomialOrder, _grevlex_fields, _key, _packed_run
 from .poly import PolynomialRing, _poly_from_packed
 
@@ -164,24 +163,13 @@ def _vec_from_packed(ring, packing, d, rank):
 
 def module_normal_form(v, basis, order: ModuleOrder, track=False):
     """Fully reduced normal form of vector v against module `basis`, by the
-    packed division of `groebner._reduce`: a module term's K carries its
+    division driver `groebner._divide`: a module term's K carries its
     position, and a divisor's leading term divides a term only in the same
     position."""
-    if vec_is_zero(v) or not basis:
-        return (v, [None] * len(basis)) if track else v
     ring = v[0].ring
-
-    def run(packing):
-        divisors = sorted(_divisor(g, i, packing)
-                          for i, g in enumerate(basis) if not vec_is_zero(g))
-        quotients = [dict() for _ in basis] if track else None
-        r = _vec_from_packed(ring, packing, _reduce(_vec_work(v, packing), divisors, packing,
-                                                    ring.field, quotients), len(v))
-        if track:
-            return r, [_poly_from_packed(ring, packing, q) for q in quotients]
-        return r
-
-    return _packed_run(order.packing(ring.nvars), run)
+    return _packed_run(order.packing(ring.nvars), lambda packing: _divide(
+        _vec_work(v, packing), basis, vec_is_zero, packing, ring, _divisor,
+        lambda rem: _vec_from_packed(ring, packing, rem, len(v)), track))
 
 
 def _vec_work(v, packing):
@@ -195,8 +183,8 @@ def _vec_work(v, packing):
 
 
 def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
-    """Reduced module Groebner basis, by `groebner._pair_loop` with the
-    chain criterion.
+    """Reduced module Groebner basis, by the Buchberger driver
+    `groebner._basis` with the chain criterion alone.
 
     Computed once per process for each (vectors, order, ring); vectors are
     tuples of Polynomials, which compare by ring and terms."""
@@ -207,23 +195,9 @@ def module_buchberger(vectors, order: ModuleOrder, ring: PolynomialRing):
 
 def _module_buchberger(vectors, order, ring):
     basis = [v for v in vectors if not vec_is_zero(v)]
-    if not basis:
-        return []
-    fld = ring.field
-    rank = len(basis[0])
-
-    def run(packing):
-        def step(fentry, gentry, klcm, divisors, index):
-            rem = _reduce(_s_work(fentry, gentry, klcm, packing, fld), divisors, packing, fld)
-            if rem:
-                return _divisor(_vec_from_packed(ring, packing, rem, rank), index, packing)
-
-        entries = _pair_loop([_divisor(v, i, packing) for i, v in enumerate(basis)], packing,
-                             step, chain=True)
-        return [_vec_from_packed(ring, packing, rem, rank)
-                for rem in _inter_reduce(entries, packing, fld)]
-
-    out = _packed_run(order.packing(ring.nvars), run)
+    out = _packed_run(order.packing(ring.nvars), lambda packing: _basis(
+        basis, packing, ring.field, _divisor,
+        lambda rem: _vec_from_packed(ring, packing, rem, len(basis[0])), coprime=False))
     # the output order is stated by the order's key, at the boundary
     out.sort(key=lambda v: (order.key(*vec_leading(v, order)[0]), _canonical_vec_key(v)))
     return out
@@ -245,13 +219,11 @@ def syzygy_restricted(images, relations, ring: PolynomialRing, coeff_front=None)
         return []
     s = len(images[0])
     m = len(images)
-    rank = s + m
 
     def pad(vec_s, vec_m):
         return tuple(vec_s) + tuple(vec_m)
 
     zero_m = vec_zero(ring, m)
-    zero_s = vec_zero(ring, s)
     gens = []
     for t, w in enumerate(images):
         unit = list(zero_m)

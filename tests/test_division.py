@@ -12,6 +12,7 @@ from equipure.modules import (
     graph_kernel_elim_order,
     module_buchberger,
     module_normal_form,
+    pot_order,
     vec_leading,
 )
 from equipure.ideals import IdealHandle
@@ -115,6 +116,32 @@ def test_module_heap_division_reconstructs_under_elim_order(field):
                 for exp, _ in comp.terms:
                     assert not any(lpos == pos and exp_divides(lexp, exp)
                                    for lpos, lexp in leads)
+
+
+@pytest.mark.parametrize("case", ["zero input", "empty basis", "all-zero basis"])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+def test_both_division_drivers_agree_on_the_edges(field, case):
+    """A zero input, an empty basis or an all-zero basis gives the input
+    back, and with track=True one zero quotient per basis element, in the
+    ideal and the module engine alike."""
+    ring = PolynomialRing(field, ["x", "y"])
+    zero = ring.zero()
+    f, g = parse_poly(ring, "x^2*y - 3*y + 1"), parse_poly(ring, "x*y - 1")
+    f, basis = {"zero input": (zero, [g, zero]), "empty basis": (f, []),
+                "all-zero basis": (f, [zero, zero])}[case]
+    assert normal_form(f, basis, GREVLEX) == f
+    assert normal_form(f, basis, GREVLEX, track=True) == (f, [zero] * len(basis))
+    v, vectors = (f, zero), [(b, b) for b in basis]
+    assert module_normal_form(v, vectors, pot_order()) == v
+    assert module_normal_form(v, vectors, pot_order(), track=True) == (v, [zero] * len(basis))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+def test_a_constant_generator_gives_the_basis_one_in_both_engines(field):
+    ring = PolynomialRing(field, ["x", "y"])
+    gens = [parse_poly(ring, text) for text in ("x^2 - y", "3", "x*y + 1")]
+    assert buchberger(gens, GREVLEX) == [ring.one()]
+    assert module_buchberger([(g,) for g in gens], pot_order(), ring) == [(ring.one(),)]
 
 
 def scan_param_normal_form(f, basis, order, is_invertible):

@@ -2,9 +2,11 @@
 among one process per usable CPU. Whatever the number of CPUs, the report
 bytes, the printed lines and the exit codes are those of one process. A
 command that raises in a worker raises in the caller, naming the command,
-and no worker outlives the call; with one CPU nothing is forked. Each
-process of a split runs on one usable CPU of its own, and the caller's CPU
-mask is as it was when the call returns or raises."""
+and no worker outlives the call; with one CPU, or without `os.fork`,
+nothing is forked. A worker holds no other worker's result pipe, and one
+whose parent has died stops after its current group. Each process of a
+split runs on one usable CPU of its own, and the caller's CPU mask is as it
+was when the call returns or raises."""
 
 import os
 import time
@@ -109,18 +111,104 @@ def test_a_failing_worker_raises_in_the_caller_and_leaves_no_child(tmp_path, mon
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_one_cpu_forks_nothing(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("case", ["one CPU", "os.fork deleted"])
+def test_one_cpu_forks_nothing(tmp_path, capsys, monkeypatch, case):
     def no_fork():
         raise AssertionError("forked on one CPU")
 
-    _on_cpus(monkeypatch, 1)
-    monkeypatch.setattr(os, "fork", no_fork)
+    if case == "one CPU":
+        _on_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        _on_cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
     report = tmp_path / "report.json"
     code, out = _cli(capsys, ["run", _session(tmp_path, "fibers-1"), "--seed", "1",
                               "--json", str(report)])
     assert code == 1 and out.count("\n") == 41
     code, out = _cli(capsys, ["verify", str(report)])
     assert code == 0 and out.count("[ok]") == 24
+
+
+def _pipes():
+    """The pipes this process holds a descriptor of, as 'pipe:[inode]'."""
+    links = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links.add(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:     # the listing's own descriptor, closed by now
+            pass
+    return {link for link in links if link.startswith("pipe:")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_worker_holds_only_the_token_pipe_and_its_own_result_pipe(monkeypatch):
+    before = _pipes()
+
+    def held(i):
+        time.sleep(0.02)    # so that both workers claim groups
+        return os.getpid(), sorted(_pipes() - before)
+
+    _on_cpus(monkeypatch, 3)
+    held_by = dict(cli._spread(held, [f"factorize p{i} at x" for i in range(24)]))
+    workers = {pid: pipes for pid, pipes in held_by.items() if pid != os.getpid()}
+    assert len(workers) == 2
+    assert all(len(pipes) == 2 for pipes in workers.values()), workers
+
+
+def _read_within(fd, seconds):
+    """What one read of `fd` gives, b"" at end of file; fails the test when
+    nothing comes within `seconds`."""
+    import select
+
+    if not select.select([fd], [], [], max(seconds, 0))[0]:
+        pytest.fail(f"nothing to read within {seconds:.1f} s")
+    return os.read(fd, 4)
+
+
+def test_an_orphaned_worker_stops_after_its_current_group(monkeypatch):
+    """A parent running `_spread` over 100 groups of 0.2 s each is killed
+    while its worker works through a group; the worker stops after that
+    group, not after the 20 s of the rest. The read end of the pipe below
+    gives end of file once every process holding its write end, the killed
+    parent and its worker, has exited."""
+    _on_cpus(monkeypatch, 2)
+    r, w = os.pipe()
+    parent = os.fork()
+    if parent == 0:
+        try:
+            os.close(r)
+
+            def slow(i):
+                os.write(w, os.getpid().to_bytes(4, "little"))
+                time.sleep(0.2)
+
+            cli._spread(slow, [f"factorize p{i} at x" for i in range(100)])
+        finally:
+            os._exit(0)
+    os.close(w)
+    pids = {parent}
+    try:
+        while len(pids) < 2:
+            sent = _read_within(r, 30)
+            assert len(sent) == 4, "the split ended before its parent was killed"
+            pids.add(int.from_bytes(sent, "little"))
+        os.kill(parent, 9)      # SIGKILL
+        os.waitpid(parent, 0)
+        pids.discard(parent)
+        deadline = time.monotonic() + 5
+        while _read_within(r, deadline - time.monotonic()):
+            pass
+        pids.clear()
+    finally:
+        os.close(r)
+        for pid in pids:        # left here only when the test fails
+            try:
+                os.kill(pid, 9)
+            except ProcessLookupError:
+                pass
+        if parent in pids:
+            os.waitpid(parent, 0)
 
 
 @two_cpus
