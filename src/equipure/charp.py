@@ -32,7 +32,7 @@ from .groebner import _memoized, normal_form
 from .ideals import IdealHandle, krull_dim, radical_membership, standard_exponents
 from .orders import GREVLEX
 from .poly import Polynomial
-from .purity import pure_at
+from .purity import witness_outside
 from .schemes import (
     Algebra,
     Morphism,
@@ -269,6 +269,8 @@ def f_rational_probe(algebra: Algebra, sops, bound: int,
     """For each given parameter sequence, test every standard monomial of
     the quotient against every multiplier candidate. Never claims
     F-rationality outright; a clean run is bounded evidence only."""
+    if not sops:
+        raise ValueError("sops () is empty: need at least one parameter sequence")
     candidates = jacobian_test_candidates(algebra, ctx)
     if not candidates:
         return FRationalReport(algebra, "inconclusive-no-candidates",
@@ -338,7 +340,7 @@ def f_rational_descent_check(morphism: Morphism, y: Point, probes,
          "text": "multiplier candidates are treated as test elements; negative verdicts are conditional on that"},
     ]
     if not probes:
-        raise ValueError("need at least one source probe point")
+        raise ValueError("probes () is empty: need at least one source probe point")
     report = verify_equidimensional_at(morphism, probes[0], probes=list(probes[1:]))
     if not report.certified():
         raise HypothesisFailed(
@@ -346,7 +348,7 @@ def f_rational_descent_check(morphism: Morphism, y: Point, probes,
             f"verdict {report.verdict}: descent is false without the locally "
             "equidimensional hypothesis")
     if is_module_finite(morphism):
-        witness_pure = pure_at(morphism, y)
+        witness_pure = witness_outside(morphism, y) is not None
         purity_witness = {"route": "module-finite splitting ideal",
                           "pure_at_y": witness_pure}
         if not witness_pure:

@@ -3,8 +3,10 @@
 Exit codes: 0 all verdicts positive, 1 some verdict refuted, 2 error,
 3 inconclusive. `run --json` writes the canonical report list; `verify`
 replays the producer of every certificate in a report file, diffs the whole
-payload and names the first differing path, and runs the identity checks
-that hold of the recorded outputs, naming any that fails. A reader that
+payload and names the first differing path, checks a report entry's
+verdict, exit class and assumptions against the replay's, and runs the
+identity checks that hold of the recorded outputs, naming any that fails.
+A certificate of no known kind fails. A reader that
 closes stdout early ends the output, not the command.
 
 `run` and `verify` fork one worker per usable CPU but one. Commands that
@@ -259,16 +261,13 @@ def _verify(args) -> int:
         print(f"cannot read report: entry {bad} is not a report or certificate object",
               file=sys.stderr)
         return EXIT_ERROR
-    certs, labels = [], []
-    for entry in data:
-        cert = entry.get("certificate") if "certificate" in entry else entry
-        if cert is not None and "kind" in cert:
-            certs.append(cert)
-            labels.append(entry.get("command", cert.get("kind")))
-    if not certs:
+    entries = [entry for entry in data if entry.get("certificate", entry) is not None]
+    labels = [entry.get("command", entry.get("certificate", entry).get("kind"))
+              for entry in entries]
+    if not entries:
         print("no verifiable certificates found", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    checks = _spread(lambda i: verify_certificate(certs[i]), labels)
+    checks = _spread(lambda i: verify_certificate(entries[i]), labels)
     worst = EXIT_OK
     for label, (ok, failures) in zip(labels, checks):
         if ok:

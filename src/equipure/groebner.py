@@ -19,10 +19,11 @@ monomial, so repeated runs are byte-identical. Division, S-polynomials, the
 criteria and inter-reduction run on packed monomials (`orders.Packing`).
 
 These compute a result once per process: the ideal and module engines'
-entry points (`buchberger` here, `modules.module_buchberger`),
-`ideals.IdealHandle.contains`, `ideals.radical_membership`, the
-tight-closure level test `charp._level_inside`, and the scheme layer above
-them:
+entry points (`buchberger` here, whose stored basis
+`ideals.IdealHandle.groebner` reads before it calls it, and
+`modules.module_buchberger`), `ideals.IdealHandle.contains`,
+`ideals.radical_membership`, the tight-closure level test
+`charp._level_inside`, and the scheme layer above them:
 `schemes.decompose_components`, `fiber` and `fiber_dim_at`, and
 `factorization.verify_equidimensional_at` and `build_factorization`.
 `_memoized` stores a result under a key holding the full content of the
@@ -165,8 +166,16 @@ def buchberger(generators, order):
     are keyed as Polynomials, which compare by ring and terms.
     """
     gens = tuple(generators)
-    key = ("buchberger", gens, order)
-    return list(_memoized(key, lambda: tuple(_buchberger(gens, order))))
+    return list(_memoized(_basis_key(gens, order), lambda: tuple(_buchberger(gens, order))))
+
+
+def _stored_basis(generators, order):
+    """The basis `buchberger` stored for (generators, order), or None."""
+    return _MEMO.get(_basis_key(generators, order))
+
+
+def _basis_key(generators, order):
+    return ("buchberger", tuple(generators), order)
 
 
 def _buchberger(generators, order):

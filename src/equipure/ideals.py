@@ -1,11 +1,10 @@
 """Ideal handles and the operations layered on Groebner bases.
 
-An IdealHandle owns a generator list and a per-order cache of reduced
-Groebner bases (write-once per order); membership and radical membership
-answers are stored for the process, keyed by content. Conventions, fixed
-once so nothing downstream has to guess: the zero ideal's reduced basis is
-the empty list, the unit ideal's is [1], and the unit ideal has
-dimension -1.
+An IdealHandle owns a generator list; its reduced Groebner bases and its
+membership and radical membership answers are stored for the process,
+keyed by content (see `groebner`). Conventions, fixed once so nothing
+downstream has to guess: the zero ideal's reduced basis is the empty list,
+the unit ideal's is [1], and the unit ideal has dimension -1.
 
 Intersection and radical membership adjoin a tag variable in front
 (`Polynomial.embed`); radical membership first tries to decide from a
@@ -21,7 +20,7 @@ import math
 from collections import Counter
 
 from .errors import EquipureError, RootSearchBudgetExceeded
-from .groebner import _memoized, buchberger, normal_form
+from .groebner import _memoized, _stored_basis, buchberger, normal_form
 from .orders import GREVLEX, MonomialOrder, block_order, exp_coprime, exp_divides, permuted_grevlex
 from .poly import Polynomial, PolynomialRing
 
@@ -43,43 +42,34 @@ class IdealHandle:
             else:
                 raise IdealError("generators must be Polynomials")
         self.generators = tuple(gens)
-        self._gb_cache = {}
 
     def __repr__(self):
         inner = ", ".join(map(str, self.generators)) or "0"
         return f"Ideal({inner})"
 
     def groebner(self, order: MonomialOrder = GREVLEX):
-        basis = self._gb_cache.get(order)
-        if basis is None:
-            basis = tuple(buchberger(self.generators, order))
-            self._gb_cache[order] = basis
-        return list(basis)
+        basis = _stored_basis(self.generators, order)
+        return list(basis) if basis is not None else buchberger(self.generators, order)
 
     def groebner_any(self):
         """(basis, order) for membership-style queries.
 
-        Prefers an already-cached basis. Otherwise scans cyclic rotations of
-        the grevlex variable priority for a generator set whose leading terms
-        are pairwise coprime: such a set is its own Groebner basis by
-        Buchberger's first criterion, which sidesteps expensive runs when the
-        generators are bracket powers plus a single relation.
+        Prefers the grevlex basis the process holds. Otherwise scans cyclic
+        rotations of the grevlex variable priority for a generator set whose
+        leading terms are pairwise coprime: such a set is its own Groebner
+        basis by Buchberger's first criterion, which sidesteps expensive runs
+        when the generators are bracket powers plus a single relation.
         """
-        if self._gb_cache:
-            order = sorted(self._gb_cache, key=repr)[0]
-            return list(self._gb_cache[order]), order
+        basis = _stored_basis(self.generators, GREVLEX)
+        if basis is not None:
+            return list(basis), GREVLEX
         n = self.ring.nvars
         if len(self.generators) > 1 and n > 1:
             for shift in range(n):
                 perm = tuple((i + shift) % n for i in range(n))
                 order = GREVLEX if shift == 0 else permuted_grevlex(perm)
                 leads = [g.leading(order)[0] for g in self.generators]
-                ok = all(
-                    exp_coprime(leads[i], leads[j])
-                    for i in range(len(leads))
-                    for j in range(i + 1, len(leads))
-                )
-                if ok:
+                if all(exp_coprime(a, b) for a, b in itertools.combinations(leads, 2)):
                     return self.groebner(order), order
         return self.groebner(GREVLEX), GREVLEX
 

@@ -57,11 +57,6 @@ class ModuleOrder:
         return f"ModuleOrder({self.tag})"
 
 
-def pot_order(mono_order=GREVLEX) -> ModuleOrder:
-    """Plain position-over-term: position 0 is the biggest."""
-    return ModuleOrder(f"pot,{mono_order!r}", lambda n: (("pos",),) + mono_order.fields(n))
-
-
 def graph_kernel_order(lead_positions: int, mono_order=GREVLEX) -> ModuleOrder:
     """Anything in the first `lead_positions` positions beats everything else;
     position-over-term within each class."""

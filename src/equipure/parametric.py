@@ -230,27 +230,6 @@ def _divisor(kterms, klead, lcoeff, i, packing):
     return (klead, repr(lcoeff), i, klead - packing.one, lcoeff, tail, kterms[klead], lc, ninv)
 
 
-def param_normal_form(f: ParamPoly, basis, leads, order, is_invertible):
-    """Fraction-free full reduction of f by `basis`, whose leading
-    (exponent, coefficient) pairs are `leads`. The remainder equals (product
-    of logged leading coefficients) times the true normal form over the
-    fraction field, so zero-ness and leading monomials are faithful. The
-    division runs on packed monomials and packed coefficients; see
-    `_reduce`."""
-    domain = f.domain
-
-    def run(packing):
-        cpacking = domain._packed(packing.bits)[0]
-        divisors = sorted(_divisor(_keyed(g, packing, cpacking), packing.encode(lexp), lcoeff,
-                                   i, packing)
-                          for i, (g, (lexp, lcoeff)) in enumerate(zip(basis, leads)))
-        work = {k: dict(c) for k, c in _keyed(f, packing, cpacking).items()}
-        return _param_poly(f.main, domain, _reduce(work, domain, divisors, packing, is_invertible),
-                           packing, cpacking)
-
-    return _packed_run(order.packing(f.main.nvars), run)
-
-
 def _reduce(work, domain, divisors, packing, is_invertible):
     """Fraction-free full reduction of the packed dict `work` (K -> packed
     coefficient as a dict, emptied on the way) by `divisors` (see

@@ -221,17 +221,11 @@ def _express_one(raw_gens, tring):
     return cofactors
 
 
-def pure_at(morphism: Morphism, p: Point) -> bool:
-    """True iff the splitting ideal is not contained in p: some generator
-    stays outside the point's defining ideal."""
-    return witness_outside(morphism, p) is not None
-
-
 def witness_outside(morphism: Morphism, p: Point):
     """The first splitting-ideal generator outside p's defining ideal, or
     None when the splitting ideal lies inside p."""
     if not is_module_finite(morphism):
-        raise NotModuleFinite("pure_at needs a module-finite map")
+        raise NotModuleFinite("purity at a point needs a module-finite map")
     handle, _, _ = splitting_ideal(morphism)
     for g in handle.generators:
         if not p.ideal.contains(g):
@@ -257,6 +251,8 @@ def splinter_probe(base: Algebra, covers) -> SplinterReport:
     """Probe the splinter property of `base` against the given module-finite
     covers with surjective Spec. Explicitly a probe over the given covers,
     never a full splinter proof."""
+    if not covers:
+        raise ValueError("covers () is empty: need at least one cover")
     verdicts = []
     witness = None
     for phi in covers:
@@ -342,6 +338,8 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
     base hypothesis, the factorization certificate, a direct splitting
     witness for the finite leg when available, and the flat projection leg
     recorded as a cited fact."""
+    if not probes:
+        raise ValueError("probes () is empty: need at least one probe point")
     if base_class not in BASE_CLASSES:
         raise ValueError(f"unknown base class {base_class}")
     target = morphism.target

@@ -253,7 +253,7 @@ def fedder_certificate_obj(defining, m, ctx, verdict: bool):
     }
 
 
-def pure_at_certificate_obj(morphism, p, verdict, witness):
+def point_purity_certificate_obj(morphism, p, verdict, witness):
     return {
         "kind": "pure-at",
         "morphism": morphism_to_obj(morphism),
@@ -391,7 +391,7 @@ def produce_pure_at(morphism, point, **_):
     witness = witness_outside(morphism, point)
     pure = witness is not None
     return ("pure" if pure else "not-pure", EXIT_OK if pure else EXIT_REFUTED,
-            pure_at_certificate_obj(morphism, point, pure, witness), [])
+            point_purity_certificate_obj(morphism, point, pure, witness), [])
 
 
 def produce_splinter(base, covers, **_):
@@ -618,7 +618,15 @@ def verify_certificate(payload):
     replay that differs fails with `payload-differs-at <path>`, the first
     differing path in sorted key order. A canonical payload holds only
     strings, bools, nulls, lists and dicts, so a leaf of another type, such
-    as the number 2 where the string "2" belongs, differs."""
+    as the number 2 where the string "2" belongs, differs.
+
+    `payload` is a certificate, or a report entry that holds one under
+    "certificate"; then the replay's verdict, exit class and assumptions
+    must equal the entry's too, and the first field that differs fails
+    with `entry-differs-at <path>`, as `$.verdict`."""
+    entry = payload if "certificate" in payload else None
+    if entry is not None:
+        payload = entry["certificate"]
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in _REPLAY:
         return False, [f"unknown certificate kind {kind!r}"]
@@ -626,10 +634,17 @@ def verify_certificate(payload):
     failures = []
     try:
         inputs = decode(payload)
-        fresh = _stringify(producer(**inputs)[2])
+        verdict, exit_class, cert, assumptions = producer(**inputs)
+        fresh = _stringify(cert)
         # json text tells True from 1, which == does not
         if json.dumps(fresh, sort_keys=True) != json.dumps(payload, sort_keys=True):
             failures.append(f"payload-differs-at {_first_difference(fresh, payload)}")
+        if entry is not None:
+            replayed = {"verdict": verdict, "exit_class": exit_class, "assumptions": assumptions}
+            for name, value in replayed.items():
+                path = _first_difference(_stringify(value), entry.get(name), f"$.{name}")
+                if path is not None:
+                    failures.append(f"entry-differs-at {path}")
         failures.extend(identities(payload, inputs))
     except Exception as exc:  # verification must report, not crash
         failures.append(f"verification error: {type(exc).__name__}: {exc}")

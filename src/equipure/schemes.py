@@ -155,10 +155,6 @@ class Morphism:
         return f"Morphism({self.name or '?'}: {arrows})"
 
 
-def make_morphism(target: Algebra, source: Algebra, images, name="") -> Morphism:
-    return Morphism(target, source, images, name)
-
-
 # -- points ---------------------------------------------------------------
 
 

@@ -51,10 +51,10 @@ from .orders import GREVLEX, LEX
 from .poly import PolynomialRing, parse_poly
 from .schemes import (
     DEFAULT_SPLIT_BUDGET,
+    Morphism,
     decompose_components,
     generic_point_of,
     make_algebra,
-    make_morphism,
     maximal_points_of_fiber,
     rational_point,
 )
@@ -378,7 +378,7 @@ def _declare_morphism(session, line, name, tgt_name, src_name, arrows):
     if missing:
         raise SessionError(f"missing images for generators {missing}", line)
     try:
-        phi = make_morphism(tgt, src, [images[v] for v in tgt.ring.vars], name=name)
+        phi = Morphism(tgt, src, [images[v] for v in tgt.ring.vars], name=name)
     except EquipureError as exc:
         raise SessionError(f"morphism {name}: {exc}", line)
     session._declare(session.morphisms, name, phi, line)
@@ -607,11 +607,6 @@ COMMANDS = {c.grammar.split()[0]: c for c in (
     Command("descend-check <morphism> at <y:point> probes <probes:points>",
             "produce_descent"),
 )}
-
-
-def run_session(session: Session):
-    """Execute every command; returns the list of Reports."""
-    return [run_command(session, line, cmd) for line, cmd in session.commands]
 
 
 def run_command(session: Session, line: int, command: str):

@@ -6,11 +6,17 @@ from equipure import groebner
 from equipure.fields import GF, QQ
 from equipure.ideals import IdealHandle
 from equipure.poly import PolynomialRing, parse_poly
-from equipure.schemes import make_algebra, make_morphism, rational_point
+from equipure.schemes import Morphism, make_algebra, rational_point
+from equipure.session import run_command
 
 
 def P(ring, text):
     return parse_poly(ring, text)
+
+
+def run_all(session):
+    """The Report of every command of a parsed session, in order."""
+    return [run_command(session, line, cmd) for line, cmd in session.commands]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -32,7 +38,7 @@ def line_q():
 def double_cover(line_q):
     """k[t] -> k[x], t -> x^2: module-finite, e = 0."""
     src = make_algebra(QQ, ["x"], [], "aff1")
-    return make_morphism(line_q, src, [P(src.ring, "x^2")], "double")
+    return Morphism(line_q, src, [P(src.ring, "x^2")], "double")
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +46,7 @@ def flat_projection():
     """k[u,v] -> k[u,v,w]: faithfully flat, e = 1."""
     tgt = make_algebra(QQ, ["u", "v"], [], "plane")
     src = make_algebra(QQ, ["u", "v", "w"], [], "space")
-    return make_morphism(tgt, src, [P(src.ring, "u"), P(src.ring, "v")], "proj")
+    return Morphism(tgt, src, [P(src.ring, "u"), P(src.ring, "v")], "proj")
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +59,7 @@ def cone_q():
 def veronese_q(cone_q):
     """The quadric cone inside k[x,y]: a -> x^2, b -> y^2, c -> xy."""
     src = make_algebra(QQ, ["x", "y"], [], "aff2")
-    return make_morphism(
+    return Morphism(
         cone_q, src,
         [P(src.ring, "x^2"), P(src.ring, "y^2"), P(src.ring, "x*y")],
         "veronese")
@@ -63,7 +69,7 @@ def veronese_q(cone_q):
 def cone_composite(cone_q):
     """Same cone map with a free variable added upstairs: e = 1."""
     src = make_algebra(QQ, ["x", "y", "w"], [], "aff3")
-    return make_morphism(
+    return Morphism(
         cone_q, src,
         [P(src.ring, "x^2"), P(src.ring, "y^2"), P(src.ring, "x*y")],
         "cone-composite")
@@ -79,7 +85,7 @@ def cusp_q():
 def cusp_normalization(cusp_q):
     """k[a,b]/(b^2 - a^3) -> k[t]: a -> t^2, b -> t^3."""
     src = make_algebra(QQ, ["t"], [], "param-line")
-    return make_morphism(
+    return Morphism(
         cusp_q, src, [P(src.ring, "t^2"), P(src.ring, "t^3")], "normalization")
 
 
@@ -88,7 +94,7 @@ def blowup_chart():
     """u -> u, v -> u*x: not equidimensional at the origin."""
     tgt = make_algebra(QQ, ["u", "v"], [], "uv-plane")
     src = make_algebra(QQ, ["u", "x"], [], "chart")
-    return make_morphism(tgt, src, [P(src.ring, "u"), P(src.ring, "u*x")], "blowup")
+    return Morphism(tgt, src, [P(src.ring, "u"), P(src.ring, "u*x")], "blowup")
 
 
 @pytest.fixture(scope="session")
@@ -113,7 +119,7 @@ def veronese7():
     ring = PolynomialRing(GF(7), ["a", "b", "c"])
     tgt = make_algebra(GF(7), ["a", "b", "c"], [P(ring, "a*b - c^2")], "cone7v")
     src = make_algebra(GF(7), ["x", "y"], [], "aff2-7")
-    return make_morphism(
+    return Morphism(
         tgt, src,
         [P(src.ring, "x^2"), P(src.ring, "y^2"), P(src.ring, "x*y")],
         "veronese7")
@@ -132,6 +138,6 @@ def apply(phi, f):
 def compose(first, second):
     """first: A -> B followed by second: B -> C, as A -> C."""
     assert second.target.ring == first.source.ring, "morphisms not composable"
-    return make_morphism(first.target, second.source,
-                         [apply(second, img) for img in first.images],
-                         f"{second.name or '?'}o{first.name or '?'}")
+    return Morphism(first.target, second.source,
+                    [apply(second, img) for img in first.images],
+                    f"{second.name or '?'}o{first.name or '?'}")

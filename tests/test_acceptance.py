@@ -36,23 +36,28 @@ from equipure.groebner import buchberger
 from equipure.ideals import IdealError, IdealHandle, eliminate, krull_dim
 from equipure.orders import GREVLEX, LEX
 from equipure.poly import Polynomial, PolynomialRing, parse_poly
-from equipure.purity import pure_at, splits, splitting_ideal, strong_purity_certificate
+from equipure.purity import (
+    splits,
+    splitting_ideal,
+    strong_purity_certificate,
+    witness_outside,
+)
 from equipure.reports import (
     canonical_json,
     factorization_certificate_obj,
     verify_certificate,
 )
 from equipure.schemes import (
+    Morphism,
     decompose_components,
     fiber,
     make_algebra,
-    make_morphism,
     maximal_points_of_fiber,
     rational_point,
 )
-from equipure.session import parse_session, run_session
+from equipure.session import parse_session
 
-from conftest import P, apply, origin
+from conftest import P, apply, origin, run_all
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA, "corpus.eqp")
@@ -272,7 +277,7 @@ def _point_fiber(texts, variables, field=QQ):
     pt = make_algebra(field, [], [], "pt")
     ring = PolynomialRing(field, variables)
     alg = make_algebra(field, variables, [parse_poly(ring, t) for t in texts], "V")
-    incl = make_morphism(pt, alg, [], "incl")
+    incl = Morphism(pt, alg, [], "incl")
     return fiber(incl, rational_point(pt, []))
 
 
@@ -354,10 +359,10 @@ def test_criterion_4_splitting_desk_check(veronese_q, veronese7, cusp_normalizat
     m = IdealHandle(cusp.ring, [cusp.ring.var(0), cusp.ring.var(1)])
     for g in handle.generators:
         assert m.contains(g)
-    assert not pure_at(cusp_normalization, rational_point(cusp, [0, 0]))
+    assert witness_outside(cusp_normalization, rational_point(cusp, [0, 0])) is None
     from equipure.schemes import generic_point_of
 
-    assert pure_at(cusp_normalization, generic_point_of(cusp, cusp.relations))
+    assert witness_outside(cusp_normalization, generic_point_of(cusp, cusp.relations)) is not None
     report(4, "splitting ideals and purity at primes", started)
 
 
@@ -365,8 +370,8 @@ def test_criterion_5_strong_purity(cone_composite, cusp_q):
     started = time.time()
     tgt = make_algebra(QQ, ["u", "v"], [], "uv")
     src = make_algebra(QQ, ["x", "y", "w"], [], "xyw")
-    over_regular = make_morphism(tgt, src,
-                                 [P(src.ring, "x^2"), P(src.ring, "y^2")], "f")
+    over_regular = Morphism(tgt, src,
+                            [P(src.ring, "x^2"), P(src.ring, "y^2")], "f")
     cert = strong_purity_certificate(over_regular, "regular-polynomial-ring",
                                      [origin(src)])
     assert cert.probe_records[0]["finite_leg"]["pure_at_image"]
@@ -376,8 +381,8 @@ def test_criterion_5_strong_purity(cone_composite, cusp_q):
     assert cert2.probe_records[0]["factorization"].all_ok()
 
     bad_src = make_algebra(QQ, ["t", "s"], [], "ts")
-    over_cusp = make_morphism(cusp_q, bad_src,
-                              [P(bad_src.ring, "t^2"), P(bad_src.ring, "t^3")], "g")
+    over_cusp = Morphism(cusp_q, bad_src,
+                         [P(bad_src.ring, "t^2"), P(bad_src.ring, "t^3")], "g")
     with pytest.raises(HypothesisFailed) as err:
         strong_purity_certificate(over_cusp, "normal-Q-hypersurface",
                                   [origin(bad_src)])
@@ -446,7 +451,7 @@ def test_criterion_7_descent_harness(veronese7, fermat7):
 
     tgt = make_algebra(GF(7), ["u", "v"], [], "uv7")
     src = make_algebra(GF(7), ["u", "x"], [], "ux7")
-    blow = make_morphism(tgt, src, [P(src.ring, "u"), P(src.ring, "u*x")], "blow")
+    blow = Morphism(tgt, src, [P(src.ring, "u"), P(src.ring, "u*x")], "blow")
     with pytest.raises(HypothesisFailed) as err:
         f_rational_descent_check(blow, rational_point(tgt, [0, 0]),
                           [rational_point(src, [0, 0])], 2)
@@ -456,8 +461,8 @@ def test_criterion_7_descent_harness(veronese7, fermat7):
     ring = PolynomialRing(GF(7), ["x", "y", "z", "T"])
     ext = make_algebra(GF(7), ["x", "y", "z", "T"],
                        [parse_poly(ring, "x^3 + y^3 + z^3")], "fermat-ext")
-    flat = make_morphism(fermat7, ext,
-                         [ext.ring.var(0), ext.ring.var(1), ext.ring.var(2)], "flat")
+    flat = Morphism(fermat7, ext,
+                    [ext.ring.var(0), ext.ring.var(1), ext.ring.var(2)], "flat")
     z = parse_poly(fermat7.ring, "z^2")
     I = IdealHandle(fermat7.ring, [fermat7.ring.var(0), fermat7.ring.var(1)])
     assert persistence_spot_check(flat, z, I, parse_poly(fermat7.ring, "x^2"), 2)
@@ -475,7 +480,7 @@ def test_criterion_8_determinism_and_verification(tmp_path):
     outputs = []
     for _ in range(2):
         session = parse_session(text, {"seed": 17, "frobenius_bound": 3})
-        reports = run_session(session)
+        reports = run_all(session)
         outputs.append(canonical_json([rep.to_obj() for rep in reports]))
     assert outputs[0] == outputs[1], "same seed must give byte-identical reports"
 

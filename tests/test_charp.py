@@ -26,7 +26,7 @@ from equipure.errors import (
 from equipure.fields import GF, QQ
 from equipure.ideals import IdealHandle
 from equipure.poly import PolynomialRing, parse_poly
-from equipure.schemes import make_algebra, make_morphism, rational_point
+from equipure.schemes import Morphism, make_algebra, rational_point
 
 from conftest import P, origin
 from test_acceptance import contraction_spot_check, persistence_spot_check
@@ -243,8 +243,8 @@ def test_persistence_along_flat_extension(fermat7):
     ring = PolynomialRing(GF(7), ["x", "y", "z", "T"])
     ext = make_algebra(GF(7), ["x", "y", "z", "T"],
                        [parse_poly(ring, "x^3 + y^3 + z^3")], "fermat-ext")
-    flat = make_morphism(fermat7, ext,
-                         [ext.ring.var(0), ext.ring.var(1), ext.ring.var(2)], "flat")
+    flat = Morphism(fermat7, ext,
+                    [ext.ring.var(0), ext.ring.var(1), ext.ring.var(2)], "flat")
     z = parse_poly(fermat7.ring, "z^2")
     I = IdealHandle(fermat7.ring, [fermat7.ring.var(0), fermat7.ring.var(1)])
     c = parse_poly(fermat7.ring, "x^2")
@@ -252,8 +252,8 @@ def test_persistence_along_flat_extension(fermat7):
 
 
 def test_persistence_identity(fermat7):
-    idm = make_morphism(fermat7, fermat7,
-                        [fermat7.ring.var(i) for i in range(3)], "id")
+    idm = Morphism(fermat7, fermat7,
+                   [fermat7.ring.var(i) for i in range(3)], "id")
     z = parse_poly(fermat7.ring, "z^2")
     I = IdealHandle(fermat7.ring, [fermat7.ring.var(0), fermat7.ring.var(1)])
     assert persistence_spot_check(idm, z, I, parse_poly(fermat7.ring, "x^2"), 2)
@@ -278,7 +278,7 @@ def test_descent_harness_veronese(veronese7):
 def test_descent_harness_refuses_non_equidimensional():
     tgt = make_algebra(GF(7), ["u", "v"], [], "uv7")
     src = make_algebra(GF(7), ["u", "x"], [], "ux7")
-    blow = make_morphism(tgt, src, [P(src.ring, "u"), P(src.ring, "u*x")], "blow7")
+    blow = Morphism(tgt, src, [P(src.ring, "u"), P(src.ring, "u*x")], "blow7")
     with pytest.raises(HypothesisFailed) as err:
         f_rational_descent_check(blow, rational_point(tgt, [0, 0]),
                           [rational_point(src, [0, 0])], 2)
@@ -286,8 +286,8 @@ def test_descent_harness_refuses_non_equidimensional():
 
 
 def test_descent_harness_identity(plane7):
-    idm = make_morphism(plane7, plane7,
-                        [plane7.ring.var(0), plane7.ring.var(1)], "id7")
+    idm = Morphism(plane7, plane7,
+                   [plane7.ring.var(0), plane7.ring.var(1)], "id7")
     rep = f_rational_descent_check(idm, rational_point(plane7, [0, 0]),
                             [rational_point(plane7, [0, 0])], 2)
     assert rep.verdict == "consistent"

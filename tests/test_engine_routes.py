@@ -25,7 +25,6 @@ from equipure.modules import (
     _module_buchberger,
     graph_kernel_elim_order,
     graph_kernel_order,
-    pot_order,
 )
 from equipure.orders import GREVLEX, LEX, block_order
 from equipure.parametric import (
@@ -101,7 +100,7 @@ def module_case(name):
         ring = PolynomialRing(GF(7), ["x", "y", "z"])
         vecs = [tuple(random_poly(ring, rng, nterms=2, maxdeg=1) for _ in range(2))
                 for _ in range(3)]
-        return vecs, pot_order(LEX), ring
+        return vecs, graph_kernel_order(0, LEX), ring
     raise KeyError(name)
 
 

@@ -19,11 +19,11 @@ from equipure.ideals import IdealHandle
 from equipure.poly import PolynomialRing, parse_poly
 from equipure.reports import factorization_certificate_obj, verify_certificate
 from equipure.schemes import (
+    Morphism,
     decompose_components,
     fiber,
     generic_point_of,
     make_algebra,
-    make_morphism,
     maximal_points_of_fiber,
     rational_point,
 )
@@ -37,7 +37,7 @@ def point_fiber(relations_texts, variables):
     pt_alg = make_algebra(QQ, [], [], "pt")
     ring = PolynomialRing(QQ, list(variables))
     alg = make_algebra(QQ, list(variables), [parse_poly(ring, t) for t in relations_texts])
-    incl = make_morphism(pt_alg, alg, [], "incl")
+    incl = Morphism(pt_alg, alg, [], "incl")
     return fiber(incl, rational_point(pt_alg, []))
 
 
@@ -59,7 +59,7 @@ def test_noether_power_substitution_over_f2():
     ring = PolynomialRing(GF(2), ["x", "y"])
     alg = make_algebra(GF(2), ["x", "y"],
                        [parse_poly(ring, "x*y*(x+y)")], "threelines")
-    incl = make_morphism(pt, alg, [], "incl")
+    incl = Morphism(pt, alg, [], "incl")
     fm = fiber(incl, rational_point(pt, []))
     nd = noether_normalize(fm)
     assert nd.kind == "power-substitution"
@@ -120,7 +120,7 @@ def test_lift_clears_rational_denominators():
     ring = fm.relations.ring
     pt_alg = make_algebra(QQ, [], [], "pt2")
     alg = make_algebra(QQ, ["x"], [], "line2")
-    incl = make_morphism(pt_alg, alg, [], "incl2")
+    incl = Morphism(pt_alg, alg, [], "incl2")
     fm = fiber(incl, rational_point(pt_alg, []))
     half_x = parse_poly(alg.ring, "x").scale(QQ.of(1, 2))
     nd = NoetherData(fm, 1, [half_x], "manual", 0, {})
@@ -131,7 +131,7 @@ def test_lift_clears_rational_denominators():
 def test_lift_clears_generic_denominator():
     A = make_algebra(QQ, ["a"], [], "A")
     B = make_algebra(QQ, ["a", "x"], [], "B")
-    incl = make_morphism(A, B, [P(B.ring, "a")], "incl")
+    incl = Morphism(A, B, [P(B.ring, "a")], "incl")
     eta = generic_point_of(A, IdealHandle(A.ring, []))
     fm = fiber(incl, eta)
     nd = NoetherData(fm, 1, [P(B.ring, "x")], "manual", 0, {})
@@ -145,7 +145,7 @@ def test_generic_lift_reduces_by_source_relations_and_rational_lift_does_not():
     A = make_algebra(QQ, ["a"], [], "A")
     ring = PolynomialRing(QQ, ["a", "x", "z"])
     B = make_algebra(QQ, ["a", "x", "z"], [P(ring, "z - a")], "B")
-    incl = make_morphism(A, B, [P(B.ring, "a")], "incl")
+    incl = Morphism(A, B, [P(B.ring, "a")], "incl")
     t = P(B.ring, "x + a")
     assert str(B.reduce(t)) == "x + z"
     eta = generic_point_of(A, IdealHandle(A.ring, []))
@@ -235,7 +235,7 @@ def test_build_factorization_rejects_low_dimensional_component():
     ring = PolynomialRing(QQ, ["x", "y", "z"])
     alg = make_algebra(QQ, ["x", "y", "z"],
                        [parse_poly(ring, "x*z"), parse_poly(ring, "y*z")], "V")
-    incl = make_morphism(pt_alg, alg, [], "incl")
+    incl = Morphism(pt_alg, alg, [], "incl")
     y = rational_point(pt_alg, [])
     pts = maximal_points_of_fiber(incl, y)
     dims = sorted(p.comp_dim for p in pts)
@@ -248,7 +248,7 @@ def test_build_factorization_rejects_low_dimensional_component():
 def test_generic_point_factorization():
     A = make_algebra(QQ, ["t"], [], "A")
     B = make_algebra(QQ, ["t", "x"], [], "B")
-    proj = make_morphism(A, B, [P(B.ring, "t")], "proj")
+    proj = Morphism(A, B, [P(B.ring, "t")], "proj")
     eta = generic_point_of(A, IdealHandle(A.ring, []))
     pts = maximal_points_of_fiber(proj, eta)
     cert = build_factorization(proj, eta, pts[0])

@@ -24,7 +24,7 @@ from equipure.parametric import (
     param_buchberger,
 )
 from equipure.poly import PolynomialRing, parse_poly
-from equipure.schemes import FiberModel, make_algebra, make_morphism
+from equipure.schemes import FiberModel, Morphism, make_algebra
 
 from test_pair_criteria import POLY, _poly
 from test_param_properties import COEFF, build
@@ -66,7 +66,7 @@ def _inclusion(field):
     """The inclusion of a point into affine 3-space over `field`, whose
     source ring carries the fibers below."""
     pt = make_algebra(field, [], [], "pt")
-    return make_morphism(pt, make_algebra(field, VARS, [], "A3"), [], "incl")
+    return Morphism(pt, make_algebra(field, VARS, [], "A3"), [], "incl")
 
 
 def rational_fiber(field, gens):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from equipure import groebner
 from equipure.errors import RootSearchBudgetExceeded
 from equipure.fields import GF, QQ
 from equipure.groebner import normal_form
@@ -18,7 +19,7 @@ from equipure.ideals import (
     radical_membership,
     saturation,
 )
-from equipure.orders import GREVLEX
+from equipure.orders import GREVLEX, LEX
 from equipure.poly import PolynomialRing, parse_poly
 
 from test_acceptance import monomial_ideal_dim_bruteforce, saturation_tag
@@ -173,9 +174,26 @@ def test_radical_envelope(R2):
     assert [str(g) for g in env2.groebner()] == ["x^2 - 1"]
 
 
-def test_groebner_cache_write_once(R2):
+def test_a_basis_is_computed_once_per_process(R2, monkeypatch):
+    """A second `groebner()`, on the same handle or on a new handle with the
+    same generators, gives the same basis without running Buchberger's
+    algorithm again; another order runs it once more."""
+    runs = []
+    inner = groebner._buchberger
+
+    def counted(gens, order):
+        runs.append(order)
+        return inner(gens, order)
+
+    monkeypatch.setattr(groebner, "_MEMO", {})
+    monkeypatch.setattr(groebner, "_buchberger", counted)
     handle = H(R2, "x*y - 1", "x^2")
     first = handle.groebner()
-    second = handle.groebner()
-    assert [g.terms for g in first] == [g.terms for g in second]
-    assert GREVLEX in handle._gb_cache
+    assert runs == [GREVLEX]
+    assert handle.groebner() == first
+    assert H(R2, "x*y - 1", "x^2").groebner() == first
+    assert runs == [GREVLEX]
+    handle.groebner(LEX)
+    assert runs == [GREVLEX, LEX]
+    assert H(R2, "x*y - 1", "x^2").groebner_any() == (first, GREVLEX)
+    assert runs == [GREVLEX, LEX]

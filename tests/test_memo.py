@@ -26,7 +26,6 @@ from equipure.modules import (
     graph_kernel_elim_order,
     graph_kernel_order,
     module_buchberger,
-    pot_order,
 )
 from equipure.orders import GREVLEX, LEX, block_order
 from equipure.poly import PolynomialRing, parse_poly
@@ -37,17 +36,17 @@ from equipure.reports import (
 )
 from equipure.schemes import (
     Algebra,
+    Morphism,
     decompose_components,
     fiber,
     fiber_dim_at,
     generic_point_of,
-    make_morphism,
     maximal_points_of_fiber,
     rational_point,
 )
-from equipure.session import parse_session, run_session
+from equipure.session import parse_session
 
-from conftest import origin
+from conftest import origin, run_all
 from test_division import random_poly
 from test_session_grammar import _workloads
 
@@ -79,7 +78,8 @@ def test_module_buchberger_hit_equals_private_loop(field, monkeypatch):
     rng = random.Random(f"memo-module-{field.char}")
     ring = PolynomialRing(field, ["x", "y", "z"])
     cases = []
-    for order in (pot_order(), graph_kernel_order(1), graph_kernel_elim_order(1, {0}, 3)):
+    for order in (graph_kernel_order(0), graph_kernel_order(1),
+                  graph_kernel_elim_order(1, {0}, 3)):
         for _ in range(2):
             cases.append(([tuple(random_poly(ring, rng, nterms=2, maxdeg=1) for _ in range(3))
                            for _ in range(3)], order))
@@ -104,7 +104,7 @@ def test_module_orders_with_different_fronts_are_separate_entries(monkeypatch):
     assert by_x == graph_kernel_elim_order(1, [0], 3)
     assert hash(by_x) == hash(graph_kernel_elim_order(1, [0], 3))
     assert graph_kernel_elim_order(1, {0}, 4) != by_x
-    assert pot_order(GREVLEX) != pot_order(LEX)
+    assert graph_kernel_order(0, GREVLEX) != graph_kernel_order(0, LEX)
     assert graph_kernel_order(1, GREVLEX) != graph_kernel_order(1, LEX)
     expected_x = _module_buchberger(vectors, by_x, ring)
     expected_z = _module_buchberger(vectors, by_z, ring)
@@ -211,8 +211,8 @@ def test_fiber_hit_equals_fresh_fiber_around_the_callers_objects(cone_composite,
     first[1].param_basis[0].terms.clear()
     first[1].param_basis.clear()
     monkeypatch.setattr(schemes, "_fiber", _no_recompute)
-    phi = make_morphism(cone_composite.target, cone_composite.source,
-                        cone_composite.images, cone_composite.name)
+    phi = Morphism(cone_composite.target, cone_composite.source,
+                   cone_composite.images, cone_composite.name)
     copies = [origin(cone_q), generic_point_of(cone_q, cone_q.relations)]
     again = [fiber(phi, y) for y in copies]
     assert [_fiber_content(fm) for fm in again] == expected
@@ -263,7 +263,7 @@ def test_a_renamed_morphism_shares_name_free_results_but_not_its_factorization(
     report = verify_equidimensional_at(phi, wO, [wO])
     cert = build_factorization(phi, y, x0, probes=[wO])
     target = Algebra(cone_q.ring, cone_q.relations, "cone-renamed")
-    twin = make_morphism(target, phi.source, phi.images, "twin")
+    twin = Morphism(target, phi.source, phi.images, "twin")
     monkeypatch.setattr(factorization, "_verify_equidimensional_at", _no_recompute)
     shared = verify_equidimensional_at(twin, wO, [wO])
     assert (shared.e, shared.verdict, shared.evidence, shared.witness) == (
@@ -304,7 +304,7 @@ def _named_session(*names):
 
 def _entries(text, options=None):
     return {rep.command: canonical_json(rep.to_obj())
-            for rep in run_session(parse_session(text, options))}
+            for rep in run_all(parse_session(text, options))}
 
 
 def test_each_entry_is_the_one_its_morphism_gives_alone(monkeypatch):

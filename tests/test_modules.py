@@ -6,7 +6,6 @@ from equipure.modules import (
     graph_kernel_order,
     module_buchberger,
     module_normal_form,
-    pot_order,
     syzygy_restricted,
 )
 from equipure.poly import PolynomialRing, parse_poly
@@ -63,7 +62,7 @@ def test_coefficient_restriction_finds_torsion_relation():
 
 def test_module_normal_form_exactness():
     R = PolynomialRing(QQ, ["x", "y"])
-    order = pot_order()
+    order = graph_kernel_order(0)
     basis = [
         (parse_poly(R, "x"), R.zero()),
         (R.zero(), parse_poly(R, "y")),

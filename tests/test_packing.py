@@ -20,7 +20,6 @@ from equipure.modules import (
     graph_kernel_order,
     module_buchberger,
     module_normal_form,
-    pot_order,
     vec_leading,
 )
 from equipure.orders import (
@@ -40,19 +39,18 @@ from equipure.parametric import (
     ParamPoly,
     _param_buchberger,
     generic_oracle,
-    param_normal_form,
     split_poly,
 )
 from equipure.poly import PolynomialRing, parse_poly
 
 from test_acceptance import oracle_all_s_polys_reduce, oracle_divide, oracle_is_reduced
-from test_division import recording_oracle, scan_param_normal_form
+from test_division import heap_param_normal_form, recording_oracle, scan_param_normal_form
 
 NVARS = 4
 TOP = (1 << (PACKING_BITS - 1)) - 1   # the largest field value of a first packing
 
 MONOMIAL_ORDERS = [LEX, GREVLEX, block_order([1, 3]), permuted_grevlex((2, 0, 3, 1))]
-MODULE_ORDERS = [pot_order(), pot_order(LEX), graph_kernel_order(2),
+MODULE_ORDERS = [graph_kernel_order(0), graph_kernel_order(0, LEX), graph_kernel_order(2),
                  graph_kernel_elim_order(2, {0, 2}, NVARS)]
 
 # mostly small exponents, and now and then one at or past the field width
@@ -91,8 +89,8 @@ def elim_key(lead, front, pos, exp):
 
 # each module order with its textbook key on (position, exponent)
 MODULE_REFERENCES = [
-    (pot_order(), lambda pos, exp: (-pos, grevlex_key(exp))),
-    (pot_order(LEX), lambda pos, exp: (-pos, exp)),
+    (graph_kernel_order(0), lambda pos, exp: (-pos, grevlex_key(exp))),
+    (graph_kernel_order(0, LEX), lambda pos, exp: (-pos, exp)),
     (graph_kernel_order(2), lambda pos, exp: (pos < 2, -pos, grevlex_key(exp))),
     (graph_kernel_order(1, LEX), lambda pos, exp: (pos < 1, -pos, exp)),
     (graph_kernel_elim_order(2, {0, 2}, NVARS),
@@ -222,7 +220,7 @@ def test_buchberger_past_the_field_width(order, f, basis):
 
 def test_module_division_past_the_field_width():
     ring = PolynomialRing(GF(7), ["x", "y"])
-    order = pot_order()
+    order = graph_kernel_order(0)
     gens = [(parse_poly(ring, "x^40000 - y"), parse_poly(ring, "x")),
             (parse_poly(ring, "y^3"), parse_poly(ring, "x*y + 1"))]
     gb = module_buchberger(gens, order, ring)
@@ -251,8 +249,8 @@ def test_parametric_division_past_the_field_width():
              ParamPoly.build(main, domain, [((0, 2), one + t), ((0, 0), one)])]
     for order in (GREVLEX, LEX):
         questions, expected_questions = [], []
-        r = param_normal_form(f, basis, [g.leading(order) for g in basis], order,
-                              recording_oracle(lambda c: True, questions))
+        r = heap_param_normal_form(f, basis, order,
+                                   recording_oracle(lambda c: True, questions))
         expected = scan_param_normal_form(f, basis, order,
                                           recording_oracle(lambda c: True, expected_questions))
         assert r.terms == expected.terms
@@ -291,8 +289,8 @@ def test_parametric_coefficients_past_the_field_width(field, constraint, f, basi
     _, domain, (f, *basis) = param_case(field, constraint, [f] + basis)
     heap_log, scan_log = DenominatorLog(domain), DenominatorLog(domain)
     heap_qs, scan_qs = [], []
-    r = param_normal_form(f, basis, [g.leading(order) for g in basis], order,
-                          recording_oracle(generic_oracle(domain, heap_log), heap_qs))
+    r = heap_param_normal_form(f, basis, order,
+                               recording_oracle(generic_oracle(domain, heap_log), heap_qs))
     expected = scan_param_normal_form(
         f, basis, order, recording_oracle(generic_oracle(domain, scan_log), scan_qs))
     assert r.terms == expected.terms

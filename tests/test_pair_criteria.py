@@ -20,7 +20,6 @@ from equipure.modules import (
     _module_buchberger,
     graph_kernel_elim_order,
     graph_kernel_order,
-    pot_order,
 )
 from equipure.orders import GREVLEX, LEX, block_order
 from equipure.parametric import CoeffDomain, DenominatorLog, _param_buchberger, generic_oracle
@@ -77,7 +76,7 @@ def _poly(ring, raw):
 
 
 POLY = st.lists(st.tuples(EXPONENTS, st.integers(-3, 3).filter(bool)), min_size=1, max_size=3)
-MODULE_ORDERS = [pot_order(GREVLEX), pot_order(LEX), graph_kernel_order(1),
+MODULE_ORDERS = [graph_kernel_order(0, GREVLEX), graph_kernel_order(0, LEX), graph_kernel_order(1),
                  graph_kernel_elim_order(1, {0}, 3)]
 
 

@@ -16,11 +16,10 @@ from equipure.parametric import (
     DenominatorLog,
     ParamPoly,
     generic_oracle,
-    param_normal_form,
 )
 from equipure.poly import PolynomialRing, parse_poly
 
-from test_division import recording_oracle, scan_param_normal_form
+from test_division import heap_param_normal_form, recording_oracle, scan_param_normal_form
 
 ORDERS = [GREVLEX, LEX, block_order([0])]
 
@@ -65,8 +64,8 @@ def test_param_normal_form_matches_scan(inputs):
     f = build(raw_f, main, domain)
     heap_log, scan_log = DenominatorLog(domain), DenominatorLog(domain)
     heap_qs, scan_qs = [], []
-    r = param_normal_form(f, basis, [g.leading(order) for g in basis], order,
-                          recording_oracle(generic_oracle(domain, heap_log), heap_qs))
+    r = heap_param_normal_form(f, basis, order,
+                               recording_oracle(generic_oracle(domain, heap_log), heap_qs))
     expected = scan_param_normal_form(
         f, basis, order, recording_oracle(generic_oracle(domain, scan_log), scan_qs))
     assert r.terms == expected.terms
@@ -109,8 +108,8 @@ def test_param_normal_form_with_multi_term_coefficients_matches_scan(inputs):
     f = build(raw_f, main, domain)
     heap_log, scan_log = DenominatorLog(domain), DenominatorLog(domain)
     heap_qs, scan_qs = [], []
-    r = param_normal_form(f, basis, [g.leading(order) for g in basis], order,
-                          recording_oracle(generic_oracle(domain, heap_log), heap_qs))
+    r = heap_param_normal_form(f, basis, order,
+                               recording_oracle(generic_oracle(domain, heap_log), heap_qs))
     expected = scan_param_normal_form(
         f, basis, order, recording_oracle(generic_oracle(domain, scan_log), scan_qs))
     assert r.terms == expected.terms

@@ -16,12 +16,12 @@ from equipure.parametric import (
 from equipure.orders import GREVLEX
 from equipure.poly import PolynomialRing, parse_poly
 from equipure.schemes import (
+    Morphism,
     fiber,
     finite_locus_strata,
     generic_point_of,
     is_quasi_finite_at,
     make_algebra,
-    make_morphism,
     rational_point,
 )
 
@@ -29,7 +29,7 @@ from equipure.schemes import (
 def test_generic_fiber_of_double_cover():
     A = make_algebra(QQ, ["t"], [], "A")
     B = make_algebra(QQ, ["x"], [], "B")
-    f = make_morphism(A, B, [parse_poly(B.ring, "x^2")], "f")
+    f = Morphism(A, B, [parse_poly(B.ring, "x^2")], "f")
     eta = generic_point_of(A, IdealHandle(A.ring, []))
     fm = fiber(f, eta)
     assert fm.kind == "generic"
@@ -41,7 +41,7 @@ def test_generic_fiber_of_double_cover():
 def test_generic_fiber_logs_certified_denominators():
     A = make_algebra(QQ, ["u", "v"], [], "A")
     B = make_algebra(QQ, ["u", "x"], [], "B")
-    blow = make_morphism(A, B, [parse_poly(B.ring, "u"), parse_poly(B.ring, "u*x")], "g")
+    blow = Morphism(A, B, [parse_poly(B.ring, "u"), parse_poly(B.ring, "u*x")], "g")
     eta = generic_point_of(A, IdealHandle(A.ring, []))
     fm = fiber(blow, eta)
     assert fm.dim() == 0
@@ -80,7 +80,7 @@ def test_param_buchberger_matches_field_case_when_no_parameters():
 def test_strata_blowup_chart():
     A = make_algebra(QQ, ["u", "v"], [], "A")
     B = make_algebra(QQ, ["u", "x"], [], "B")
-    blow = make_morphism(A, B, [parse_poly(B.ring, "u"), parse_poly(B.ring, "u*x")], "g")
+    blow = Morphism(A, B, [parse_poly(B.ring, "u"), parse_poly(B.ring, "u*x")], "g")
     strata = finite_locus_strata(blow)
     assert len(strata) == 3
     described = [(tuple(s.describe()["vanishing"]), s.quasi_finite, s.fiber_empty)
@@ -101,7 +101,7 @@ def test_strata_blowup_chart():
 def test_strata_cover_is_disjoint_on_probe_grid():
     A = make_algebra(QQ, ["u", "v"], [], "A")
     B = make_algebra(QQ, ["u", "x"], [], "B")
-    blow = make_morphism(A, B, [parse_poly(B.ring, "u"), parse_poly(B.ring, "u*x")], "g")
+    blow = Morphism(A, B, [parse_poly(B.ring, "u"), parse_poly(B.ring, "u*x")], "g")
     strata = finite_locus_strata(blow)
     for a in range(-2, 3):
         for b in range(-2, 3):
@@ -113,7 +113,7 @@ def test_strata_cover_is_disjoint_on_probe_grid():
 def test_strata_single_for_finite_map():
     A = make_algebra(QQ, ["t"], [], "A")
     B = make_algebra(QQ, ["x"], [], "B")
-    f = make_morphism(A, B, [parse_poly(B.ring, "x^2")], "f")
+    f = Morphism(A, B, [parse_poly(B.ring, "x^2")], "f")
     strata = finite_locus_strata(f)
     assert len(strata) == 1
     assert strata[0].quasi_finite and not strata[0].fiber_empty
@@ -121,6 +121,6 @@ def test_strata_single_for_finite_map():
 
 def test_strata_identity():
     A = make_algebra(QQ, ["x"], [], "A")
-    idm = make_morphism(A, A, [A.ring.var(0)], "id")
+    idm = Morphism(A, A, [A.ring.var(0)], "id")
     strata = finite_locus_strata(idm)
     assert len(strata) == 1 and strata[0].quasi_finite

@@ -10,7 +10,6 @@ from equipure.poly import PolynomialRing, parse_poly
 from equipure.purity import (
     hypersurface_is_normal,
     module_presentation,
-    pure_at,
     splinter_probe,
     splits,
     splitting_ideal,
@@ -18,9 +17,9 @@ from equipure.purity import (
     witness_outside,
 )
 from equipure.schemes import (
+    Morphism,
     generic_point_of,
     make_algebra,
-    make_morphism,
     rational_point,
 )
 
@@ -44,7 +43,7 @@ def test_presentation_veronese(veronese_q):
 
 
 def test_presentation_identity(line_q):
-    idm = make_morphism(line_q, line_q, [line_q.ring.var(0)], "id")
+    idm = Morphism(line_q, line_q, [line_q.ring.var(0)], "id")
     pres = module_presentation(idm)
     assert [str(g) for g in pres.generators] == ["1"]
 
@@ -55,7 +54,7 @@ def test_presentation_needs_module_finiteness(flat_projection):
 
 
 def test_splitting_ideal_examples(veronese_q, cusp_normalization, line_q):
-    idm = make_morphism(line_q, line_q, [line_q.ring.var(0)], "id")
+    idm = Morphism(line_q, line_q, [line_q.ring.var(0)], "id")
     I_id, _, _ = splitting_ideal(idm)
     assert I_id.is_unit()
     I_ver, _, _ = splitting_ideal(veronese_q)
@@ -86,9 +85,9 @@ def test_splits_refuted_for_cusp(cusp_normalization):
 
 def test_pure_at_examples(veronese_q, cusp_normalization):
     cusp = cusp_normalization.target
-    assert not pure_at(cusp_normalization, rational_point(cusp, [0, 0]))
-    assert pure_at(cusp_normalization, generic_point_of(cusp, cusp.relations))
-    assert pure_at(veronese_q, rational_point(veronese_q.target, [0, 0, 0]))
+    assert witness_outside(cusp_normalization, rational_point(cusp, [0, 0])) is None
+    assert witness_outside(cusp_normalization, generic_point_of(cusp, cusp.relations)) is not None
+    assert witness_outside(veronese_q, rational_point(veronese_q.target, [0, 0, 0])) is not None
     w = witness_outside(cusp_normalization,
                         generic_point_of(cusp, cusp.relations))
     assert w is not None
@@ -120,15 +119,15 @@ def test_split_implies_pure_at_every_probe(veronese_q):
     ok, _ = splits(veronese_q)
     assert ok
     for coords in ([0, 0, 0], [1, 1, 1], [4, 1, 2]):
-        assert pure_at(veronese_q, rational_point(tgt, coords))
+        assert witness_outside(veronese_q, rational_point(tgt, coords)) is not None
 
 
 def test_split_composes(line_q):
     # s -> t^2 and t -> x^2 both split over Q; so does the composite
     base = make_algebra(QQ, ["s"], [], "base")
     aff = make_algebra(QQ, ["x"], [], "aff")
-    first = make_morphism(base, line_q, [P(line_q.ring, "t^2")], "sq1")
-    second = make_morphism(line_q, aff, [P(aff.ring, "x^2")], "sq2")
+    first = Morphism(base, line_q, [P(line_q.ring, "t^2")], "sq1")
+    second = Morphism(line_q, aff, [P(aff.ring, "x^2")], "sq2")
     assert splits(first)[0] and splits(second)[0]
     composite = compose(first, second)
     ok, cert = splits(composite)
@@ -141,7 +140,7 @@ def test_splinter_probe_examples(cusp_normalization):
     kx = make_algebra(QQ, ["x"], [], "kx")
     ring = PolynomialRing(QQ, ["x", "z"])
     cover_src = make_algebra(QQ, ["x", "z"], [parse_poly(ring, "z^2 - x")], "cover")
-    cover = make_morphism(kx, cover_src, [P(cover_src.ring, "x")], "sqrt")
+    cover = Morphism(kx, cover_src, [P(cover_src.ring, "x")], "sqrt")
     rep = splinter_probe(kx, [cover])
     assert rep.verdict == "all-probed-covers-split"
 
@@ -153,7 +152,7 @@ def test_splinter_probe_examples(cusp_normalization):
     q0 = make_algebra(QQ, [], [], "Q")
     qi_ring = PolynomialRing(QQ, ["i"])
     qi = make_algebra(QQ, ["i"], [parse_poly(qi_ring, "i^2 + 1")], "Qi")
-    rep3 = splinter_probe(q0, [make_morphism(q0, qi, [], "inc")])
+    rep3 = splinter_probe(q0, [Morphism(q0, qi, [], "inc")])
     assert rep3.verdict == "all-probed-covers-split"
 
 
@@ -171,7 +170,7 @@ def test_hypersurface_normality(cone_q, cusp_q):
 def test_strong_purity_over_regular_base():
     tgt = make_algebra(QQ, ["u", "v"], [], "uv")
     src = make_algebra(QQ, ["x", "y", "w"], [], "xyw")
-    f = make_morphism(tgt, src, [P(src.ring, "x^2"), P(src.ring, "y^2")], "f")
+    f = Morphism(tgt, src, [P(src.ring, "x^2"), P(src.ring, "y^2")], "f")
     cert = strong_purity_certificate(f, "regular-polynomial-ring", [origin(src)])
     leg = cert.probe_records[0]["finite_leg"]
     assert leg["module_finite"] and leg["pure_at_image"]
@@ -191,7 +190,7 @@ def test_strong_purity_over_cone_base(cone_composite):
 
 def test_strong_purity_cusp_base_fails(cusp_q):
     src = make_algebra(QQ, ["t", "s"], [], "ts")
-    g = make_morphism(cusp_q, src, [P(src.ring, "t^2"), P(src.ring, "t^3")], "g")
+    g = Morphism(cusp_q, src, [P(src.ring, "t^2"), P(src.ring, "t^3")], "g")
     with pytest.raises(HypothesisFailed) as err:
         strong_purity_certificate(g, "normal-Q-hypersurface", [origin(src)])
     assert err.value.hypothesis == "normality"

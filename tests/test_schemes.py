@@ -8,6 +8,7 @@ from equipure.fields import QQ
 from equipure.ideals import IdealError, IdealHandle
 from equipure.poly import PolynomialRing, parse_poly
 from equipure.schemes import (
+    Morphism,
     decompose_components,
     dominates,
     fiber,
@@ -16,7 +17,6 @@ from equipure.schemes import (
     is_module_finite,
     is_quasi_finite_at,
     make_algebra,
-    make_morphism,
     rational_point,
     verify_component_cover,
 )
@@ -34,20 +34,20 @@ def test_make_algebra_examples():
         make_algebra(QQ, ["x"], [PolynomialRing(QQ, ["x"]).one()])
 
 
-def test_make_morphism_validates(cone_q):
+def test_morphism_validates_its_images(cone_q):
     src = make_algebra(QQ, ["x", "y"], [], "aff2")
-    ok = make_morphism(cone_q, src,
-                       [P(src.ring, "x^2"), P(src.ring, "y^2"), P(src.ring, "x*y")])
+    ok = Morphism(cone_q, src,
+                  [P(src.ring, "x^2"), P(src.ring, "y^2"), P(src.ring, "x*y")])
     assert apply(ok, P(cone_q.ring, "a*b - c^2")).is_zero()
     with pytest.raises(IllDefinedError):
-        make_morphism(cone_q, src,
-                      [P(src.ring, "x"), P(src.ring, "x"), P(src.ring, "1")])
+        Morphism(cone_q, src,
+                 [P(src.ring, "x"), P(src.ring, "x"), P(src.ring, "1")])
 
 
 def test_composition_stays_well_defined(double_cover, line_q):
     # q: k[s] -> k[t], s -> t^3; then compose with t -> x^2
     base = make_algebra(QQ, ["s"], [], "base")
-    q = make_morphism(base, line_q, [P(line_q.ring, "t^3")], "cube")
+    q = Morphism(base, line_q, [P(line_q.ring, "t^3")], "cube")
     comp = compose(q, double_cover)
     assert [str(f) for f in comp.images] == ["x^6"]
 
@@ -58,7 +58,7 @@ def test_fiber_examples(double_cover, line_q):
     assert [str(g) for g in fm.relations.generators] == ["x^2"]
     proj_tgt = make_algebra(QQ, ["t"], [], "t-line")
     proj_src = make_algebra(QQ, ["t", "x"], [], "tx")
-    proj = make_morphism(proj_tgt, proj_src, [P(proj_src.ring, "t")], "pr")
+    proj = Morphism(proj_tgt, proj_src, [P(proj_src.ring, "t")], "pr")
     fm2 = fiber(proj, rational_point(proj_tgt, [0]))
     assert [str(g) for g in fm2.relations.groebner()] == ["t"]
     assert fm2.dim() == 1
@@ -132,7 +132,7 @@ def test_dominates_examples():
     line = make_algebra(QQ, ["t"], [], "line")
     R2 = PolynomialRing(QQ, ["x", "y"])
     cross = make_algebra(QQ, ["x", "y"], [parse_poly(R2, "x*y")], "cross")
-    pr = make_morphism(line, cross, [P(cross.ring, "x")], "pr")
+    pr = Morphism(line, cross, [P(cross.ring, "x")], "pr")
     comps = decompose_components(cross.relations)
     by_gen = {str(c.generators[0]): c for c in comps}
     ok_y, wit = dominates(by_gen["y"], pr)
@@ -141,7 +141,7 @@ def test_dominates_examples():
     assert not ok_x
     assert [str(g) for g in evidence.generators] == ["t"]
     # identity morphism: every component dominates itself
-    idm = make_morphism(cross, cross, [cross.ring.var(0), cross.ring.var(1)], "id")
+    idm = Morphism(cross, cross, [cross.ring.var(0), cross.ring.var(1)], "id")
     for c in comps:
         ok, wit = dominates(c, idm)
         assert ok and wit.same_ideal(c)
@@ -166,9 +166,9 @@ def test_fiber_commutes_with_target_isomorphism(veronese_q, cone_q):
     # cone); fibers over corresponding points agree up to the renaming
     swapped = make_algebra(QQ, ["a", "b", "c"],
                            [P(cone_q.ring, "a*b - c^2")], "cone-swapped")
-    iso = make_morphism(swapped, cone_q,
-                        [cone_q.ring.var(1), cone_q.ring.var(0), cone_q.ring.var(2)],
-                        "swap")
+    iso = Morphism(swapped, cone_q,
+                   [cone_q.ring.var(1), cone_q.ring.var(0), cone_q.ring.var(2)],
+                   "swap")
     composed = compose(iso, veronese_q)
     for coords in ([0, 0, 0], [1, 1, 1]):
         y1 = rational_point(cone_q, coords)

@@ -2,6 +2,7 @@
 the CLI: determinism is byte-level, tampering is caught by name."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -23,8 +24,9 @@ from equipure.reports import (
     point_to_obj,
     verify_certificate,
 )
-from equipure.session import SessionError, parse_session, run_session
+from equipure.session import SessionError, parse_session
 
+from conftest import run_all
 from test_acceptance import recorded
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -36,7 +38,7 @@ def run_corpus(seed=1):
     with open(CORPUS, "r", encoding="utf-8") as fh:
         text = fh.read()
     session = parse_session(text, {"seed": seed, "frobenius_bound": 3})
-    return run_session(session)
+    return run_all(session)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +87,7 @@ def test_point_off_variety_is_rejected():
 def test_error_report_for_bad_command():
     session = parse_session("ring R = Q[x];\nideal I = (x) in R;")
     session.commands = [(1, "gb J")]
-    reports = run_session(session)
+    reports = run_all(session)
     assert reports[0].exit_class == 2
     assert "unknown ideal" in reports[0].verdict
 
@@ -95,7 +97,7 @@ def test_descent_of_a_map_that_is_not_module_finite_is_refused():
                             "morphism pr : A7 -> B7 = [x -> x]; "
                             "point a0 = closed(A7 : 0); point b0 = closed(B7 : 0, 0); "
                             "descend-check pr at a0 probes (b0);")
-    (rep,) = run_session(session)
+    (rep,) = run_all(session)
     assert rep.exit_class == 2
     assert rep.verdict == ("refused: hypothesis failed: partial-purity "
                            "(no purity witness: the harness requires a module-finite map)")
@@ -109,7 +111,7 @@ def test_trailing_words_are_rejected(command):
     with open(CORPUS, "r", encoding="utf-8") as fh:
         session = parse_session(fh.read())
     session.commands = [(42, command)]
-    (rep,) = run_session(session)
+    (rep,) = run_all(session)
     assert rep.exit_class == 2
     assert rep.verdict.startswith("error: line 42: ")
 
@@ -400,7 +402,7 @@ def test_an_unwritable_json_path_exits_2(tmp_path, capsys):
 def test_deep_parentheses_in_a_command_are_an_error_report():
     session = parse_session(TC_SESSION)
     session.commands = [(7, f"tc-member ({DEEP}) in Fxy mult (x^2) in F")]
-    (rep,) = run_session(session)
+    (rep,) = run_all(session)
     assert rep.exit_class == 2
     assert rep.verdict == "error: parentheses nested too deeply"
 
@@ -445,7 +447,7 @@ def _nodes(node):
 
 
 def test_points_round_trip(corpus_reports):
-    fibers = run_session(parse_session(FIBERS))
+    fibers = run_all(parse_session(FIBERS))
     points = [node for rep in corpus_reports + fibers if rep.certificate
               for node in _nodes(json.loads(canonical_json(rep.certificate)))
               if isinstance(node, dict) and "comp_dim" in node]
@@ -464,7 +466,7 @@ def test_exhausted_parametric_budget_is_an_error_report(monkeypatch):
     # the declarations' fibers run at the full budget, the factorization at 1
     session = parse_session(FIBERS)
     monkeypatch.setattr(parametric, "PARAM_PAIR_BUDGET", 1)
-    [rep] = [r for r in run_session(session) if r.command.startswith("factorize")]
+    [rep] = [r for r in run_all(session) if r.command.startswith("factorize")]
     assert rep.exit_class == 2
     assert rep.verdict == "error: parametric Buchberger budget exceeded"
 
@@ -535,3 +537,76 @@ def test_a_type_only_edit_is_rejected_at_its_path(corpus_reports, kind, key):
     edited = dict(payload, **{key: int(payload[key])})
     ok, failures = verify_certificate(edited)
     assert not ok and failures[0] == f"payload-differs-at $.{key}", failures
+
+
+def _entry_edits(entry):
+    """(edited copy of a certified report entry, the failure `verify` must
+    name) for each field of the entry outside its payload, and for the
+    payload's kind."""
+    def edited(**fields):
+        return dict(json.loads(json.dumps(entry)), **fields)
+
+    assumptions = [] if entry["assumptions"] else [{"status": "assumed", "text": "EDITED"}]
+    no_kind = edited()
+    del no_kind["certificate"]["kind"]
+    return [(edited(verdict="EDITED"), "entry-differs-at $.verdict"),
+            (edited(exit_class="1" if entry["exit_class"] == "0" else "0"),
+             "entry-differs-at $.exit_class"),
+            (edited(assumptions=assumptions), "entry-differs-at $.assumptions"),
+            (no_kind, "unknown certificate kind None")]
+
+
+def test_verify_binds_the_verdict_exit_class_assumptions_and_kind(corpus_reports, tmp_path,
+                                                                   capsys):
+    entries = [recorded(rep.to_obj()) for rep in corpus_reports if rep.certificate is not None]
+    assert len(entries) == 16
+    for entry in entries:
+        assert verify_certificate(entry) == (True, []), entry["command"]
+        for edit, failure in _entry_edits(entry):
+            ok, failures = verify_certificate(edit)
+            assert not ok and failure in failures, (entry["command"], failure, failures)
+    # through the command line, each edit of every entry fails its line
+    for k in range(4):
+        path = tmp_path / f"edit{k}.json"
+        path.write_text(json.dumps([_entry_edits(entry)[k][0] for entry in entries]))
+        assert main(["verify", str(path)]) == EXIT_REFUTED
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 16 and all(line.startswith("[FAIL] ") for line in lines), lines
+
+
+@pytest.mark.parametrize("command, words", [
+    ("strong-purity comp base normal-Q-hypersurface probes ()", "probes () is empty"),
+    ("splinter-probe Cusp covers ()", "covers () is empty"),
+    ("f-rational-probe P7 sops ()", "sops () is empty"),
+    ("descend-check ver7 at m7 probes ()", "probes () is empty"),
+])
+def test_an_empty_evidence_list_is_an_error_report(command, words):
+    with open(CORPUS, "r", encoding="utf-8") as fh:
+        session = parse_session(fh.read())
+    session.commands = [(60, command)]
+    (rep,) = run_all(session)
+    assert rep.exit_class == 2 and rep.certificate is None
+    assert rep.verdict.startswith("error: ") and words in rep.verdict, rep.verdict
+
+
+def test_verify_checks_the_entries_the_benchmark_maps_its_lines_to(tmp_path, capsys,
+                                                                   monkeypatch):
+    """`perfbench/run.py` pairs the [ok]/[FAIL] lines of `verify` with the
+    entries `perfbench/child.py:certificate_indices` selects; on every
+    session under tests/data the two counts agree."""
+    bench = os.path.join(os.path.dirname(SRC), "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    spec = importlib.util.spec_from_file_location("bench_child", os.path.join(bench, "child.py"))
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    sessions = sorted(name for name in os.listdir(DATA) if name.endswith(".eqp"))
+    assert len(sessions) >= 4
+    for name in sessions:
+        out = tmp_path / f"{name}.json"
+        main(["run", os.path.join(DATA, name), "--seed", "1", "--json", str(out)])
+        capsys.readouterr()
+        entries = json.loads(out.read_text(encoding="utf-8"))
+        assert main(["verify", str(out)]) == 0
+        marks = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("[ok]", "[FAIL]"))]
+        assert len(marks) == len(child.certificate_indices(entries)) > 0, name
