@@ -15,6 +15,12 @@ result: h = NF(h) mod J gives h^p = NF(h)^p mod J, and over F_p a p-th
 power only scales exponents (`frobenius_poly_power`). So each polynomial
 divided is a normal form's p-th power or c times a normal form, where z^q
 alone has degree q deg z.
+
+The report code of the `fedder`, `tc-member`, `f-rational-probe` and
+`descend-check` commands lives here too (the last section): their
+producers, certificate builders, payload decoders and identity check.
+`reports` names them by module and function, so a process that runs or
+replays none of these commands never compiles this module.
 """
 
 from __future__ import annotations
@@ -33,6 +39,23 @@ from .ideals import IdealHandle, krull_dim, radical_membership, standard_exponen
 from .orders import GREVLEX
 from .poly import Polynomial
 from .purity import witness_outside
+from .reports import (
+    EXIT_ERROR,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    EXIT_REFUTED,
+    algebra_from_obj,
+    algebra_to_obj,
+    ideal_from_obj,
+    ideal_to_obj,
+    morphism_to_obj,
+    point_from_obj,
+    point_to_obj,
+    poly_from_obj,
+    poly_to_obj,
+    ring_from_obj,
+    ring_to_obj,
+)
 from .schemes import (
     Algebra,
     Morphism,
@@ -381,3 +404,140 @@ def _default_sop(algebra: Algebra):
         if is_parameter_sequence(algebra, seq):
             return seq
     raise HypothesisFailed("parameter-sequence", "no variable subset works; supply one")
+
+
+# -- reports ------------------------------------------------------------------------
+#
+# The report code of the `fedder`, `tc-verdict`, `f-rational-probe`
+# and `descent` kinds.
+
+
+TEST_ELEMENT_NOTE = {
+    "status": "assumed",
+    "text": "multiplier candidates are treated as test elements; negative closure verdicts are conditional on that",
+}
+
+
+def tc_certificate_obj(verdict, ctx):
+    return {
+        "kind": "tc-verdict",
+        "algebra": algebra_to_obj(verdict.algebra),
+        "z": poly_to_obj(verdict.z),
+        "ideal": ideal_to_obj(verdict.ideal),
+        "multiplier": poly_to_obj(verdict.multiplier),
+        "bound": verdict.bound,
+        "status": verdict.status,
+        "witness_exponent": verdict.witness_exponent,
+        "levels": [[e, flag] for e, flag in verdict.levels],
+        "p": ctx.p,
+    }
+
+
+def fedder_certificate_obj(defining, m, ctx, verdict: bool):
+    return {
+        "kind": "fedder",
+        "ring": ring_to_obj(defining.ring),
+        "defining": poly_to_obj(defining),
+        "point": point_to_obj(m),
+        "p": ctx.p,
+        "f_pure": verdict,
+    }
+
+
+def f_rational_certificate_obj(report, sops, bound):
+    return {
+        "kind": "f-rational-probe",
+        "algebra": algebra_to_obj(report.algebra),
+        "sops": [[poly_to_obj(s) for s in seq] for seq in sops],
+        "bound": bound,
+        "verdict": report.verdict,
+        "details": report.details,
+        "witness": {
+            "z": report.witness["z"],
+            "ideal": report.witness["ideal"],
+        } if report.witness else None,
+    }
+
+
+def descent_certificate_obj(report, y, probes, bound):
+    return {
+        "kind": "descent",
+        "morphism": morphism_to_obj(report.morphism),
+        "y": point_to_obj(y),
+        "probes": [point_to_obj(p) for p in probes],
+        "bound": bound,
+        "verdict": report.verdict,
+        "source_verdict": report.source_report.verdict,
+        "target_verdict": report.target_report.verdict,
+        "purity_witness": report.purity_witness,
+        "alarms": report.alarms,
+    }
+
+
+def produce_fedder(algebra, point, **_):
+    gb = algebra.relations.groebner()
+    if len(gb) != 1:
+        raise NotHypersurface("fedder needs a hypersurface ring")
+    ctx = FrobeniusContext(algebra)
+    f_pure = fedder_f_pure(gb[0], point, ctx)
+    return ("F-pure" if f_pure else "not-F-pure", EXIT_OK if f_pure else EXIT_REFUTED,
+            fedder_certificate_obj(gb[0], point, ctx, f_pure), [])
+
+
+def produce_tc(algebra, z, ideal, multiplier, bound, **_):
+    ctx = FrobeniusContext(algebra)
+    verdict = tc_member_certificate(z, ideal, multiplier, bound, ctx)
+    exit_class = {TCVerdict.MEMBER: EXIT_OK, TCVerdict.NOT_IN_CLOSURE: EXIT_REFUTED}.get(
+        verdict.status, EXIT_INCONCLUSIVE)
+    return (verdict.status, exit_class, tc_certificate_obj(verdict, ctx),
+            [TEST_ELEMENT_NOTE])
+
+
+def produce_f_rational(algebra, sops, bound, **_):
+    report = f_rational_probe(algebra, sops, bound, FrobeniusContext(algebra))
+    exit_class = EXIT_OK if report.clean() else (
+        EXIT_REFUTED if report.verdict == "NotFRational" else EXIT_INCONCLUSIVE)
+    return (report.verdict, exit_class, f_rational_certificate_obj(report, sops, bound),
+            [TEST_ELEMENT_NOTE,
+             {"status": "assumed",
+              "text": "dimension-drop parameter test valid for the equidimensional catenary corpus"}])
+
+
+def produce_descent(morphism, y, probes, bound, **_):
+    try:
+        report = f_rational_descent_check(morphism, y, probes, bound)
+    except HypothesisFailed as exc:
+        return f"refused: {exc}", EXIT_ERROR, None, []
+    ok = report.verdict == "consistent"
+    return (report.verdict, EXIT_OK if ok else EXIT_REFUTED,
+            descent_certificate_obj(report, y, probes, bound), report.assumptions)
+
+
+def _fedder_inputs(p):
+    ring = ring_from_obj(p["ring"])
+    return {"algebra": Algebra(ring, IdealHandle(ring, [poly_from_obj(ring, p["defining"])])),
+            "point": point_from_obj(p["point"])}
+
+
+def _tc_inputs(p):
+    alg = algebra_from_obj(p["algebra"])
+    return {"algebra": alg, "z": poly_from_obj(alg.ring, p["z"]),
+            "ideal": ideal_from_obj(alg.ring, p["ideal"]),
+            "multiplier": poly_from_obj(alg.ring, p["multiplier"]),
+            "bound": int(p["bound"])}
+
+
+def _f_rational_inputs(p):
+    alg = algebra_from_obj(p["algebra"])
+    return {"algebra": alg, "bound": int(p["bound"]),
+            "sops": [[poly_from_obj(alg.ring, s) for s in seq] for seq in p["sops"]]}
+
+
+def _tc_recheck(p, inputs):
+    we = p["witness_exponent"]
+    recorded = TCVerdict(inputs["algebra"], inputs["z"], inputs["ideal"],
+                         inputs["multiplier"], inputs["bound"], p["status"],
+                         witness_exponent=int(we) if we is not None else None,
+                         levels=[(int(e), bool(f)) for e, f in p["levels"]])
+    ok = recorded.recheck(FrobeniusContext(inputs["algebra"]))
+    return [] if ok else ["recorded-membership-fails-recheck"]

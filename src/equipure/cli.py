@@ -4,9 +4,10 @@ Exit codes: 0 all verdicts positive, 1 some verdict refuted, 2 error,
 3 inconclusive. `run --json` writes the canonical report list; `verify`
 replays the producer of every certificate in a report file, diffs the whole
 payload and names the first differing path, checks a report entry's
-verdict, exit class and assumptions against the replay's, and runs the
-identity checks that hold of the recorded outputs, naming any that fails.
-A certificate of no known kind fails. A reader that
+verdict, exit class and assumptions against the replay's, its seed against
+the certificate's and its command head against the certificate's kind, and
+runs the identity checks that hold of the recorded outputs, naming any
+that fails. A certificate of no known kind fails. A reader that
 closes stdout early ends the output, not the command.
 
 `run` and `verify` fork one worker per usable CPU but one. Commands that
@@ -217,10 +218,13 @@ def _run(args) -> int:
     for rep in reports:
         _say(f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}")
     if args["--json"]:
-        payload = [rep.to_obj() for rep in reports]
+        # each certificate is canonical already (see `report`); the rest of
+        # an entry is turned to strings here
+        payload = [dict(_stringify(dict(rep.to_obj(), certificate=None)),
+                        certificate=rep.certificate) for rep in reports]
         try:
             with open(args["--json"], "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(payload))
+                fh.write(canonical_json(payload, canonical=True))
         except OSError as exc:
             print(f"cannot write reports: {exc}", file=sys.stderr)
             return EXIT_ERROR

@@ -31,7 +31,9 @@ on the accepted normalization once, in the search: the lift re-checks only
 elements that clearing denominators changed, and predicates P2, P3 and,
 over a generic point, P4 record the last check's witness. Over a rational
 point the adaptedness check and P4 run it on the generators of x0's
-component and of x0.
+component and of x0. Given the normalization a certificate records, as
+`verify` gives it, the search is skipped and that normalization alone is
+checked.
 
 The maximal points x0 is drawn from are `schemes.maximal_points_of_fiber`,
 in the scheme layer, so a session's `fiber-point` declarations parse
@@ -211,13 +213,26 @@ def _candidate_streams(ring: PolynomialRing, e: int, seed: int):
 NOETHER_BUDGET = 60
 
 
-def noether_normalize(fm: FiberModel, seed: int = 0) -> NoetherData:
+def noether_normalize(fm: FiberModel, seed: int = 0, ts=None) -> NoetherData:
     """Search variable subsets, then `NOETHER_BUDGET` seeded sparse linear
     combinations, then power substitutions, verifying module-finiteness and
-    algebraic independence of each candidate before accepting it."""
+    algebraic independence of each candidate before accepting it.
+
+    Given `ts`, a normalization recorded earlier (Polynomials of the source
+    ring), no search runs: `ts` alone gets the check every candidate gets,
+    module-finite with an empty contraction, which also fixes its length at
+    the fiber dimension; a `ts` that fails raises PreconditionFailed naming
+    it. Which candidate the seeded search reaches first is not re-derived."""
     if fm.empty:
         raise PreconditionFailed("cannot normalize the zero ring")
     e = fm.dim()
+    if ts is not None:
+        ok, witness, contraction = _over_tags(fm, ts)
+        if not ok or contraction:
+            raise PreconditionFailed(
+                f"normalization ({', '.join(map(str, ts))}) is not module-finite "
+                "with an empty contraction")
+        return NoetherData(fm, e, ts, "recorded", seed, witness)
     if e == 0:
         ok, witness, _ = _over_tags(fm, [])
         if not ok:
@@ -316,28 +331,37 @@ def extend_with_tags(target: Algebra, e: int):
 
 
 def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
-                        seed: int = 0) -> FactorizationCertificate:
+                        seed: int = 0, lifted=None) -> FactorizationCertificate:
     """Run the full pipeline and emit a certificate; any failed sub-check
     aborts with the failed predicate named.
 
-    Computed once per process for each (morphism, y, x0, probes, seed).
-    Each call gets a certificate of its own around its own morphism,
-    points and probes, with copies of the predicates' evidence. The
-    induced map, shared, is named after the morphism and its algebras,
+    `lifted`, the normalization a certificate records (its s_1..s_e, in
+    the source ring), is an input as `seed` is: given, the Noether step
+    checks it alone instead of searching (see `noether_normalize`). That
+    gives the certificate the search gave: the recorded elements are the
+    accepted candidate reduced by the source relations, or over Q scaled
+    to integer coefficients, and neither changes the pure-power leading
+    exponents or whether the contraction is empty. `run` never passes it.
+
+    Computed once per process for each (morphism, y, x0, probes, seed,
+    lifted). Each call gets a certificate of its own around its own
+    morphism, points and probes, with copies of the predicates' evidence.
+    The induced map, shared, is named after the morphism and its algebras,
     so their names are part of the key; a call that fails stores
     nothing."""
     probes = tuple(probes)
+    lifted = None if lifted is None else tuple(lifted)
     names = (morphism.name, morphism.target.name, morphism.source.name)
     key = ("factorization", morphism.key, names, y.key, x0.key,
-           tuple(p.key for p in probes), seed)
-    cert = _memoized(key, lambda: _build_factorization(morphism, y, x0, probes, seed))
+           tuple(p.key for p in probes), seed, lifted)
+    cert = _memoized(key, lambda: _build_factorization(morphism, y, x0, probes, seed, lifted))
     predicates = [PredicateRecord(p.name, p.ok, _copied(p.evidence))
                   for p in cert.predicates]
     return FactorizationCertificate(morphism, y, x0, cert.e, cert.lifted, cert.induced,
                                     predicates, seed, cert.notes, probes)
 
 
-def _build_factorization(morphism, y, x0, probes, seed):
+def _build_factorization(morphism, y, x0, probes, seed, lifted):
     fm = fiber(morphism, y)
     if fm.empty:
         raise PreconditionFailed("empty fiber: y is not in the image")
@@ -362,7 +386,7 @@ def _build_factorization(morphism, y, x0, probes, seed):
     else:
         notes.append("generic fiber treated as a single pseudo-prime component")
 
-    nd = noether_normalize(fm, seed=seed)
+    nd = noether_normalize(fm, seed=seed, ts=lifted)
     # a generic fiber is its own component, whose contraction the search
     # accepted empty
     if comp is not None and not adapted_check(comp, nd):

@@ -7,6 +7,12 @@ the splitting ideal is its image under evaluation at 1: phi splits exactly
 when that ideal is the unit ideal, and the certificate carries an explicit
 one-sided inverse sigma with sigma(1) = 1 that annihilates every relation
 column, both identities machine-checked.
+
+The report code of the `splits`, `pure-at`, `splinter-probe` and
+`strong-purity` commands lives here too (the last section): their
+producers, certificate builders, payload decoders and identity checks.
+`reports` names them by module and function, so a process that runs or
+replays none of these commands never compiles this module, nor `modules`.
 """
 
 from __future__ import annotations
@@ -24,6 +30,20 @@ from .modules import (
 )
 from .orders import GREVLEX, block_order
 from .poly import Polynomial
+from .reports import (
+    EXIT_ERROR,
+    EXIT_OK,
+    EXIT_REFUTED,
+    algebra_to_obj,
+    factorization_certificate_obj,
+    ideal_to_obj,
+    morphism_from_obj,
+    morphism_to_obj,
+    point_from_obj,
+    point_to_obj,
+    poly_from_obj,
+    poly_to_obj,
+)
 from .schemes import (
     PSEUDO_PRIME_NOTE,
     Algebra,
@@ -332,12 +352,13 @@ class StrongPurityCertificate:
 
 
 def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
-                              seed: int = 0) -> StrongPurityCertificate:
+                              seed: int = 0, lifted=None) -> StrongPurityCertificate:
     """Certify purity of the local maps at the probe points by the
     factor-through-affine-space route: checked equidimensionality, checked
     base hypothesis, the factorization certificate, a direct splitting
     witness for the finite leg when available, and the flat projection leg
-    recorded as a cited fact."""
+    recorded as a cited fact. `lifted`, one recorded normalization per
+    probe, is passed to `build_factorization` at that probe."""
     if not probes:
         raise ValueError("probes () is empty: need at least one probe point")
     if base_class not in BASE_CLASSES:
@@ -371,7 +392,7 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
     assumptions.append(PSEUDO_PRIME_NOTE)
 
     probe_records = []
-    for probe in probes:
+    for k, probe in enumerate(probes):
         report = verify_equidimensional_at(morphism, probe, probes=[])
         if not report.certified():
             raise HypothesisFailed("equidimensionality",
@@ -391,7 +412,8 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
         if x0 is None:
             raise HypothesisFailed("top-dimensional-component",
                                    "no full-dimensional fiber component through the probe")
-        cert = build_factorization(morphism, y, x0, probes=[probe], seed=seed)
+        cert = build_factorization(morphism, y, x0, probes=[probe], seed=seed,
+                                   lifted=None if lifted is None else lifted[k])
         record = {
             "probe": [str(c) for c in probe.coords],
             "equidim": report,
@@ -415,3 +437,130 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
         probe_records.append(record)
     return StrongPurityCertificate(morphism, base_class, base_evidence,
                                    probe_records, assumptions)
+
+
+# -- reports ------------------------------------------------------------------------
+#
+# The report code of the `split`, `pure-at`, `splinter-probe`
+# and `strong-purity` kinds.
+
+
+def split_certificate_obj(cert):
+    pres = cert.presentation
+    return {
+        "kind": "split",
+        "morphism": morphism_to_obj(cert.morphism),
+        "splits": cert.sigma is not None,
+        "splitting_ideal": ideal_to_obj(cert.splitting),
+        "sigma": [poly_to_obj(s) for s in cert.sigma] if cert.sigma is not None else None,
+        "generators": [poly_to_obj(g) for g in pres.generators],
+        "relation_columns": [[poly_to_obj(c) for c in col] for col in pres.relations],
+    }
+
+
+def point_purity_certificate_obj(morphism, p, verdict, witness):
+    return {
+        "kind": "pure-at",
+        "morphism": morphism_to_obj(morphism),
+        "point": point_to_obj(p),
+        "pure": verdict,
+        "witness": poly_to_obj(witness) if witness is not None else None,
+    }
+
+
+def splinter_certificate_obj(report, covers):
+    return {
+        "kind": "splinter-probe",
+        "base": algebra_to_obj(report.base),
+        "covers": [morphism_to_obj(phi) for phi in covers],
+        "verdicts": report.verdicts,
+        "verdict": report.verdict,
+        "witness": report.witness.name if report.witness is not None else None,
+    }
+
+
+def strong_purity_certificate_obj(cert):
+    records = []
+    for r in cert.probe_records:
+        records.append({
+            "probe": r["probe"],
+            "equidim_verdict": r["equidim"].verdict,
+            "factorization": factorization_certificate_obj(r["factorization"]),
+            "finite_leg": r["finite_leg"],
+        })
+    return {
+        "kind": "strong-purity",
+        "morphism": morphism_to_obj(cert.morphism),
+        "base_class": cert.base_class,
+        "base_evidence": cert.base_evidence,
+        "probes": records,
+    }
+
+
+def produce_split(morphism, **_):
+    ok, cert = splits(morphism)
+    return ("splits" if ok else "does-not-split", EXIT_OK if ok else EXIT_REFUTED,
+            split_certificate_obj(cert), [])
+
+
+def produce_pure_at(morphism, point, **_):
+    witness = witness_outside(morphism, point)
+    pure = witness is not None
+    return ("pure" if pure else "not-pure", EXIT_OK if pure else EXIT_REFUTED,
+            point_purity_certificate_obj(morphism, point, pure, witness), [])
+
+
+def produce_splinter(base, covers, **_):
+    report = splinter_probe(base, covers)
+    ok = report.verdict == "all-probed-covers-split"
+    return (report.verdict, EXIT_OK if ok else EXIT_REFUTED,
+            splinter_certificate_obj(report, covers),
+            [PSEUDO_PRIME_NOTE,
+             {"status": "verified",
+              "text": "cover surjectivity evidenced by dominance plus module-finiteness"}])
+
+
+def produce_strong_purity(morphism, base_class, probes, seed, lifted=None, **_):
+    try:
+        cert = strong_purity_certificate(morphism, base_class, probes, seed=seed,
+                                         lifted=lifted)
+    except HypothesisFailed as exc:
+        return f"hypothesis-failed: {exc.hypothesis}", EXIT_ERROR, None, []
+    return ("certificate-emitted", EXIT_OK, strong_purity_certificate_obj(cert),
+            cert.assumptions)
+
+
+def _strong_purity_inputs(p):
+    # each probe record holds the factorization built at that probe alone,
+    # from the normalization it records
+    morphism = morphism_from_obj(p["morphism"])
+    facts = [rec["factorization"] for rec in p["probes"]]
+    return {"morphism": morphism, "base_class": p["base_class"],
+            "probes": [point_from_obj(q) for f in facts for q in f["probes"]],
+            "seed": int(facts[0]["seed"]) if facts else 0,
+            "lifted": [[poly_from_obj(morphism.source.ring, s) for s in f["lifted"]]
+                       for f in facts]}
+
+
+def _sigma_identities(p, inputs):
+    if p["sigma"] is None:
+        return []
+    phi = inputs["morphism"]
+    tring = phi.target.ring
+    pres = ModulePresentation(
+        phi, [poly_from_obj(phi.source.ring, g) for g in p["generators"]],
+        [[poly_from_obj(tring, c) for c in col] for col in p["relation_columns"]])
+    cert = SplitCertificate(phi, None, [poly_from_obj(tring, s) for s in p["sigma"]], pres)
+    at_one, annihilates = cert.sigma_identities()
+    return ([] if at_one else ["sigma-evaluation-at-1"]) + (
+        [] if annihilates else ["sigma-annihilates-relations"])
+
+
+def _witness_identities(p, inputs):
+    if p["witness"] is None:
+        return []
+    phi, point = inputs["morphism"], inputs["point"]
+    w = poly_from_obj(phi.target.ring, p["witness"])
+    handle, _, _ = splitting_ideal(phi)
+    return ([] if handle.contains(w) else ["witness-not-in-splitting-ideal"]) + (
+        ["witness-inside-point"] if point.ideal.contains(w) else [])

@@ -10,20 +10,32 @@ first differing path. It also runs the identity checks that hold of the
 recorded outputs themselves (a Groebner basis reducing its generators, the
 sigma identities of a splitting, a purity witness inside the splitting ideal
 and outside the point, the recorded Frobenius memberships) and names any
-that fails.
+that fails. A factorization, alone or in a strong-purity probe record, is
+replayed from the normalization it records, which is an input as its seed
+is; which candidate the seeded search reaches first is not re-derived.
 
-The producers and checks that need `factorization`, `purity` or `charp`
-import it when called, so a process whose reports need none of them never
-compiles it (nor `modules` under `purity`): a `gb` session compiles none.
+This module holds the canonical JSON, the object codecs, `Report`, the
+replay and the report code of the `gb`, `dim`, `fiber-dim`,
+`equidim-check` and `factorize` commands. The producers, certificate
+builders, payload decoders and identity checks of the purity family
+(`splits`, `pure-at`, `splinter-probe`, `strong-purity`) live in `purity`
+and those of the char-p family (`fedder`, `tc-member`, `f-rational-probe`,
+`descend-check`) in `charp`. `session.COMMANDS` and `_REPLAY` name each
+producer by module and function, and `producer` imports the module when
+the command runs or the kind is replayed; the factorization and
+equidimensionality producers import `factorization` when called. So a
+process whose reports need none of them never compiles `factorization`,
+`purity`, `charp` or `modules`: a `gb` session compiles none.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 from fractions import Fraction
 
 from . import __version__
-from .errors import HypothesisFailed, NotHypersurface, PreconditionFailed
+from .errors import PreconditionFailed
 from .fields import FieldSpec
 from .groebner import is_groebner, normal_form
 from .ideals import IdealHandle, krull_dim
@@ -55,9 +67,12 @@ def _stringify(obj):
     raise TypeError(f"cannot canonicalize {type(obj)}")
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(_stringify(obj), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
+def canonical_json(obj, canonical=False) -> str:
+    """The canonical text of `obj`; `canonical` says that `obj` holds only
+    strings, bools, nulls, lists and dicts already, so it is not walked to
+    turn numbers into strings."""
+    return json.dumps(obj if canonical else _stringify(obj), sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=True)
 
 
 # -- core object codecs ---------------------------------------------------------
@@ -183,19 +198,6 @@ def dimension_certificate(handle: IdealHandle):
     }
 
 
-def split_certificate_obj(cert):
-    pres = cert.presentation
-    return {
-        "kind": "split",
-        "morphism": morphism_to_obj(cert.morphism),
-        "splits": cert.sigma is not None,
-        "splitting_ideal": ideal_to_obj(cert.splitting),
-        "sigma": [poly_to_obj(s) for s in cert.sigma] if cert.sigma is not None else None,
-        "generators": [poly_to_obj(g) for g in pres.generators],
-        "relation_columns": [[poly_to_obj(c) for c in col] for col in pres.relations],
-    }
-
-
 def factorization_certificate_obj(cert):
     return {
         "kind": "factorization",
@@ -227,101 +229,6 @@ def equidim_certificate_obj(morphism, x, probes, report):
     }
 
 
-def tc_certificate_obj(verdict, ctx):
-    return {
-        "kind": "tc-verdict",
-        "algebra": algebra_to_obj(verdict.algebra),
-        "z": poly_to_obj(verdict.z),
-        "ideal": ideal_to_obj(verdict.ideal),
-        "multiplier": poly_to_obj(verdict.multiplier),
-        "bound": verdict.bound,
-        "status": verdict.status,
-        "witness_exponent": verdict.witness_exponent,
-        "levels": [[e, flag] for e, flag in verdict.levels],
-        "p": ctx.p,
-    }
-
-
-def fedder_certificate_obj(defining, m, ctx, verdict: bool):
-    return {
-        "kind": "fedder",
-        "ring": ring_to_obj(defining.ring),
-        "defining": poly_to_obj(defining),
-        "point": point_to_obj(m),
-        "p": ctx.p,
-        "f_pure": verdict,
-    }
-
-
-def point_purity_certificate_obj(morphism, p, verdict, witness):
-    return {
-        "kind": "pure-at",
-        "morphism": morphism_to_obj(morphism),
-        "point": point_to_obj(p),
-        "pure": verdict,
-        "witness": poly_to_obj(witness) if witness is not None else None,
-    }
-
-
-def splinter_certificate_obj(report, covers):
-    return {
-        "kind": "splinter-probe",
-        "base": algebra_to_obj(report.base),
-        "covers": [morphism_to_obj(phi) for phi in covers],
-        "verdicts": report.verdicts,
-        "verdict": report.verdict,
-        "witness": report.witness.name if report.witness is not None else None,
-    }
-
-
-def f_rational_certificate_obj(report, sops, bound):
-    return {
-        "kind": "f-rational-probe",
-        "algebra": algebra_to_obj(report.algebra),
-        "sops": [[poly_to_obj(s) for s in seq] for seq in sops],
-        "bound": bound,
-        "verdict": report.verdict,
-        "details": report.details,
-        "witness": {
-            "z": report.witness["z"],
-            "ideal": report.witness["ideal"],
-        } if report.witness else None,
-    }
-
-
-def descent_certificate_obj(report, y, probes, bound):
-    return {
-        "kind": "descent",
-        "morphism": morphism_to_obj(report.morphism),
-        "y": point_to_obj(y),
-        "probes": [point_to_obj(p) for p in probes],
-        "bound": bound,
-        "verdict": report.verdict,
-        "source_verdict": report.source_report.verdict,
-        "target_verdict": report.target_report.verdict,
-        "purity_witness": report.purity_witness,
-        "alarms": report.alarms,
-    }
-
-
-def strong_purity_certificate_obj(cert):
-    records = []
-    for r in cert.probe_records:
-        records.append({
-            "probe": r["probe"],
-            "equidim_verdict": r["equidim"].verdict,
-            "factorization": factorization_certificate_obj(r["factorization"]),
-            "finite_leg": r["finite_leg"],
-        })
-    return {
-        "kind": "strong-purity",
-        "morphism": morphism_to_obj(cert.morphism),
-        "base_class": cert.base_class,
-        "base_evidence": cert.base_evidence,
-        "probes": records,
-    }
-
-
 # the Frobenius evidence bound E of a session that sets none
 DEFAULT_FROBENIUS_BOUND = 3
 
@@ -333,13 +240,15 @@ DEFAULT_FROBENIUS_BOUND = 3
 # `verify_certificate` calls it again on the objects a payload records.
 # Each returns (verdict, exit class, certificate payload or None,
 # assumptions). Every call passes `seed` and `bound`; a producer whose
-# certificate does not record them ignores them.
+# certificate does not record them ignores them. The producers of the
+# purity and char-p families are in `purity` and `charp`.
 
 
-TEST_ELEMENT_NOTE = {
-    "status": "assumed",
-    "text": "multiplier candidates are treated as test elements; negative closure verdicts are conditional on that",
-}
+def producer(module, name):
+    """The function `name` of the package's module `module`, imported when
+    first asked for; how the command and replay tables reach a producer,
+    decoder or check they name."""
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def produce_groebner(ideal, order=GREVLEX, **_):
@@ -366,110 +275,23 @@ def produce_equidim(morphism, x, probes=(), **_):
             equidim_certificate_obj(morphism, x, probes, report), [PSEUDO_PRIME_NOTE])
 
 
-def produce_factorization(morphism, y, x0, seed, probes=(), **_):
+def produce_factorization(morphism, y, x0, seed, probes=(), lifted=None, **_):
     from .factorization import build_factorization
 
     try:
-        cert = build_factorization(morphism, y, x0, probes=probes, seed=seed)
+        cert = build_factorization(morphism, y, x0, probes=probes, seed=seed, lifted=lifted)
     except PreconditionFailed as exc:
         return f"precondition-failed: {exc}", EXIT_ERROR, None, []
     return ("certificate-emitted", EXIT_OK, factorization_certificate_obj(cert),
             [PSEUDO_PRIME_NOTE])
 
 
-def produce_split(morphism, **_):
-    from .purity import splits
-
-    ok, cert = splits(morphism)
-    return ("splits" if ok else "does-not-split", EXIT_OK if ok else EXIT_REFUTED,
-            split_certificate_obj(cert), [])
-
-
-def produce_pure_at(morphism, point, **_):
-    from .purity import witness_outside
-
-    witness = witness_outside(morphism, point)
-    pure = witness is not None
-    return ("pure" if pure else "not-pure", EXIT_OK if pure else EXIT_REFUTED,
-            point_purity_certificate_obj(morphism, point, pure, witness), [])
-
-
-def produce_splinter(base, covers, **_):
-    from .purity import splinter_probe
-
-    report = splinter_probe(base, covers)
-    ok = report.verdict == "all-probed-covers-split"
-    return (report.verdict, EXIT_OK if ok else EXIT_REFUTED,
-            splinter_certificate_obj(report, covers),
-            [PSEUDO_PRIME_NOTE,
-             {"status": "verified",
-              "text": "cover surjectivity evidenced by dominance plus module-finiteness"}])
-
-
-def produce_strong_purity(morphism, base_class, probes, seed, **_):
-    from .purity import strong_purity_certificate
-
-    try:
-        cert = strong_purity_certificate(morphism, base_class, probes, seed=seed)
-    except HypothesisFailed as exc:
-        return f"hypothesis-failed: {exc.hypothesis}", EXIT_ERROR, None, []
-    return ("certificate-emitted", EXIT_OK, strong_purity_certificate_obj(cert),
-            cert.assumptions)
-
-
-def produce_fedder(algebra, point, **_):
-    from .charp import FrobeniusContext, fedder_f_pure
-
-    gb = algebra.relations.groebner()
-    if len(gb) != 1:
-        raise NotHypersurface("fedder needs a hypersurface ring")
-    ctx = FrobeniusContext(algebra)
-    f_pure = fedder_f_pure(gb[0], point, ctx)
-    return ("F-pure" if f_pure else "not-F-pure", EXIT_OK if f_pure else EXIT_REFUTED,
-            fedder_certificate_obj(gb[0], point, ctx, f_pure), [])
-
-
-def produce_tc(algebra, z, ideal, multiplier, bound, **_):
-    from .charp import FrobeniusContext, TCVerdict, tc_member_certificate
-
-    ctx = FrobeniusContext(algebra)
-    verdict = tc_member_certificate(z, ideal, multiplier, bound, ctx)
-    exit_class = {TCVerdict.MEMBER: EXIT_OK, TCVerdict.NOT_IN_CLOSURE: EXIT_REFUTED}.get(
-        verdict.status, EXIT_INCONCLUSIVE)
-    return (verdict.status, exit_class, tc_certificate_obj(verdict, ctx),
-            [TEST_ELEMENT_NOTE])
-
-
-def produce_f_rational(algebra, sops, bound, **_):
-    from .charp import FrobeniusContext, f_rational_probe
-
-    report = f_rational_probe(algebra, sops, bound, FrobeniusContext(algebra))
-    exit_class = EXIT_OK if report.clean() else (
-        EXIT_REFUTED if report.verdict == "NotFRational" else EXIT_INCONCLUSIVE)
-    return (report.verdict, exit_class, f_rational_certificate_obj(report, sops, bound),
-            [TEST_ELEMENT_NOTE,
-             {"status": "assumed",
-              "text": "dimension-drop parameter test valid for the equidimensional catenary corpus"}])
-
-
-def produce_descent(morphism, y, probes, bound, **_):
-    from .charp import f_rational_descent_check
-
-    try:
-        report = f_rational_descent_check(morphism, y, probes, bound)
-    except HypothesisFailed as exc:
-        return f"refused: {exc}", EXIT_ERROR, None, []
-    ok = report.verdict == "consistent"
-    return (report.verdict, EXIT_OK if ok else EXIT_REFUTED,
-            descent_certificate_obj(report, y, probes, bound), report.assumptions)
-
-
 # -- verification -----------------------------------------------------------------
 #
 # A certificate is verified by replay: its producer runs again on the inputs
 # the payload records, and the whole fresh payload must equal the recorded
-# one. The identity checks below hold of the recorded outputs themselves,
-# so a failure names the identity as well as the first differing path.
+# one. The identity checks hold of the recorded outputs themselves, so a
+# failure names the identity as well as the first differing path.
 
 
 # decoders of the inputs a payload records under the producer's parameter name
@@ -484,8 +306,8 @@ _INPUT_CODECS = {
 }
 
 
-def _recorded(*keys):
-    return lambda p: {key: _INPUT_CODECS[key](p[key]) for key in keys}
+def _recorded(p, keys):
+    return {key: _INPUT_CODECS[key](p[key]) for key in keys}
 
 
 def _ideal_inputs(p):
@@ -496,32 +318,10 @@ def _groebner_inputs(p):
     return dict(_ideal_inputs(p), order=order_from_obj(p["order"]))
 
 
-def _strong_purity_inputs(p):
-    # each probe record holds the factorization built at that probe alone
-    facts = [rec["factorization"] for rec in p["probes"]]
-    return {"morphism": morphism_from_obj(p["morphism"]), "base_class": p["base_class"],
-            "probes": [point_from_obj(q) for f in facts for q in f["probes"]],
-            "seed": int(facts[0]["seed"]) if facts else 0}
-
-
-def _fedder_inputs(p):
-    ring = ring_from_obj(p["ring"])
-    return {"algebra": Algebra(ring, IdealHandle(ring, [poly_from_obj(ring, p["defining"])])),
-            "point": point_from_obj(p["point"])}
-
-
-def _tc_inputs(p):
-    alg = algebra_from_obj(p["algebra"])
-    return {"algebra": alg, "z": poly_from_obj(alg.ring, p["z"]),
-            "ideal": ideal_from_obj(alg.ring, p["ideal"]),
-            "multiplier": poly_from_obj(alg.ring, p["multiplier"]),
-            "bound": int(p["bound"])}
-
-
-def _f_rational_inputs(p):
-    alg = algebra_from_obj(p["algebra"])
-    return {"algebra": alg, "bound": int(p["bound"]),
-            "sops": [[poly_from_obj(alg.ring, s) for s in seq] for seq in p["sops"]]}
+def _factorization_inputs(p):
+    inputs = _recorded(p, ("morphism", "y", "x0", "probes", "seed"))
+    ring = inputs["morphism"].source.ring
+    return dict(inputs, lifted=[poly_from_obj(ring, s) for s in p["lifted"]])
 
 
 def _groebner_identities(p, inputs):
@@ -538,46 +338,6 @@ def _groebner_identities(p, inputs):
     return failures
 
 
-def _sigma_identities(p, inputs):
-    if p["sigma"] is None:
-        return []
-    from .purity import ModulePresentation, SplitCertificate
-
-    phi = inputs["morphism"]
-    tring = phi.target.ring
-    pres = ModulePresentation(
-        phi, [poly_from_obj(phi.source.ring, g) for g in p["generators"]],
-        [[poly_from_obj(tring, c) for c in col] for col in p["relation_columns"]])
-    cert = SplitCertificate(phi, None, [poly_from_obj(tring, s) for s in p["sigma"]], pres)
-    at_one, annihilates = cert.sigma_identities()
-    return ([] if at_one else ["sigma-evaluation-at-1"]) + (
-        [] if annihilates else ["sigma-annihilates-relations"])
-
-
-def _witness_identities(p, inputs):
-    if p["witness"] is None:
-        return []
-    from .purity import splitting_ideal
-
-    phi, point = inputs["morphism"], inputs["point"]
-    w = poly_from_obj(phi.target.ring, p["witness"])
-    handle, _, _ = splitting_ideal(phi)
-    return ([] if handle.contains(w) else ["witness-not-in-splitting-ideal"]) + (
-        ["witness-inside-point"] if point.ideal.contains(w) else [])
-
-
-def _tc_recheck(p, inputs):
-    from .charp import FrobeniusContext, TCVerdict
-
-    we = p["witness_exponent"]
-    recorded = TCVerdict(inputs["algebra"], inputs["z"], inputs["ideal"],
-                         inputs["multiplier"], inputs["bound"], p["status"],
-                         witness_exponent=int(we) if we is not None else None,
-                         levels=[(int(e), bool(f)) for e, f in p["levels"]])
-    ok = recorded.recheck(FrobeniusContext(inputs["algebra"]))
-    return [] if ok else ["recorded-membership-fails-recheck"]
-
-
 def _factorization_records(p, inputs):
     failures = []
     if int(p["e"]) != len(p["lifted"]):
@@ -587,27 +347,32 @@ def _factorization_records(p, inputs):
     return failures
 
 
-def _no_identities(p, inputs):
-    return []
-
-
-# kind -> (producer, inputs decoded from the payload, identity checks)
+# kind -> (head of the command that writes it, module, producer, inputs,
+# identity check or None). The inputs are the keys the payload records them
+# under (decoded by `_INPUT_CODECS`) or a decoder; the producer, decoder and
+# check are named in `module`. `session.COMMANDS` names the same producer
+# for the head.
 _REPLAY = {
-    "groebner-basis": (produce_groebner, _groebner_inputs, _groebner_identities),
-    "dimension": (produce_dimension, _ideal_inputs, _no_identities),
-    "split": (produce_split, _recorded("morphism"), _sigma_identities),
-    "factorization": (produce_factorization,
-                      _recorded("morphism", "y", "x0", "probes", "seed"),
-                      _factorization_records),
-    "tc-verdict": (produce_tc, _tc_inputs, _tc_recheck),
-    "fedder": (produce_fedder, _fedder_inputs, _no_identities),
-    "pure-at": (produce_pure_at, _recorded("morphism", "point"), _witness_identities),
-    "equidim": (produce_equidim, _recorded("morphism", "x", "probes"), _no_identities),
-    "strong-purity": (produce_strong_purity, _strong_purity_inputs, _no_identities),
-    "splinter-probe": (produce_splinter, _recorded("base", "covers"), _no_identities),
-    "f-rational-probe": (produce_f_rational, _f_rational_inputs, _no_identities),
-    "descent": (produce_descent, _recorded("morphism", "y", "probes", "bound"),
-                _no_identities),
+    "groebner-basis": ("gb", "reports", "produce_groebner", "_groebner_inputs",
+                       "_groebner_identities"),
+    "dimension": ("dim", "reports", "produce_dimension", "_ideal_inputs", None),
+    "equidim": ("equidim-check", "reports", "produce_equidim", ("morphism", "x", "probes"),
+                None),
+    "factorization": ("factorize", "reports", "produce_factorization",
+                      "_factorization_inputs", "_factorization_records"),
+    "split": ("splits", "purity", "produce_split", ("morphism",), "_sigma_identities"),
+    "pure-at": ("pure-at", "purity", "produce_pure_at", ("morphism", "point"),
+                "_witness_identities"),
+    "splinter-probe": ("splinter-probe", "purity", "produce_splinter", ("base", "covers"),
+                       None),
+    "strong-purity": ("strong-purity", "purity", "produce_strong_purity",
+                      "_strong_purity_inputs", None),
+    "fedder": ("fedder", "charp", "produce_fedder", "_fedder_inputs", None),
+    "tc-verdict": ("tc-member", "charp", "produce_tc", "_tc_inputs", "_tc_recheck"),
+    "f-rational-probe": ("f-rational-probe", "charp", "produce_f_rational",
+                         "_f_rational_inputs", None),
+    "descent": ("descend-check", "charp", "produce_descent",
+                ("morphism", "y", "probes", "bound"), None),
 }
 
 
@@ -620,32 +385,47 @@ def verify_certificate(payload):
     strings, bools, nulls, lists and dicts, so a leaf of another type, such
     as the number 2 where the string "2" belongs, differs.
 
+    A replay that emits no certificate also fails with its verdict, which
+    names what the replay refused, such as a recorded normalization.
+
     `payload` is a certificate, or a report entry that holds one under
     "certificate"; then the replay's verdict, exit class and assumptions
-    must equal the entry's too, and the first field that differs fails
-    with `entry-differs-at <path>`, as `$.verdict`."""
+    must equal the entry's too, as must the seed where the certificate
+    records one, and the first field that differs fails with
+    `entry-differs-at <path>`, as `$.verdict`; an entry whose command does
+    not begin with the head of the command that writes its kind fails with
+    `entry-differs-at $.command`."""
     entry = payload if "certificate" in payload else None
     if entry is not None:
         payload = entry["certificate"]
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in _REPLAY:
         return False, [f"unknown certificate kind {kind!r}"]
-    producer, decode, identities = _REPLAY[kind]
+    head, module, name, inputs_of, identities = _REPLAY[kind]
     failures = []
     try:
-        inputs = decode(payload)
-        verdict, exit_class, cert, assumptions = producer(**inputs)
+        inputs = (_recorded(payload, inputs_of) if isinstance(inputs_of, tuple)
+                  else producer(module, inputs_of)(payload))
+        verdict, exit_class, cert, assumptions = producer(module, name)(**inputs)
+        if cert is None:
+            failures.append(f"replay-emitted-no-certificate: {verdict}")
         fresh = _stringify(cert)
         # json text tells True from 1, which == does not
         if json.dumps(fresh, sort_keys=True) != json.dumps(payload, sort_keys=True):
             failures.append(f"payload-differs-at {_first_difference(fresh, payload)}")
         if entry is not None:
             replayed = {"verdict": verdict, "exit_class": exit_class, "assumptions": assumptions}
-            for name, value in replayed.items():
-                path = _first_difference(_stringify(value), entry.get(name), f"$.{name}")
+            if "seed" in inputs:
+                replayed["seed"] = inputs["seed"]
+            for field, value in replayed.items():
+                path = _first_difference(_stringify(value), entry.get(field), f"$.{field}")
                 if path is not None:
                     failures.append(f"entry-differs-at {path}")
-        failures.extend(identities(payload, inputs))
+            command = entry.get("command")
+            if not isinstance(command, str) or command.split()[:1] != [head]:
+                failures.append("entry-differs-at $.command")
+        if identities is not None:
+            failures.extend(producer(module, identities)(payload, inputs))
     except Exception as exc:  # verification must report, not crash
         failures.append(f"verification error: {type(exc).__name__}: {exc}")
     return not failures, failures

@@ -37,9 +37,11 @@ character is one with `ch.isalnum() or ch == "_"` and whitespace is
 as the earlier regular-expression grammar read it.
 
 Parsing needs the scheme layer and below only. `COMMANDS` names each
-command's producer, and `run_command` looks the name up in `reports` when
-the command runs, so `parse_session` compiles none of `reports`,
-`factorization`, `purity`, `charp`, `modules` or `cli`.
+command's producer by module and function (`reports` for the groebner,
+dimension, fiber, equidimensionality and factorization commands, `purity`
+and `charp` for their families), and `run_command` imports the module and
+looks the producer up when the command runs, so `parse_session` compiles
+none of `reports`, `factorization`, `purity`, `charp`, `modules` or `cli`.
 """
 
 from __future__ import annotations
@@ -507,11 +509,12 @@ _SLOT_KINDS = {
 
 
 class Command:
-    """One command: its grammar and the name in `reports` of the producer
-    of its certificate kind."""
+    """One command: its grammar and the module and name of the producer of
+    its certificate kind."""
 
-    def __init__(self, grammar, producer):
+    def __init__(self, grammar, module, producer):
         self.grammar = grammar
+        self.module = module
         self.producer = producer
         self.slots = {}     # slot name -> kind, in grammar order
         # steps: ("word", text), (" ", None), ("slot", name), or ("[", index
@@ -588,30 +591,32 @@ class Command:
 
 
 COMMANDS = {c.grammar.split()[0]: c for c in (
-    Command("gb <ideal>[ <order>]", "produce_groebner"),
-    Command("dim <ideal:ideal-in-ring>", "produce_dimension"),
-    Command("fiber-dim <morphism> at <x:point>", "produce_fiber_dim"),
+    Command("gb <ideal>[ <order>]", "reports", "produce_groebner"),
+    Command("dim <ideal:ideal-in-ring>", "reports", "produce_dimension"),
+    Command("fiber-dim <morphism> at <x:point>", "reports", "produce_fiber_dim"),
     Command("equidim-check <morphism> at <x:point>[ probes <probes:points>]",
-            "produce_equidim"),
+            "reports", "produce_equidim"),
     Command("factorize <morphism> at <y:point> from <x0:point>[ probes <probes:points>]",
-            "produce_factorization"),
-    Command("splits <morphism>", "produce_split"),
-    Command("pure-at <morphism> at <point>", "produce_pure_at"),
-    Command("splinter-probe <base:ring> covers <covers:morphisms>", "produce_splinter"),
+            "reports", "produce_factorization"),
+    Command("splits <morphism>", "purity", "produce_split"),
+    Command("pure-at <morphism> at <point>", "purity", "produce_pure_at"),
+    Command("splinter-probe <base:ring> covers <covers:morphisms>",
+            "purity", "produce_splinter"),
     Command("strong-purity <morphism> base <base_class:word> probes <probes:points>",
-            "produce_strong_purity"),
-    Command("fedder <algebra:ring> at <point>", "produce_fedder"),
+            "purity", "produce_strong_purity"),
+    Command("fedder <algebra:ring> at <point>", "charp", "produce_fedder"),
     Command("tc-member <z:poly> in <ideal> mult <multiplier:poly> in <algebra:ring>",
-            "produce_tc"),
-    Command("f-rational-probe <algebra:ring> sops <sops:sequences>", "produce_f_rational"),
+            "charp", "produce_tc"),
+    Command("f-rational-probe <algebra:ring> sops <sops:sequences>",
+            "charp", "produce_f_rational"),
     Command("descend-check <morphism> at <y:point> probes <probes:points>",
-            "produce_descent"),
+            "charp", "produce_descent"),
 )}
 
 
 def run_command(session: Session, line: int, command: str):
-    """The `reports.Report` of one command, whose producer is looked up in
-    `reports` by name."""
+    """The `reports.Report` of one command, whose producer
+    `reports.producer` looks up by module and name."""
     from . import reports
 
     seed = int(session.options.get("seed", 0))
@@ -621,8 +626,9 @@ def run_command(session: Session, line: int, command: str):
         entry = COMMANDS.get(head)
         if entry is None:
             raise SessionError(f"unknown command {head!r}", line)
-        verdict, exit_class, cert, assumptions = getattr(reports, entry.producer)(
-            **entry.resolve(session, command, line), seed=seed, bound=bound)
+        args = entry.resolve(session, command, line)
+        verdict, exit_class, cert, assumptions = reports.producer(entry.module, entry.producer)(
+            **args, seed=seed, bound=bound)
     except (EquipureError, SessionError, ValueError) as exc:
         return reports.Report(command, f"error: {exc}", reports.EXIT_ERROR, seed=seed)
     return reports.Report(command, verdict, exit_class, certificate=cert,

@@ -192,8 +192,8 @@ def test_the_accepted_normalization_is_checked_once(kind, cone_composite, cone_q
         checks.append((list(ts), gens))
         return over_tags(fm, ts, gens)
 
-    def normalized(fm, seed):
-        accepted.append(normalize(fm, seed))
+    def normalized(fm, seed, ts):
+        accepted.append(normalize(fm, seed, ts))
         return accepted[-1]
 
     monkeypatch.setattr(factorization, "_over_tags", counted)

@@ -131,8 +131,10 @@ def _defs_calls_and_values():
     class's `__init__` being called by the class name; (callee name, call
     node) of every call; and (module, function) of every top-level function
     that the package names as a value, not as the callee of a call, in its
-    own module or in one that imports it."""
-    defs, calls, loads, imports = [], [], {}, {}
+    own module or in one that imports it, and every (module, function)
+    that a tuple or a call's arguments name as two string constants, as
+    the command and replay tables name the producers they look up."""
+    defs, calls, loads, imports, strings = [], [], {}, {}, []
     for path in _python_files(PACKAGE):
         module = os.path.splitext(os.path.basename(path))[0]
         with open(path, encoding="utf-8") as fh:
@@ -166,11 +168,17 @@ def _defs_calls_and_values():
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     imports[module, alias.asname or alias.name] = (node.module, alias.name)
+            if isinstance(node, (ast.Tuple, ast.Call)):
+                items = node.elts if isinstance(node, ast.Tuple) else node.args
+                strings.append({item.value for item in items
+                                if isinstance(item, ast.Constant) and isinstance(item.value, str)})
         loads[module] = {node.id for node in ast.walk(tree)
                          if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                          and id(node) not in callees}
     values = {imports.get((module, name), (module, name))
               for module, names in loads.items() for name in names}
+    values |= {(module, name) for names in strings for module in names & set(loads)
+               for name in names}
     return defs, calls, values
 
 
@@ -184,9 +192,9 @@ def _unpassed_defaults():
     """(module, function, parameter) of each defaulted parameter that no
     call in the package passes. Calls resolve by name, and a class name
     resolves to its `__init__`; a call with `*` or `**` passes everything.
-    A function the package names as a value, as the command tables name
-    their producers, is called through that value: a `*` or `**` call by a
-    name no def has passes all its parameters."""
+    A function the package names as a value, or by name in a string, as the
+    command tables name their producers, is called through that value: a
+    `*` or `**` call by a name no def has passes all its parameters."""
     defs, calls, values = _defs_calls_and_values()
     named = {called for _, called, _, _ in defs}
     dispatched = any(name not in named and _passes(node, None, None)

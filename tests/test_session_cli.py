@@ -477,11 +477,11 @@ REPLAY_INPUTS = {
     "groebner-basis": r"ring|generators|order",
     "dimension": r"ring|generators",
     "split": r"morphism",
-    "factorization": r"morphism|y|x0|probes|seed",
+    "factorization": r"morphism|y|x0|probes|seed|lifted",
     "equidim": r"morphism|x|probes",
     "pure-at": r"morphism|point",
     "splinter-probe": r"base|covers",
-    "strong-purity": r"morphism|base_class|probes\[\d+\]\.factorization\.(probes|seed)",
+    "strong-purity": r"morphism|base_class|probes\[\d+\]\.factorization\.(probes|seed|lifted)",
     "fedder": r"ring|defining|point",
     "tc-verdict": r"algebra|z|ideal|multiplier|bound",
     "f-rational-probe": r"algebra|sops|bound",
