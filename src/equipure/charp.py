@@ -19,8 +19,9 @@ alone has degree q deg z.
 The report code of the `fedder`, `tc-member`, `f-rational-probe` and
 `descend-check` commands lives here too (the last section): their
 producers, certificate builders, payload decoders and identity check.
-`reports` names them by module and function, so a process that runs or
-replays none of these commands never compiles this module.
+`reports.PRODUCERS` names the producers by module and function, and
+`reports._REPLAY` the decoders and checks by name, so a process that runs
+or replays none of these commands never compiles this module.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .reports import (
     algebra_to_obj,
     ideal_from_obj,
     ideal_to_obj,
+    morphism_from_obj,
     morphism_to_obj,
     point_from_obj,
     point_to_obj,
@@ -531,6 +533,11 @@ def _f_rational_inputs(p):
     alg = algebra_from_obj(p["algebra"])
     return {"algebra": alg, "bound": int(p["bound"]),
             "sops": [[poly_from_obj(alg.ring, s) for s in seq] for seq in p["sops"]]}
+
+
+def _descent_inputs(p):
+    return {"morphism": morphism_from_obj(p["morphism"]), "y": point_from_obj(p["y"]),
+            "probes": [point_from_obj(q) for q in p["probes"]], "bound": int(p["bound"])}
 
 
 def _tc_recheck(p, inputs):

@@ -218,13 +218,10 @@ def _run(args) -> int:
     for rep in reports:
         _say(f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}")
     if args["--json"]:
-        # each certificate is canonical already (see `report`); the rest of
-        # an entry is turned to strings here
-        payload = [dict(_stringify(dict(rep.to_obj(), certificate=None)),
-                        certificate=rep.certificate) for rep in reports]
+        payload = [rep.to_obj() for rep in reports]
         try:
             with open(args["--json"], "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(payload, canonical=True))
+                fh.write(canonical_json(payload))
         except OSError as exc:
             print(f"cannot write reports: {exc}", file=sys.stderr)
             return EXIT_ERROR

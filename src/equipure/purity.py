@@ -11,13 +11,14 @@ column, both identities machine-checked.
 The report code of the `splits`, `pure-at`, `splinter-probe` and
 `strong-purity` commands lives here too (the last section): their
 producers, certificate builders, payload decoders and identity checks.
-`reports` names them by module and function, so a process that runs or
-replays none of these commands never compiles this module, nor `modules`.
+`reports.PRODUCERS` names the producers by module and function, and
+`reports._REPLAY` the decoders and checks by name, so a process that runs
+or replays none of these commands never compiles this module, nor `modules`.
 """
 
 from __future__ import annotations
 
-from .errors import HypothesisFailed, NotHypersurface, NotModuleFinite
+from .errors import HypothesisFailed, NotHypersurface, NotModuleFinite, PreconditionFailed
 from .factorization import build_factorization, verify_equidimensional_at
 from .groebner import normal_form
 from .ideals import IdealHandle, krull_dim, pure_powers, standard_exponents
@@ -34,6 +35,7 @@ from .reports import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_REFUTED,
+    algebra_from_obj,
     algebra_to_obj,
     factorization_certificate_obj,
     ideal_to_obj,
@@ -526,8 +528,23 @@ def produce_strong_purity(morphism, base_class, probes, seed, lifted=None, **_):
                                          lifted=lifted)
     except HypothesisFailed as exc:
         return f"hypothesis-failed: {exc.hypothesis}", EXIT_ERROR, None, []
+    except PreconditionFailed as exc:
+        return f"precondition-failed: {exc}", EXIT_ERROR, None, []
     return ("certificate-emitted", EXIT_OK, strong_purity_certificate_obj(cert),
             cert.assumptions)
+
+
+def _split_inputs(p):
+    return {"morphism": morphism_from_obj(p["morphism"])}
+
+
+def _pure_at_inputs(p):
+    return {"morphism": morphism_from_obj(p["morphism"]), "point": point_from_obj(p["point"])}
+
+
+def _splinter_inputs(p):
+    return {"base": algebra_from_obj(p["base"]),
+            "covers": [morphism_from_obj(o) for o in p["covers"]]}
 
 
 def _strong_purity_inputs(p):

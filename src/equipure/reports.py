@@ -20,9 +20,9 @@ replay and the report code of the `gb`, `dim`, `fiber-dim`,
 builders, payload decoders and identity checks of the purity family
 (`splits`, `pure-at`, `splinter-probe`, `strong-purity`) live in `purity`
 and those of the char-p family (`fedder`, `tc-member`, `f-rational-probe`,
-`descend-check`) in `charp`. `session.COMMANDS` and `_REPLAY` name each
-producer by module and function, and `producer` imports the module when
-the command runs or the kind is replayed; the factorization and
+`descend-check`) in `charp`. `PRODUCERS` names each command's producer
+by module and function, and `producer` imports the module when the command
+runs or a kind it writes is replayed; the factorization and
 equidimensionality producers import `factorization` when called. So a
 process whose reports need none of them never compiles `factorization`,
 `purity`, `charp` or `modules`: a `gb` session compiles none.
@@ -67,12 +67,9 @@ def _stringify(obj):
     raise TypeError(f"cannot canonicalize {type(obj)}")
 
 
-def canonical_json(obj, canonical=False) -> str:
-    """The canonical text of `obj`; `canonical` says that `obj` holds only
-    strings, bools, nulls, lists and dicts already, so it is not walked to
-    turn numbers into strings."""
-    return json.dumps(obj if canonical else _stringify(obj), sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=True)
+def canonical_json(obj) -> str:
+    return json.dumps(_stringify(obj), sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True)
 
 
 # -- core object codecs ---------------------------------------------------------
@@ -235,7 +232,7 @@ DEFAULT_FROBENIUS_BOUND = 3
 
 # -- producers ---------------------------------------------------------------------
 #
-# One per certificate kind (plus `fiber-dim`, which emits no certificate).
+# One per command head (`fiber-dim` emits no certificate).
 # `session.run_command` calls a producer on the objects a command names and
 # `verify_certificate` calls it again on the objects a payload records.
 # Each returns (verdict, exit class, certificate payload or None,
@@ -244,11 +241,33 @@ DEFAULT_FROBENIUS_BOUND = 3
 # purity and char-p families are in `purity` and `charp`.
 
 
-def producer(module, name):
+# command head -> (module, producer)
+PRODUCERS = {
+    "gb": ("reports", "produce_groebner"),
+    "dim": ("reports", "produce_dimension"),
+    "fiber-dim": ("reports", "produce_fiber_dim"),
+    "equidim-check": ("reports", "produce_equidim"),
+    "factorize": ("reports", "produce_factorization"),
+    "splits": ("purity", "produce_split"),
+    "pure-at": ("purity", "produce_pure_at"),
+    "splinter-probe": ("purity", "produce_splinter"),
+    "strong-purity": ("purity", "produce_strong_purity"),
+    "fedder": ("charp", "produce_fedder"),
+    "tc-member": ("charp", "produce_tc"),
+    "f-rational-probe": ("charp", "produce_f_rational"),
+    "descend-check": ("charp", "produce_descent"),
+}
+
+
+def _named(module, name):
     """The function `name` of the package's module `module`, imported when
-    first asked for; how the command and replay tables reach a producer,
-    decoder or check they name."""
+    first asked for."""
     return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def producer(head):
+    """The producer of the command whose head is `head`."""
+    return _named(*PRODUCERS[head])
 
 
 def produce_groebner(ideal, order=GREVLEX, **_):
@@ -294,22 +313,6 @@ def produce_factorization(morphism, y, x0, seed, probes=(), lifted=None, **_):
 # failure names the identity as well as the first differing path.
 
 
-# decoders of the inputs a payload records under the producer's parameter name
-_INPUT_CODECS = {
-    "morphism": morphism_from_obj,
-    "base": algebra_from_obj,
-    "covers": lambda objs: [morphism_from_obj(o) for o in objs],
-    "x": point_from_obj, "y": point_from_obj, "x0": point_from_obj,
-    "point": point_from_obj,
-    "probes": lambda objs: [point_from_obj(o) for o in objs],
-    "seed": int, "bound": int,
-}
-
-
-def _recorded(p, keys):
-    return {key: _INPUT_CODECS[key](p[key]) for key in keys}
-
-
 def _ideal_inputs(p):
     return {"ideal": ideal_from_obj(ring_from_obj(p["ring"]), p["generators"])}
 
@@ -318,10 +321,16 @@ def _groebner_inputs(p):
     return dict(_ideal_inputs(p), order=order_from_obj(p["order"]))
 
 
+def _equidim_inputs(p):
+    return {"morphism": morphism_from_obj(p["morphism"]), "x": point_from_obj(p["x"]),
+            "probes": [point_from_obj(q) for q in p["probes"]]}
+
+
 def _factorization_inputs(p):
-    inputs = _recorded(p, ("morphism", "y", "x0", "probes", "seed"))
-    ring = inputs["morphism"].source.ring
-    return dict(inputs, lifted=[poly_from_obj(ring, s) for s in p["lifted"]])
+    morphism = morphism_from_obj(p["morphism"])
+    return {"morphism": morphism, "y": point_from_obj(p["y"]), "x0": point_from_obj(p["x0"]),
+            "probes": [point_from_obj(q) for q in p["probes"]], "seed": int(p["seed"]),
+            "lifted": [poly_from_obj(morphism.source.ring, s) for s in p["lifted"]]}
 
 
 def _groebner_identities(p, inputs):
@@ -347,32 +356,22 @@ def _factorization_records(p, inputs):
     return failures
 
 
-# kind -> (head of the command that writes it, module, producer, inputs,
-# identity check or None). The inputs are the keys the payload records them
-# under (decoded by `_INPUT_CODECS`) or a decoder; the producer, decoder and
-# check are named in `module`. `session.COMMANDS` names the same producer
-# for the head.
+# kind -> (head of the command that writes it, decoder of the producer's
+# inputs from the payload, identity check or None); the decoder and check
+# are named in the module of the head's producer
 _REPLAY = {
-    "groebner-basis": ("gb", "reports", "produce_groebner", "_groebner_inputs",
-                       "_groebner_identities"),
-    "dimension": ("dim", "reports", "produce_dimension", "_ideal_inputs", None),
-    "equidim": ("equidim-check", "reports", "produce_equidim", ("morphism", "x", "probes"),
-                None),
-    "factorization": ("factorize", "reports", "produce_factorization",
-                      "_factorization_inputs", "_factorization_records"),
-    "split": ("splits", "purity", "produce_split", ("morphism",), "_sigma_identities"),
-    "pure-at": ("pure-at", "purity", "produce_pure_at", ("morphism", "point"),
-                "_witness_identities"),
-    "splinter-probe": ("splinter-probe", "purity", "produce_splinter", ("base", "covers"),
-                       None),
-    "strong-purity": ("strong-purity", "purity", "produce_strong_purity",
-                      "_strong_purity_inputs", None),
-    "fedder": ("fedder", "charp", "produce_fedder", "_fedder_inputs", None),
-    "tc-verdict": ("tc-member", "charp", "produce_tc", "_tc_inputs", "_tc_recheck"),
-    "f-rational-probe": ("f-rational-probe", "charp", "produce_f_rational",
-                         "_f_rational_inputs", None),
-    "descent": ("descend-check", "charp", "produce_descent",
-                ("morphism", "y", "probes", "bound"), None),
+    "groebner-basis": ("gb", "_groebner_inputs", "_groebner_identities"),
+    "dimension": ("dim", "_ideal_inputs", None),
+    "equidim": ("equidim-check", "_equidim_inputs", None),
+    "factorization": ("factorize", "_factorization_inputs", "_factorization_records"),
+    "split": ("splits", "_split_inputs", "_sigma_identities"),
+    "pure-at": ("pure-at", "_pure_at_inputs", "_witness_identities"),
+    "splinter-probe": ("splinter-probe", "_splinter_inputs", None),
+    "strong-purity": ("strong-purity", "_strong_purity_inputs", None),
+    "fedder": ("fedder", "_fedder_inputs", None),
+    "tc-verdict": ("tc-member", "_tc_inputs", "_tc_recheck"),
+    "f-rational-probe": ("f-rational-probe", "_f_rational_inputs", None),
+    "descent": ("descend-check", "_descent_inputs", None),
 }
 
 
@@ -401,12 +400,12 @@ def verify_certificate(payload):
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in _REPLAY:
         return False, [f"unknown certificate kind {kind!r}"]
-    head, module, name, inputs_of, identities = _REPLAY[kind]
+    head, inputs_of, identities = _REPLAY[kind]
+    module = PRODUCERS[head][0]
     failures = []
     try:
-        inputs = (_recorded(payload, inputs_of) if isinstance(inputs_of, tuple)
-                  else producer(module, inputs_of)(payload))
-        verdict, exit_class, cert, assumptions = producer(module, name)(**inputs)
+        inputs = _named(module, inputs_of)(payload)
+        verdict, exit_class, cert, assumptions = producer(head)(**inputs)
         if cert is None:
             failures.append(f"replay-emitted-no-certificate: {verdict}")
         fresh = _stringify(cert)
@@ -425,7 +424,7 @@ def verify_certificate(payload):
             if not isinstance(command, str) or command.split()[:1] != [head]:
                 failures.append("entry-differs-at $.command")
         if identities is not None:
-            failures.extend(producer(module, identities)(payload, inputs))
+            failures.extend(_named(module, identities)(payload, inputs))
     except Exception as exc:  # verification must report, not crash
         failures.append(f"verification error: {type(exc).__name__}: {exc}")
     return not failures, failures

@@ -36,12 +36,13 @@ character is one with `ch.isalnum() or ch == "_"` and whitespace is
 `ch.isspace()`: the classes `re` gives `\\w` and `\\s`, so a statement reads
 as the earlier regular-expression grammar read it.
 
-Parsing needs the scheme layer and below only. `COMMANDS` names each
-command's producer by module and function (`reports` for the groebner,
-dimension, fiber, equidimensionality and factorization commands, `purity`
-and `charp` for their families), and `run_command` imports the module and
-looks the producer up when the command runs, so `parse_session` compiles
-none of `reports`, `factorization`, `purity`, `charp`, `modules` or `cli`.
+Parsing needs the scheme layer and below only. `COMMANDS` holds each
+command's grammar, and `run_command` looks the producer of the command's
+head up in `reports.PRODUCERS` (which names it by module and function:
+`reports` for the groebner, dimension, fiber, equidimensionality and
+factorization commands, `purity` and `charp` for their families) when the
+command runs, so `parse_session` compiles none of `reports`,
+`factorization`, `purity`, `charp`, `modules` or `cli`.
 """
 
 from __future__ import annotations
@@ -509,13 +510,10 @@ _SLOT_KINDS = {
 
 
 class Command:
-    """One command: its grammar and the module and name of the producer of
-    its certificate kind."""
+    """One command's grammar."""
 
-    def __init__(self, grammar, module, producer):
+    def __init__(self, grammar):
         self.grammar = grammar
-        self.module = module
-        self.producer = producer
         self.slots = {}     # slot name -> kind, in grammar order
         # steps: ("word", text), (" ", None), ("slot", name), or ("[", index
         # of the first step after the group), from the grammar's pieces
@@ -591,32 +589,25 @@ class Command:
 
 
 COMMANDS = {c.grammar.split()[0]: c for c in (
-    Command("gb <ideal>[ <order>]", "reports", "produce_groebner"),
-    Command("dim <ideal:ideal-in-ring>", "reports", "produce_dimension"),
-    Command("fiber-dim <morphism> at <x:point>", "reports", "produce_fiber_dim"),
-    Command("equidim-check <morphism> at <x:point>[ probes <probes:points>]",
-            "reports", "produce_equidim"),
-    Command("factorize <morphism> at <y:point> from <x0:point>[ probes <probes:points>]",
-            "reports", "produce_factorization"),
-    Command("splits <morphism>", "purity", "produce_split"),
-    Command("pure-at <morphism> at <point>", "purity", "produce_pure_at"),
-    Command("splinter-probe <base:ring> covers <covers:morphisms>",
-            "purity", "produce_splinter"),
-    Command("strong-purity <morphism> base <base_class:word> probes <probes:points>",
-            "purity", "produce_strong_purity"),
-    Command("fedder <algebra:ring> at <point>", "charp", "produce_fedder"),
-    Command("tc-member <z:poly> in <ideal> mult <multiplier:poly> in <algebra:ring>",
-            "charp", "produce_tc"),
-    Command("f-rational-probe <algebra:ring> sops <sops:sequences>",
-            "charp", "produce_f_rational"),
-    Command("descend-check <morphism> at <y:point> probes <probes:points>",
-            "charp", "produce_descent"),
+    Command("gb <ideal>[ <order>]"),
+    Command("dim <ideal:ideal-in-ring>"),
+    Command("fiber-dim <morphism> at <x:point>"),
+    Command("equidim-check <morphism> at <x:point>[ probes <probes:points>]"),
+    Command("factorize <morphism> at <y:point> from <x0:point>[ probes <probes:points>]"),
+    Command("splits <morphism>"),
+    Command("pure-at <morphism> at <point>"),
+    Command("splinter-probe <base:ring> covers <covers:morphisms>"),
+    Command("strong-purity <morphism> base <base_class:word> probes <probes:points>"),
+    Command("fedder <algebra:ring> at <point>"),
+    Command("tc-member <z:poly> in <ideal> mult <multiplier:poly> in <algebra:ring>"),
+    Command("f-rational-probe <algebra:ring> sops <sops:sequences>"),
+    Command("descend-check <morphism> at <y:point> probes <probes:points>"),
 )}
 
 
 def run_command(session: Session, line: int, command: str):
-    """The `reports.Report` of one command, whose producer
-    `reports.producer` looks up by module and name."""
+    """The `reports.Report` of one command, from the producer
+    `reports.PRODUCERS` names for its head."""
     from . import reports
 
     seed = int(session.options.get("seed", 0))
@@ -626,9 +617,8 @@ def run_command(session: Session, line: int, command: str):
         entry = COMMANDS.get(head)
         if entry is None:
             raise SessionError(f"unknown command {head!r}", line)
-        args = entry.resolve(session, command, line)
-        verdict, exit_class, cert, assumptions = reports.producer(entry.module, entry.producer)(
-            **args, seed=seed, bound=bound)
+        verdict, exit_class, cert, assumptions = reports.producer(head)(
+            **entry.resolve(session, command, line), seed=seed, bound=bound)
     except (EquipureError, SessionError, ValueError) as exc:
         return reports.Report(command, f"error: {exc}", reports.EXIT_ERROR, seed=seed)
     return reports.Report(command, verdict, exit_class, certificate=cert,

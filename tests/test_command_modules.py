@@ -1,18 +1,20 @@
 """Which modules a parse, a `run` or a `verify` process loads. Parsing a
-session loads the scheme layer and below only: `session.COMMANDS` names
-each producer by module and function, and `run_command` imports the module
-when the command runs. The report code of the purity family lives in
-`purity` and that of the char-p family in `charp`, which `reports._REPLAY`
-names the same way, and `reports` imports `factorization` only in the
-producers that use it, so the fiber and equidimensionality commands, and
-their replays, never compile `charp`, `purity` or `modules` (nor any
-purity or char-p report code), a `gb` session compiles none of the four,
-and `verify` never compiles `session`. Neither
-mode imports `argparse` or compiles a regular expression from the
-package's own code. Each check runs in a fresh interpreter with `src` on
-PYTHONPATH; a check of everything one run loads pins it to one usable CPU,
-since a forked worker's imports stay in the worker. Whether forked or not,
-a `run` freezes the heap before its command phase."""
+session loads the scheme layer and below only: `session.COMMANDS` holds
+each command's grammar, and `run_command` looks its producer up in
+`reports.PRODUCERS`, which names it by module and function, when the
+command runs. The report code of the purity family lives in `purity` and
+that of the char-p family in `charp`, which `reports` imports only when a
+command of the family runs or a kind it writes is replayed, and `reports`
+imports `factorization` only in the producers that use it. So the fiber
+and equidimensionality commands, and their replays, never compile
+`charp`, `purity` or `modules` (nor any purity or char-p report code), a
+`gb` session compiles none of the four, and `verify` never compiles
+`session`. Neither mode imports `argparse` or compiles a regular
+expression from the package's own code. Each check runs in a fresh
+interpreter with `src` on PYTHONPATH; a check of everything one run loads
+pins it to one usable CPU, since a forked worker's imports stay in the
+worker. Whether forked or not, a `run` freezes the heap before its
+command phase."""
 
 import importlib
 import inspect
@@ -115,29 +117,20 @@ def test_parsing_a_session_loads_only_the_scheme_layer_and_below(source):
 
 
 def test_every_command_names_a_public_producer_of_reports():
-    """Each command names a public function of the module it names."""
-    for head, command in COMMANDS.items():
-        module = importlib.import_module(f"equipure.{command.module}")
-        producer = getattr(module, command.producer, None)
-        assert not command.producer.startswith("_"), head
+    """Each command head names, in `reports.PRODUCERS`, a public function
+    of the module it names; each replayed kind's decoder and check are
+    functions of the module of its head's producer."""
+    assert sorted(reports.PRODUCERS) == sorted(COMMANDS)
+    for head, (module_name, name) in reports.PRODUCERS.items():
+        module = importlib.import_module(f"equipure.{module_name}")
+        producer = getattr(module, name, None)
+        assert not name.startswith("_"), head
         assert inspect.isfunction(producer) and producer.__module__ == module.__name__, head
-        assert reports.producer(command.module, command.producer) is producer, head
-
-
-def test_the_replay_table_names_the_producer_of_the_command_head_it_binds():
-    """`verify` binds an entry's command head to its certificate kind by
-    `reports._REPLAY`, which must name the producer `session.COMMANDS` gives
-    that head; every command but `fiber-dim`, which writes no certificate,
-    has one kind. Each decoder and check the table names is a function of
-    the module it names."""
-    heads = {}
-    for kind, (head, module, producer, inputs, identities) in reports._REPLAY.items():
-        heads[head] = kind
-        assert (COMMANDS[head].module, COMMANDS[head].producer) == (module, producer), kind
-        for name in (inputs, identities):
-            if isinstance(name, str):
-                assert inspect.isfunction(reports.producer(module, name)), (kind, name)
-    assert sorted(heads) == sorted(set(COMMANDS) - {"fiber-dim"})
+        assert reports.producer(head) is producer, head
+    for kind, (head, *named) in reports._REPLAY.items():
+        module = importlib.import_module(f"equipure.{reports.PRODUCERS[head][0]}")
+        for name in named:
+            assert name is None or inspect.isfunction(getattr(module, name, None)), (kind, name)
 
 
 # the report code of the purity and char-p families: no module a fibers
@@ -145,12 +138,12 @@ def test_the_replay_table_names_the_producer_of_the_command_head_it_binds():
 FAMILY_CODE = {
     "produce_split", "produce_pure_at", "produce_splinter", "produce_strong_purity",
     "split_certificate_obj", "point_purity_certificate_obj", "splinter_certificate_obj",
-    "strong_purity_certificate_obj", "_strong_purity_inputs", "_sigma_identities",
-    "_witness_identities",
+    "strong_purity_certificate_obj", "_split_inputs", "_pure_at_inputs", "_splinter_inputs",
+    "_strong_purity_inputs", "_sigma_identities", "_witness_identities",
     "produce_fedder", "produce_tc", "produce_f_rational", "produce_descent",
     "tc_certificate_obj", "fedder_certificate_obj", "f_rational_certificate_obj",
     "descent_certificate_obj", "_fedder_inputs", "_tc_inputs", "_f_rational_inputs",
-    "_tc_recheck", "TEST_ELEMENT_NOTE",
+    "_descent_inputs", "_tc_recheck", "TEST_ELEMENT_NOTE",
 }
 
 

@@ -9,6 +9,8 @@ save the exemptions of `UNPASSED_DEFAULTS`."""
 import ast
 import os
 
+from equipure import reports
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "equipure")
 
@@ -68,7 +70,7 @@ UNREFERENCED = {
 
 def _referenced():
     """The names code in `src/` refers to: a name read, an attribute, or a
-    string constant, which is how `session.COMMANDS` names producers.
+    string constant, which is how `reports.PRODUCERS` names producers.
     Imports, docstrings and comments are not references, nor is a reference
     from inside a definition to its own name, as in a recursive call."""
     names = set()
@@ -131,10 +133,9 @@ def _defs_calls_and_values():
     class's `__init__` being called by the class name; (callee name, call
     node) of every call; and (module, function) of every top-level function
     that the package names as a value, not as the callee of a call, in its
-    own module or in one that imports it, and every (module, function)
-    that a tuple or a call's arguments name as two string constants, as
-    the command and replay tables name the producers they look up."""
-    defs, calls, loads, imports, strings = [], [], {}, {}, []
+    own module or in one that imports it, or that `reports.PRODUCERS` or
+    `reports._REPLAY` names by module and function."""
+    defs, calls, loads, imports = [], [], {}, {}
     for path in _python_files(PACKAGE):
         module = os.path.splitext(os.path.basename(path))[0]
         with open(path, encoding="utf-8") as fh:
@@ -168,17 +169,14 @@ def _defs_calls_and_values():
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     imports[module, alias.asname or alias.name] = (node.module, alias.name)
-            if isinstance(node, (ast.Tuple, ast.Call)):
-                items = node.elts if isinstance(node, ast.Tuple) else node.args
-                strings.append({item.value for item in items
-                                if isinstance(item, ast.Constant) and isinstance(item.value, str)})
         loads[module] = {node.id for node in ast.walk(tree)
                          if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                          and id(node) not in callees}
     values = {imports.get((module, name), (module, name))
               for module, names in loads.items() for name in names}
-    values |= {(module, name) for names in strings for module in names & set(loads)
-               for name in names}
+    values |= set(reports.PRODUCERS.values())
+    values |= {(reports.PRODUCERS[head][0], name)
+               for head, *names in reports._REPLAY.values() for name in names}
     return defs, calls, values
 
 
@@ -192,9 +190,9 @@ def _unpassed_defaults():
     """(module, function, parameter) of each defaulted parameter that no
     call in the package passes. Calls resolve by name, and a class name
     resolves to its `__init__`; a call with `*` or `**` passes everything.
-    A function the package names as a value, or by name in a string, as the
-    command tables name their producers, is called through that value: a
-    `*` or `**` call by a name no def has passes all its parameters."""
+    A function the package names as a value, or that the producer and
+    replay tables name, is called through that value: a `*` or `**` call by
+    a name no def has passes all its parameters."""
     defs, calls, values = _defs_calls_and_values()
     named = {called for _, called, _, _ in defs}
     dispatched = any(name not in named and _passes(node, None, None)

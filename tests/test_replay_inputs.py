@@ -103,7 +103,7 @@ def test_verify_checks_each_normalization_once_and_run_still_searches(sessions, 
     counts = {}
     for name, (path, entries) in sessions.items():
         report, again = tmp_path / f"{name}.json", tmp_path / f"{name}-again.json"
-        report.write_text(canonical_json(entries, canonical=True), encoding="utf-8")
+        report.write_text(canonical_json(entries), encoding="utf-8")
         counts[name, "verify"] = _counted_main(monkeypatch, ["verify", str(report)])
         counts[name, "run"] = _counted_main(
             monkeypatch, ["run", path, "--seed", "1", "--json", str(again)])
@@ -120,8 +120,7 @@ def test_every_edit_of_a_recorded_normalization_is_rejected(sessions, monkeypatc
     coefficient, raised by one. A normalization is an input, so an edit
     is not always rejected at its own path: the predicates' evidence
     records the tags, and an edit the finiteness check refuses leaves the
-    replay without a certificate (a strong-purity replay raises, naming
-    the normalization). No edit runs the candidate search."""
+    replay without a certificate. No edit runs the candidate search."""
     def no_search(*args):
         raise AssertionError("the candidate search ran")
 
@@ -143,18 +142,28 @@ def test_every_edit_of_a_recorded_normalization_is_rejected(sessions, monkeypatc
 
 
 def test_a_normalization_the_search_rejected_fails_by_name(sessions, monkeypatch):
+    """The first candidate a search tries and rejects, recorded in place of
+    the normalization it accepted, fails and is named: (t, s) for the
+    fibers factorization at `p0`, and (x) in the corpus strong-purity probe
+    record of `comp`."""
     monkeypatch.setattr(groebner, "_MEMO", {})
-    entry = next(e for e in sessions["fibers"][1] if e["command"].startswith("factorize p0 "))
-    ring = entry["certificate"]["morphism"]["source"]["ring"]["vars"]
-    assert ring == ["t", "s", "x", "y"]
-    edited = json.loads(json.dumps(entry))
-    # (t, s), the first candidate the search tries and rejects
-    edited["certificate"]["lifted"] = [[[["1", "0", "0", "0"], "1"]], [[["0", "1", "0", "0"], "1"]]]
-    ok, failures = verify_certificate(edited)
-    assert not ok
-    assert ("replay-emitted-no-certificate: precondition-failed: normalization (t, s) is not "
-            "module-finite with an empty contraction") in failures, failures
-    assert "payload-differs-at $" in failures
+    fibers = next(e for e in sessions["fibers"][1] if e["command"].startswith("factorize p0 "))
+    corpus = next(e for e in sessions["corpus"][1] if e["command"].startswith("strong-purity "))
+    cases = [(fibers, lambda c: c, ["t", "s", "x", "y"], "(t, s)",
+              [[[["1", "0", "0", "0"], "1"]], [[["0", "1", "0", "0"], "1"]]]),
+             (corpus, lambda c: c["probes"][0]["factorization"], ["x", "y", "w"], "(x)",
+              [[[["1", "0", "0"], "1"]]])]
+    for entry, factorization_of, ring, name, rejected in cases:
+        edited = json.loads(json.dumps(entry))
+        recorded = factorization_of(edited["certificate"])
+        assert recorded["morphism"]["source"]["ring"]["vars"] == ring
+        recorded["lifted"] = rejected
+        ok, failures = verify_certificate(edited)
+        assert not ok
+        assert (f"replay-emitted-no-certificate: precondition-failed: normalization {name} is "
+                "not module-finite with an empty contraction") in failures, failures
+        assert "payload-differs-at $" in failures
+        assert "entry-differs-at $.verdict" in failures
 
 
 def test_verify_binds_the_seed_and_the_command_head(sessions, monkeypatch):
