@@ -14,14 +14,18 @@ closes stdout early ends the output, not the command.
 name one first object (`p3` in `factorize p3 at eta from g`) form a group,
 which one process works through with one memo; each process takes the next
 group from a token, the next group's index, that a pipe passes among them.
-Workers send their results back with `marshal` and never print; the parent
-prints and writes in session order. With one CPU or one group, or without
-`os.fork`, nothing is forked and the parent runs every command itself, in
-session order. A worker whose parent has died stops after its current
-group. Each process of a split binds itself to one usable CPU of its own,
-the parent to the first, so the split does not wait on a kernel that never
-moves a worker off its parent's CPU; a pin the kernel refuses is ignored,
-and the caller's CPU mask is restored when the split ends. Before the
+Each process renders the reports of the commands it ran: a `run` command's
+result is its exit class, its status line and, with `--json`, its entry's
+canonical JSON text. Workers send their results back with `marshal` and
+never print; the parent prints the lines and writes the texts in session
+order, joined by commas inside brackets, which is the canonical JSON of the
+list, so it never holds a report as objects. With one CPU or one group, or
+without `os.fork`, nothing is forked and the parent runs every command
+itself, in session order. A worker whose parent has died stops after its
+current group. Each process of a split binds itself to one usable CPU of
+its own, the parent to the first, so the split does not wait on a kernel
+that never moves a worker off its parent's CPU; a pin the kernel refuses is
+ignored, and the caller's CPU mask is restored when the split ends. Before the
 command phase, forked or not, the heap is frozen (`gc.freeze`): the
 modules, the parsed session or read report and the memo live until exit,
 and frozen they are neither scanned by the collector nor torn down at exit.
@@ -60,8 +64,6 @@ from .reports import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_REFUTED,
-    Report,
-    _stringify,
     canonical_json,
     verify_certificate,
 )
@@ -209,24 +211,27 @@ def _run(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    def report(i):
-        rep = session.run_command(parsed, *parsed.commands[i])
-        return dict(vars(rep), certificate=_stringify(rep.certificate))
+    path = args["--json"]
 
-    reports = [Report(**fields)
-               for fields in _spread(report, [command for _, command in parsed.commands])]
-    for rep in reports:
-        _say(f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}")
-    if args["--json"]:
-        payload = [rep.to_obj() for rep in reports]
+    def report(i):
+        # the entry is rendered here, in the process that ran the command
+        rep = session.run_command(parsed, *parsed.commands[i])
+        return (rep.exit_class, f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}",
+                canonical_json(rep.to_obj()) if path else None)
+
+    results = _spread(report, [command for _, command in parsed.commands])
+    for _, line, _ in results:
+        _say(line)
+    if path:
         try:
-            with open(args["--json"], "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(payload))
+            with open(path, "w", encoding="utf-8") as fh:
+                # the canonical JSON of the list, entry by entry
+                fh.write("[" + ",".join(text for _, _, text in results) + "]")
         except OSError as exc:
             print(f"cannot write reports: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        _say(f"wrote {len(reports)} report(s) to {args['--json']}")
-    return aggregate_exit(rep.exit_class for rep in reports) if reports else EXIT_OK
+        _say(f"wrote {len(results)} report(s) to {path}")
+    return aggregate_exit(code for code, _, _ in results)
 
 
 def _say(line: str):

@@ -33,6 +33,10 @@ class NormalizationBudgetExceeded(EquipureError):
     pass
 
 
+class PresentationBudgetExceeded(EquipureError):
+    """A module presentation would have more generators than its budget."""
+
+
 class ParamBudgetError(EquipureError):
     """A parametric reduction or Buchberger run exceeded its step budget."""
 

@@ -287,19 +287,23 @@ def pure_powers(basis, variables, order) -> dict:
     return out
 
 
-def standard_exponents(leads, n: int, cap=None):
+def standard_exponents(leads, n: int, cap=None, most=None):
     """The exponent vectors of length n that no exponent in `leads`
     divides, sorted by grevlex: the standard monomials of a Groebner basis
     with those leading exponents. Without `cap` every variable must have a
     pure power among `leads`, which bounds its exponent; with `cap` a
-    variable's exponent stays below cap and the total degree at most cap."""
+    variable's exponent stays below cap and the total degree at most cap.
+    With `most`, None as soon as more than `most` of them are found."""
     bounds = [min((e[i] for e in leads if not any(e[:i]) and not any(e[i + 1:])),
                   default=cap) for i in range(n)]
     if cap is not None:
         bounds = [min(b, cap) for b in bounds]
-    out = [exps for exps in itertools.product(*map(range, bounds))
-           if (cap is None or sum(exps) <= cap)
-           and not any(exp_divides(lm, exps) for lm in leads)]
+    found = (exps for exps in itertools.product(*map(range, bounds))
+             if (cap is None or sum(exps) <= cap)
+             and not any(exp_divides(lm, exps) for lm in leads))
+    out = list(itertools.islice(found, None if most is None else most + 1))
+    if most is not None and len(out) > most:
+        return None
     out.sort(key=GREVLEX.key)
     return out
 

@@ -18,7 +18,13 @@ or replays none of these commands never compiles this module, nor `modules`.
 
 from __future__ import annotations
 
-from .errors import HypothesisFailed, NotHypersurface, NotModuleFinite, PreconditionFailed
+from .errors import (
+    HypothesisFailed,
+    NotHypersurface,
+    NotModuleFinite,
+    PreconditionFailed,
+    PresentationBudgetExceeded,
+)
 from .factorization import build_factorization, verify_equidimensional_at
 from .groebner import normal_form
 from .ideals import IdealHandle, krull_dim, pure_powers, standard_exponents
@@ -82,9 +88,17 @@ class ModulePresentation:
                 f"{len(self.relations)} relations)")
 
 
+# the most generators a module presentation may have: the syzygies behind
+# its relations and the splitting ideal grow steeply with the count (100
+# generators take about a second, 200 about five); tier-1's largest
+# presentation has 6 and the corpus's 3
+MAX_PRESENTATION_GENERATORS = 100
+
+
 def module_presentation(morphism: Morphism) -> ModulePresentation:
     """Standard monomials of the graph ideal under the source-block order,
-    with relations computed as the coefficient-restricted syzygies."""
+    with relations computed as the coefficient-restricted syzygies. Raises
+    PresentationBudgetExceeded above MAX_PRESENTATION_GENERATORS generators."""
     gring, gideal, src_idx, tgt_idx, _ = morphism.graph()
     order = block_order(src_idx)
     basis = gideal.groebner(order)
@@ -95,9 +109,14 @@ def module_presentation(morphism: Morphism) -> ModulePresentation:
     # generators: the monomials of the source variables that no leading
     # exponent free of the target variables divides
     leads = [g.leading(order)[0] for g in basis]
+    exps = standard_exponents([e[:ns] for e in leads if not any(e[ns:])], ns,
+                              most=MAX_PRESENTATION_GENERATORS)
+    if exps is None:
+        raise PresentationBudgetExceeded(
+            f"{morphism.name or morphism}: a module presentation needs more than "
+            f"MAX_PRESENTATION_GENERATORS = {MAX_PRESENTATION_GENERATORS} generators")
     src = morphism.source.ring
-    gens = [Polynomial(src, ((m, src.field.one),))
-            for m in standard_exponents([e[:ns] for e in leads if not any(e[ns:])], ns)]
+    gens = [Polynomial(src, ((m, src.field.one),)) for m in exps]
 
     # relations: { c in A^M : sum c_m * m  in  graph ideal }
     images = [(m.embed(gring),) for m in gens]

@@ -43,10 +43,12 @@ from .orders import GREVLEX, MonomialOrder
 from .poly import Polynomial, PolynomialRing
 from .schemes import (
     PSEUDO_PRIME_NOTE,
+    RATIONAL,
     Algebra,
     Morphism,
     Point,
     fiber_dim_at,
+    rational_point,
 )
 
 
@@ -162,13 +164,16 @@ def point_to_obj(p: Point):
 
 def point_from_obj(obj) -> Point:
     alg = algebra_from_obj(obj["algebra"])
+    if obj["kind"] == RATIONAL:
+        # a rational point is its coordinates: its ideal follows from them
+        point = rational_point(alg, [coeff_from_str(alg.field, c) for c in obj["coords"]])
+        if obj["ideal"] != ideal_to_obj(point.ideal):
+            raise ValueError("a rational point's ideal is not x_i - c_i of its coords")
+        return point
     ideal = ideal_from_obj(alg.ring, obj["ideal"])
     comp = (ideal_from_obj(alg.ring, obj["component"])
             if obj.get("component") is not None else None)
-    coords = None
-    if obj.get("coords") is not None:
-        coords = tuple(coeff_from_str(alg.field, c) for c in obj["coords"])
-    return Point(alg, ideal, obj["kind"], coords=coords, component=comp,
+    return Point(alg, ideal, obj["kind"], component=comp,
                  comp_dim=int(obj["comp_dim"]) if obj.get("comp_dim") is not None else None)
 
 

@@ -1,13 +1,26 @@
 """Module presentations, splitting ideals, purity at points, splinter
-probes, hypersurface normality and the strong-purity pipeline."""
+probes, hypersurface normality and the strong-purity pipeline. A module
+presentation on more generators than its budget is refused by name."""
+
+import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from equipure.errors import HypothesisFailed, NotHypersurface, NotModuleFinite
+from equipure.errors import (
+    HypothesisFailed,
+    NotHypersurface,
+    NotModuleFinite,
+    PresentationBudgetExceeded,
+)
 from equipure.fields import QQ
 from equipure.ideals import IdealHandle
 from equipure.poly import PolynomialRing, parse_poly
 from equipure.purity import (
+    MAX_PRESENTATION_GENERATORS,
     hypersurface_is_normal,
     module_presentation,
     splinter_probe,
@@ -22,8 +35,11 @@ from equipure.schemes import (
     make_algebra,
     rational_point,
 )
+from equipure.session import parse_session, run_command
 
 from conftest import P, compose, origin
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_presentation_free_rank_two(double_cover):
@@ -51,6 +67,58 @@ def test_presentation_identity(line_q):
 def test_presentation_needs_module_finiteness(flat_projection):
     with pytest.raises(NotModuleFinite):
         module_presentation(flat_projection)
+
+
+def _cusp_cover(a, b):
+    """The session of `splits nu` for nu : Cusp -> Line, a -> t^a, b -> t^b."""
+    return ("ring Cusp = Q[a,b] / (b^2 - a^3);\n"
+            "ring Line = Q[t];\n"
+            f"morphism nu : Cusp -> Line = [a -> t^{a}, b -> t^{b}];\n"
+            "splits nu;\n")
+
+
+def test_a_presentation_past_its_budget_is_refused_by_name(cusp_q, line_q):
+    """t^(2k) - a is the monic equation of t, so the presentation of
+    a -> t^(2k), b -> t^(3k) has 2k generators."""
+    k = MAX_PRESENTATION_GENERATORS // 2 + 1
+    nu = Morphism(cusp_q, line_q, [P(line_q.ring, f"t^{2 * k}"), P(line_q.ring, f"t^{3 * k}")])
+    with pytest.raises(PresentationBudgetExceeded, match="MAX_PRESENTATION_GENERATORS"):
+        module_presentation(nu)
+
+
+def _timed_cli(argv):
+    """(exit code, stdout, seconds) of `equipure.cli.main(argv)` in a fresh
+    interpreter pinned to one usable CPU."""
+    code = ("import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from equipure.cli import main\n"
+            f"raise SystemExit(main({argv!r}))")
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=10)
+    return out.returncode, out.stdout, time.perf_counter() - start
+
+
+def test_run_and_verify_of_a_huge_presentation_end_at_the_budget(tmp_path):
+    """`splits nu` with a -> t^40000, b -> t^60000, a presentation on 40000
+    generators, ends in under 2 s with the budget error, exit 2; so does the
+    replay of the a -> t^2, b -> t^3 certificate edited to that map."""
+    session = tmp_path / "huge.eqp"
+    session.write_text(_cusp_cover(40000, 60000), encoding="utf-8")
+    code, out, seconds = _timed_cli(["run", str(session)])
+    assert code == 2 and "MAX_PRESENTATION_GENERATORS" in out and seconds < 2, (out, seconds)
+
+    small = parse_session(_cusp_cover(2, 3))
+    entry = run_command(small, *small.commands[0]).to_obj()
+    images = entry["certificate"]["morphism"]["images"]
+    assert images == [[[["2"], "1"]], [[["3"], "1"]]]
+    images[:] = [[[["40000"], "1"]], [[["60000"], "1"]]]
+    report = tmp_path / "edited.json"
+    report.write_text(json.dumps([entry]), encoding="utf-8")
+    code, out, seconds = _timed_cli(["verify", str(report)])
+    assert code == 1 and seconds < 2, (out, seconds)
+    assert out.startswith("[FAIL] splits nu: verification error: PresentationBudgetExceeded")
+    assert "MAX_PRESENTATION_GENERATORS" in out
 
 
 def test_splitting_ideal_examples(veronese_q, cusp_normalization, line_q):

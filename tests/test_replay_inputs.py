@@ -3,19 +3,25 @@ or in a strong-purity probe record, is replayed from the normalization it
 records (`lifted`), so the seeded search does not run again: every edit of
 a recorded normalization is rejected, and a normalization the search
 rejected fails by name. The entry's seed is bound to the seed its
-certificate records, and its command head to its certificate kind. Every
+certificate records, and its command head to its certificate kind. A
+recorded rational point is its coordinates: its ideal must be the x_i - c_i
+of them, and neither building nor decoding one runs Buchberger on it. Every
 report here is the seed-1 report of the corpus or of the fibers workload."""
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from equipure import cli, factorization, groebner, parametric
-from equipure.reports import canonical_json, verify_certificate
+from equipure.fields import GF, QQ
+from equipure.poly import PolynomialRing
+from equipure.reports import canonical_json, point_from_obj, point_to_obj, verify_certificate
+from equipure.schemes import make_algebra, rational_point
 from equipure.session import COMMANDS, parse_session
 
-from conftest import run_all
+from conftest import P, run_all
 from test_session_grammar import _workloads
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -185,3 +191,46 @@ def test_verify_binds_the_seed_and_the_command_head(sessions, monkeypatch):
             assert not ok and "entry-differs-at $.seed" in failures, (entry["command"], failures)
             seeds += 1
     assert (heads_swapped, seeds) == (16 + 24, 10)
+
+
+def test_a_recorded_rational_point_ideal_must_come_from_its_coordinates(sessions, monkeypatch):
+    """The fibers entry `equidim-check c0 at co0 probes (cp0)` with the
+    ideal (u, x, z) of its point recorded as (u, x, z^2), or as (u) alone,
+    fails, and the failure names the ideal."""
+    monkeypatch.setattr(groebner, "_MEMO", {})
+    entry = next(e for e in sessions["fibers"][1]
+                 if e["command"] == "equidim-check c0 at co0 probes (cp0)")
+    assert verify_certificate(entry) == (True, [])
+    u, x, z = ideal = entry["certificate"]["x"]["ideal"]
+    assert z == [[["0", "0", "1"], "1"]]
+    for edit in ([u, x, [[["0", "0", "2"], "1"]]], [u]):
+        edited = json.loads(json.dumps(entry))
+        edited["certificate"]["x"]["ideal"] = edit
+        assert verify_certificate(edited) == (False, [
+            "verification error: ValueError: a rational point's ideal is not x_i - c_i "
+            "of its coords"])
+    assert entry["certificate"]["x"]["ideal"] == ideal
+
+
+def test_building_or_decoding_a_rational_point_runs_no_buchberger(monkeypatch):
+    """The relations are checked by evaluation at the coordinates, and
+    (x_i - c_i) is never the unit ideal: no Buchberger run has a point's
+    ideal as its input, over Q or over GF(7)."""
+    inputs = []
+
+    def recorded(generators, order, inner=groebner._buchberger):
+        inputs.append(set(generators))
+        return inner(generators, order)
+
+    monkeypatch.setattr(groebner, "_MEMO", {})
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    for field, coords in ((QQ, (2, 3, Fraction(5, 7))), (GF(7), (2, 3, 4))):
+        ring = PolynomialRing(field, ["x", "y", "z"])
+        algebra = make_algebra(field, ring.vars, [P(ring, "x*y - 6")], "R")
+        point = rational_point(algebra, coords)
+        again = point_from_obj(point_to_obj(point))
+        assert again.key == point.key
+        with pytest.raises(ValueError):
+            rational_point(algebra, (1, 1, 0))
+        assert set(point.ideal.generators) not in inputs
+    assert inputs
