@@ -19,6 +19,9 @@ alone has degree q deg z.
 The report code of the `fedder`, `tc-member`, `f-rational-probe` and
 `descend-check` commands lives here too (the last section): their
 producers, certificate builders, payload decoders and identity check.
+`f_rational_probe` returns the verdict, details and witness its
+certificate records, and `f_rational_descent_check` builds the `descent`
+payload itself; no record class stands between them and the payload.
 `reports.PRODUCERS` names the producers by module and function, and
 `reports._REPLAY` the decoders and checks by name, so a process that runs
 or replays none of these commands never compiles this module.
@@ -155,7 +158,7 @@ def is_parameter_sequence(algebra: Algebra, elems) -> bool:
     return True
 
 
-def jacobian_test_candidates(algebra: Algebra, ctx: FrobeniusContext):
+def jacobian_test_candidates(algebra: Algebra):
     """Multiplier candidates for tight-closure tests on a hypersurface:
     partial derivatives of the defining equation that avoid every component
     of the relation ideal, with 1 prepended when the Jacobian ideal is the
@@ -261,20 +264,6 @@ def tc_member_certificate(z: Polynomial, ideal: IdealHandle, multiplier: Polynom
 # -- F-rationality probing -------------------------------------------------------
 
 
-class FRationalReport:
-    def __init__(self, algebra, verdict, details, witness=None):
-        self.algebra = algebra
-        self.verdict = verdict   # no-counterexample-at-level-E | NotFRational | inconclusive
-        self.details = details
-        self.witness = witness
-
-    def clean(self) -> bool:
-        return self.verdict.startswith("no-counterexample")
-
-    def __repr__(self):
-        return f"FRationalReport({self.verdict})"
-
-
 # the degree cap of the standard monomials an F-rationality probe tests
 MONOMIAL_DEGREE_CAP = 40
 
@@ -289,17 +278,22 @@ def standard_monomials(algebra: Algebra, handle: IdealHandle):
             for exps in standard_exponents(leads, algebra.ring.nvars, MONOMIAL_DEGREE_CAP)]
 
 
-def f_rational_probe(algebra: Algebra, sops, bound: int,
-                     ctx: FrobeniusContext) -> FRationalReport:
+def f_rational_probe(algebra: Algebra, sops, bound: int, ctx: FrobeniusContext):
     """For each given parameter sequence, test every standard monomial of
     the quotient against every multiplier candidate. Never claims
-    F-rationality outright; a clean run is bounded evidence only."""
+    F-rationality outright; a clean run is bounded evidence only.
+
+    Returns (verdict, details, witness), as the `f-rational-probe`
+    certificate records them: the verdict is no-counterexample-at-level-E
+    (clean), NotFRational or inconclusive-no-candidates; details hold one
+    record per monomial tested; the witness, {"z", "ideal"}, is the first
+    monomial that only evidence placed in the closure, or None."""
     if not sops:
         raise ValueError("sops () is empty: need at least one parameter sequence")
-    candidates = jacobian_test_candidates(algebra, ctx)
+    candidates = jacobian_test_candidates(algebra)
     if not candidates:
-        return FRationalReport(algebra, "inconclusive-no-candidates",
-                               [{"reason": "no multiplier candidates survive the component filter"}])
+        return ("inconclusive-no-candidates",
+                [{"reason": "no multiplier candidates survive the component filter"}], None)
     details = []
     witness = None
     for seq in sops:
@@ -312,7 +306,7 @@ def f_rational_probe(algebra: Algebra, sops, bound: int,
                 continue
             z_record = {"z": str(z), "ideal": [str(s) for s in seq], "runs": []}
             certified_out = False
-            evidence_in = None
+            evidence_in = False
             for c in candidates:
                 verdict = tc_member_certificate(z, ideal, c, bound, ctx)
                 z_record["runs"].append({"multiplier": str(c),
@@ -322,40 +316,28 @@ def f_rational_probe(algebra: Algebra, sops, bound: int,
                     certified_out = True
                     break
                 if verdict.status == TCVerdict.EVIDENCE:
-                    evidence_in = verdict
+                    evidence_in = True
             details.append(z_record)
-            if not certified_out and evidence_in is not None and witness is None:
-                witness = {"z": str(z), "ideal": [str(s) for s in seq],
-                           "verdict": evidence_in}
+            if not certified_out and evidence_in and witness is None:
+                witness = {"z": str(z), "ideal": [str(s) for s in seq]}
     if witness is not None:
-        return FRationalReport(algebra, "NotFRational", details, witness)
-    return FRationalReport(algebra, f"no-counterexample-at-level-{bound}", details)
+        return "NotFRational", details, witness
+    return f"no-counterexample-at-level-{bound}", details, None
 
 
 # -- the descent harness -----------------------------------------------------------
 
 
-class DescentReport:
-    def __init__(self, morphism, verdict, source_report, target_report,
-                 purity_witness, alarms, assumptions):
-        self.morphism = morphism
-        self.verdict = verdict
-        self.source_report = source_report
-        self.target_report = target_report
-        self.purity_witness = purity_witness
-        self.alarms = list(alarms)
-        self.assumptions = list(assumptions)
-
-    def __repr__(self):
-        return f"DescentReport({self.verdict})"
-
-
-def f_rational_descent_check(morphism: Morphism, y: Point, probes,
-                             bound: int) -> DescentReport:
+def f_rational_descent_check(morphism: Morphism, y: Point, probes, bound: int):
     """Cross-check F-rationality descent along an equidimensional map that is
     pure at y. Refuses non-equidimensional input; flags a soundness alarm if
     the source probes clean while the target shows a counterexample with all
-    hypotheses checked."""
+    hypotheses checked.
+
+    Returns (payload, assumptions): the `descent` certificate, with the
+    verdict consistent or inconsistent, the source's and the target's
+    F-rationality verdicts, the purity witness and the alarms, and the
+    assumption ledger."""
     if morphism.source.field.char == 0:
         raise BadCharacteristic("the descent harness runs in characteristic p > 0")
     assumptions = [
@@ -366,11 +348,11 @@ def f_rational_descent_check(morphism: Morphism, y: Point, probes,
     ]
     if not probes:
         raise ValueError("probes () is empty: need at least one source probe point")
-    report = verify_equidimensional_at(morphism, probes[0], probes=list(probes[1:]))
-    if not report.certified():
+    verdict = verify_equidimensional_at(morphism, probes[0], probes=list(probes[1:]))["verdict"]
+    if verdict != "certified-at-probes":
         raise HypothesisFailed(
             "equidimensionality",
-            f"verdict {report.verdict}: descent is false without the locally "
+            f"verdict {verdict}: descent is false without the locally "
             "equidimensional hypothesis")
     if is_module_finite(morphism):
         witness_pure = witness_outside(morphism, y) is not None
@@ -384,17 +366,24 @@ def f_rational_descent_check(morphism: Morphism, y: Point, probes,
 
     src_alg, tgt_alg = morphism.source, morphism.target
     src_ctx, tgt_ctx = FrobeniusContext(src_alg), FrobeniusContext(tgt_alg)
-    src_rep = f_rational_probe(src_alg, [_default_sop(src_alg)], bound, src_ctx)
-    tgt_rep = f_rational_probe(tgt_alg, [_default_sop(tgt_alg)], bound, tgt_ctx)
+    src_verdict = f_rational_probe(src_alg, [_default_sop(src_alg)], bound, src_ctx)[0]
+    tgt_verdict = f_rational_probe(tgt_alg, [_default_sop(tgt_alg)], bound, tgt_ctx)[0]
 
     alarms = []
-    if src_rep.clean() and not tgt_rep.clean():
+    if _clean(src_verdict) and not _clean(tgt_verdict):
         alarms.append(
             "soundness alarm: source probes clean and hypotheses verified, but the "
             "target shows a counterexample")
-    verdict = "consistent" if not alarms else "inconsistent"
-    return DescentReport(morphism, verdict, src_rep, tgt_rep, purity_witness,
-                         alarms, assumptions)
+    return {"kind": "descent", "morphism": morphism_to_obj(morphism), "y": point_to_obj(y),
+            "probes": [point_to_obj(p) for p in probes], "bound": bound,
+            "verdict": "consistent" if not alarms else "inconsistent",
+            "source_verdict": src_verdict, "target_verdict": tgt_verdict,
+            "purity_witness": purity_witness, "alarms": alarms}, assumptions
+
+
+def _clean(verdict):
+    """An F-rationality probe's verdict found no counterexample."""
+    return verdict.startswith("no-counterexample")
 
 
 def _default_sop(algebra: Algebra):
@@ -446,36 +435,6 @@ def fedder_certificate_obj(defining, m, ctx, verdict: bool):
     }
 
 
-def f_rational_certificate_obj(report, sops, bound):
-    return {
-        "kind": "f-rational-probe",
-        "algebra": algebra_to_obj(report.algebra),
-        "sops": [[poly_to_obj(s) for s in seq] for seq in sops],
-        "bound": bound,
-        "verdict": report.verdict,
-        "details": report.details,
-        "witness": {
-            "z": report.witness["z"],
-            "ideal": report.witness["ideal"],
-        } if report.witness else None,
-    }
-
-
-def descent_certificate_obj(report, y, probes, bound):
-    return {
-        "kind": "descent",
-        "morphism": morphism_to_obj(report.morphism),
-        "y": point_to_obj(y),
-        "probes": [point_to_obj(p) for p in probes],
-        "bound": bound,
-        "verdict": report.verdict,
-        "source_verdict": report.source_report.verdict,
-        "target_verdict": report.target_report.verdict,
-        "purity_witness": report.purity_witness,
-        "alarms": report.alarms,
-    }
-
-
 def produce_fedder(algebra, point, **_):
     gb = algebra.relations.groebner()
     if len(gb) != 1:
@@ -496,10 +455,13 @@ def produce_tc(algebra, z, ideal, multiplier, bound, **_):
 
 
 def produce_f_rational(algebra, sops, bound, **_):
-    report = f_rational_probe(algebra, sops, bound, FrobeniusContext(algebra))
-    exit_class = EXIT_OK if report.clean() else (
-        EXIT_REFUTED if report.verdict == "NotFRational" else EXIT_INCONCLUSIVE)
-    return (report.verdict, exit_class, f_rational_certificate_obj(report, sops, bound),
+    verdict, details, witness = f_rational_probe(algebra, sops, bound, FrobeniusContext(algebra))
+    exit_class = EXIT_OK if _clean(verdict) else (
+        EXIT_REFUTED if verdict == "NotFRational" else EXIT_INCONCLUSIVE)
+    cert = {"kind": "f-rational-probe", "algebra": algebra_to_obj(algebra),
+            "sops": [[poly_to_obj(s) for s in seq] for seq in sops], "bound": bound,
+            "verdict": verdict, "details": details, "witness": witness}
+    return (verdict, exit_class, cert,
             [TEST_ELEMENT_NOTE,
              {"status": "assumed",
               "text": "dimension-drop parameter test valid for the equidimensional catenary corpus"}])
@@ -507,12 +469,11 @@ def produce_f_rational(algebra, sops, bound, **_):
 
 def produce_descent(morphism, y, probes, bound, **_):
     try:
-        report = f_rational_descent_check(morphism, y, probes, bound)
+        cert, assumptions = f_rational_descent_check(morphism, y, probes, bound)
     except HypothesisFailed as exc:
         return f"refused: {exc}", EXIT_ERROR, None, []
-    ok = report.verdict == "consistent"
-    return (report.verdict, EXIT_OK if ok else EXIT_REFUTED,
-            descent_certificate_obj(report, y, probes, bound), report.assumptions)
+    ok = cert["verdict"] == "consistent"
+    return cert["verdict"], EXIT_OK if ok else EXIT_REFUTED, cert, assumptions
 
 
 def _fedder_inputs(p):

@@ -215,9 +215,10 @@ def _run(args) -> int:
 
     def report(i):
         # the entry is rendered here, in the process that ran the command
-        rep = session.run_command(parsed, *parsed.commands[i])
-        return (rep.exit_class, f"[{_tag(rep.exit_class)}] {rep.command}  ->  {rep.verdict}",
-                canonical_json(rep.to_obj()) if path else None)
+        entry = session.run_command(parsed, *parsed.commands[i])
+        return (entry["exit_class"],
+                f"[{_tag(entry['exit_class'])}] {entry['command']}  ->  {entry['verdict']}",
+                canonical_json(entry) if path else None)
 
     results = _spread(report, [command for _, command in parsed.commands])
     for _, line, _ in results:

@@ -286,16 +286,6 @@ def lift_clear_denominators(nd: NoetherData, morphism: Morphism):
 # -- the factorization certificate ------------------------------------------
 
 
-class PredicateRecord:
-    def __init__(self, name: str, ok: bool, evidence):
-        self.name = name
-        self.ok = ok
-        self.evidence = evidence
-
-    def __repr__(self):
-        return f"[{'ok' if self.ok else 'FAIL'}] {self.name}"
-
-
 class FactorizationCertificate:
     def __init__(self, morphism, y, x0, e, lifted, induced, predicates,
                  seed, notes, probes=()):
@@ -305,20 +295,13 @@ class FactorizationCertificate:
         self.e = e
         self.lifted = list(lifted)       # s_1..s_e in the source ring
         self.induced = induced           # g: A[T] -> B
-        self.predicates = predicates
+        self.predicates = predicates     # {"name", "ok", "evidence"} dicts
         self.seed = seed
         self.notes = list(notes)
         self.probes = tuple(probes)
 
-    def all_ok(self) -> bool:
-        return all(p.ok for p in self.predicates)
-
-    def failed(self):
-        return [p.name for p in self.predicates if not p.ok]
-
     def __repr__(self):
-        status = "ok" if self.all_ok() else f"FAILED {self.failed()}"
-        return f"FactorizationCertificate(e={self.e}, {status})"
+        return f"FactorizationCertificate(e={self.e})"
 
 
 def extend_with_tags(target: Algebra, e: int):
@@ -345,7 +328,8 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
 
     Computed once per process for each (morphism, y, x0, probes, seed,
     lifted). Each call gets a certificate of its own around its own
-    morphism, points and probes, with copies of the predicates' evidence.
+    morphism, points and probes, with its own copy of the predicates, the
+    {"name", "ok", "evidence"} dicts the certificate records.
     The induced map, shared, is named after the morphism and its algebras,
     so their names are part of the key; a call that fails stores
     nothing."""
@@ -355,10 +339,8 @@ def build_factorization(morphism: Morphism, y: Point, x0: Point, probes=(),
     key = ("factorization", morphism.key, names, y.key, x0.key,
            tuple(p.key for p in probes), seed, lifted)
     cert = _memoized(key, lambda: _build_factorization(morphism, y, x0, probes, seed, lifted))
-    predicates = [PredicateRecord(p.name, p.ok, _copied(p.evidence))
-                  for p in cert.predicates]
     return FactorizationCertificate(morphism, y, x0, cert.e, cert.lifted, cert.induced,
-                                    predicates, seed, cert.notes, probes)
+                                    _copied(cert.predicates), seed, cert.notes, probes)
 
 
 def _build_factorization(morphism, y, x0, probes, seed, lifted):
@@ -384,6 +366,9 @@ def _build_factorization(morphism, y, x0, probes, seed, lifted):
                 f"x0's component has dimension {comp_dim}, fiber dimension is {e}; "
                 "only top-dimensional components are supported")
     else:
+        if x0.comp_dim != e:
+            raise PreconditionFailed(
+                f"x0 has dimension {x0.comp_dim}, the generic fiber has dimension {e}")
         notes.append("generic fiber treated as a single pseudo-prime component")
 
     nd = noether_normalize(fm, seed=seed, ts=lifted)
@@ -404,16 +389,15 @@ def _build_factorization(morphism, y, x0, probes, seed, lifted):
         induced.images[i] == morphism.images[i]
         for i in range(morphism.target.ring.nvars)
     )
-    predicates.append(PredicateRecord(
-        "composition-identity", comp_ok,
-        {"images": [str(p) for p in induced.images]}))
+    predicates.append({"name": "composition-identity", "ok": comp_ok,
+                       "evidence": {"images": [str(p) for p in induced.images]}})
 
     # P2/P3: fiber-level leg is module-finite with zero kernel contraction,
     # as the lift has checked
-    predicates.append(PredicateRecord(
-        "fiber-leg-module-finite", True,
-        {"pure_powers": {src.vars[i]: list(w) for i, w in witness.items()}}))
-    predicates.append(PredicateRecord("fiber-leg-zero-contraction", True, {"contraction": []}))
+    predicates.append({"name": "fiber-leg-module-finite", "ok": True, "evidence": {
+        "pure_powers": {src.vars[i]: list(w) for i, w in witness.items()}}})
+    predicates.append({"name": "fiber-leg-zero-contraction", "ok": True,
+                       "evidence": {"contraction": []}})
 
     # P4: x0's ideal contracts to (0) in the tag polynomial ring
     if fm.kind == "rational":
@@ -421,7 +405,7 @@ def _build_factorization(morphism, y, x0, probes, seed, lifted):
         p4_ok, p4_evi = not contr, {"contraction": [str(g) for g in contr]}
     else:
         p4_ok, p4_evi = True, {"contraction": [], "note": "generic point of the whole fiber"}
-    predicates.append(PredicateRecord("point-contracts-to-generic", p4_ok, p4_evi))
+    predicates.append({"name": "point-contracts-to-generic", "ok": p4_ok, "evidence": p4_evi})
 
     # P5: every source component dominates affine e-space over the target
     dom_evi = []
@@ -434,8 +418,8 @@ def _build_factorization(morphism, y, x0, probes, seed, lifted):
             "witness": [str(g) for g in wit.generators],
         })
         dom_ok = dom_ok and ok
-    predicates.append(PredicateRecord(
-        "components-dominate-affine-space", dom_ok, {"components": dom_evi}))
+    predicates.append({"name": "components-dominate-affine-space", "ok": dom_ok,
+                       "evidence": {"components": dom_evi}})
 
     # P6: quasi-finiteness on strata covering the generic point of p^-1(y)
     # and every given probe
@@ -463,14 +447,13 @@ def _build_factorization(morphism, y, x0, probes, seed, lifted):
         if not qf or stratum is None or not stratum.quasi_finite:
             p6_ok = False
     p6_evi["probes"] = probe_records
-    predicates.append(PredicateRecord("quasi-finite-on-strata", p6_ok, p6_evi))
+    predicates.append({"name": "quasi-finite-on-strata", "ok": p6_ok, "evidence": p6_evi})
 
-    cert = FactorizationCertificate(
-        morphism, y, x0, e, lifted, induced, predicates, seed, notes,
-        probes=probes)
-    if not cert.all_ok():
-        raise PreconditionFailed(f"factorization predicates failed: {cert.failed()}")
-    return cert
+    failed = [p["name"] for p in predicates if not p["ok"]]
+    if failed:
+        raise PreconditionFailed(f"factorization predicates failed: {failed}")
+    return FactorizationCertificate(morphism, y, x0, e, lifted, induced, predicates, seed,
+                                    notes, probes=probes)
 
 
 def _copied(evidence):
@@ -523,33 +506,24 @@ def _generic_point_in_stratum(stratum, morphism, y, e) -> bool:
     return True
 
 
-# -- equidimensionality reports ------------------------------------------------
+# -- equidimensionality -------------------------------------------------------
 
 
-class EquidimReport:
-    def __init__(self, e, verdict, evidence, witness=None):
-        self.e = e
-        self.verdict = verdict          # certified-at-probes | refuted | inconclusive
-        self.evidence = evidence
-        self.witness = witness
-
-    def certified(self) -> bool:
-        return self.verdict == "certified-at-probes"
-
-    def __repr__(self):
-        return f"EquidimReport(e={self.e}, {self.verdict})"
-
-
-def verify_equidimensional_at(morphism: Morphism, x: Point, probes=()) -> EquidimReport:
+def verify_equidimensional_at(morphism: Morphism, x: Point, probes=()):
     """Checks the dominance + constant-fiber-dimension characterization at x,
     at each probe, and at the generic point of each dominated target
-    component. Computed once per process for each (morphism, x, probes);
-    each call gets its own copy of the evidence."""
+    component. Returns the fields the `equidim` certificate records:
+    {"e": fiber dimension at x, "verdict": certified-at-probes, refuted or
+    inconclusive, "evidence": the checks run, "witness": what refutes, or
+    None}. Computed once per process for each (morphism, x, probes); each
+    call gets its own copy."""
     probes = tuple(probes)
     key = ("equidim", morphism.key, x.key, tuple(p.key for p in probes))
-    report = _memoized(key, lambda: _verify_equidimensional_at(morphism, x, probes))
-    return EquidimReport(report.e, report.verdict, _copied(report.evidence),
-                         _copied(report.witness))
+    return _copied(_memoized(key, lambda: _verify_equidimensional_at(morphism, x, probes)))
+
+
+def _equidim(e, verdict, evidence, witness=None):
+    return {"e": e, "verdict": verdict, "evidence": evidence, "witness": witness}
 
 
 def _verify_equidimensional_at(morphism, x, probes):
@@ -557,7 +531,7 @@ def _verify_equidimensional_at(morphism, x, probes):
     try:
         e0 = fiber_dim_at(morphism, x)
     except UnsupportedPointKind as exc:
-        return EquidimReport(None, "inconclusive", [{"error": str(exc)}])
+        return _equidim(None, "inconclusive", [{"error": str(exc)}])
     evidence.append({"check": "fiber-dim-at-x", "dim": e0})
 
     through_x = [c for c in decompose_components(morphism.source.relations)
@@ -572,8 +546,8 @@ def _verify_equidimensional_at(morphism, x, probes):
             "ok": ok,
         })
         if not ok:
-            return EquidimReport(e0, "refuted", evidence,
-                                 witness={"component": [str(g) for g in c.generators]})
+            return _equidim(e0, "refuted", evidence,
+                            {"component": [str(g) for g in c.generators]})
         witnesses.append(wit)
 
     for pr in probes:
@@ -581,9 +555,8 @@ def _verify_equidimensional_at(morphism, x, probes):
         evidence.append({"check": "fiber-dim-at-probe",
                          "probe": [str(c) for c in pr.coords], "dim": d})
         if d != e0:
-            return EquidimReport(e0, "refuted", evidence,
-                                 witness={"probe": [str(c) for c in pr.coords],
-                                          "dim": d})
+            return _equidim(e0, "refuted", evidence,
+                            {"probe": [str(c) for c in pr.coords], "dim": d})
 
     seen = set()
     for wit in witnesses:
@@ -597,7 +570,6 @@ def _verify_equidimensional_at(morphism, x, probes):
         evidence.append({"check": "generic-fiber-dim",
                          "target_component": list(key), "dim": d})
         if d != e0:
-            return EquidimReport(e0, "refuted", evidence,
-                                 witness={"target_component": list(key),
-                                          "generic_dim": d})
-    return EquidimReport(e0, "certified-at-probes", evidence)
+            return _equidim(e0, "refuted", evidence,
+                            {"target_component": list(key), "generic_dim": d})
+    return _equidim(e0, "certified-at-probes", evidence)

@@ -11,6 +11,9 @@ column, both identities machine-checked.
 The report code of the `splits`, `pure-at`, `splinter-probe` and
 `strong-purity` commands lives here too (the last section): their
 producers, certificate builders, payload decoders and identity checks.
+`splinter_probe` returns the verdicts its certificate records, and
+`strong_purity_certificate` builds the `strong-purity` payload itself; no
+record class stands between them and the payload.
 `reports.PRODUCERS` names the producers by module and function, and
 `reports._REPLAY` the decoders and checks by name, so a process that runs
 or replays none of these commands never compiles this module, nor `modules`.
@@ -277,21 +280,15 @@ def witness_outside(morphism: Morphism, p: Point):
 # -- splinter probing -----------------------------------------------------------
 
 
-class SplinterReport:
-    def __init__(self, base, verdicts, verdict, witness=None):
-        self.base = base
-        self.verdicts = verdicts
-        self.verdict = verdict        # all-probed-covers-split | refuted
-        self.witness = witness
-
-    def __repr__(self):
-        return f"SplinterReport({self.verdict})"
-
-
-def splinter_probe(base: Algebra, covers) -> SplinterReport:
+def splinter_probe(base: Algebra, covers):
     """Probe the splinter property of `base` against the given module-finite
     covers with surjective Spec. Explicitly a probe over the given covers,
-    never a full splinter proof."""
+    never a full splinter proof.
+
+    Returns (verdict, per-cover verdicts, witness): the verdict is
+    all-probed-covers-split or refuted, each cover's entry is the
+    {"cover", "splits", "splitting_ideal"} dict the certificate records,
+    and the witness is the first cover that does not split, or None."""
     if not covers:
         raise ValueError("covers () is empty: need at least one cover")
     verdicts = []
@@ -311,8 +308,7 @@ def splinter_probe(base: Algebra, covers) -> SplinterReport:
                          "splitting_ideal": [str(g) for g in cert.splitting.generators]})
         if not ok and witness is None:
             witness = phi
-    verdict = "all-probed-covers-split" if witness is None else "refuted"
-    return SplinterReport(base, verdicts, verdict, witness)
+    return ("all-probed-covers-split" if witness is None else "refuted"), verdicts, witness
 
 
 def _surjectivity_evidence(phi: Morphism) -> bool:
@@ -358,28 +354,17 @@ BASE_CLASSES = ("regular-polynomial-ring", "normal-Q-hypersurface",
                 "user-asserted-splinter")
 
 
-class StrongPurityCertificate:
-    def __init__(self, morphism, base_class, base_evidence, probe_records,
-                 assumptions):
-        self.morphism = morphism
-        self.base_class = base_class
-        self.base_evidence = base_evidence
-        self.probe_records = probe_records
-        self.assumptions = assumptions
-
-    def __repr__(self):
-        return (f"StrongPurityCertificate({self.base_class}, "
-                f"{len(self.probe_records)} probes)")
-
-
 def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
-                              seed: int = 0, lifted=None) -> StrongPurityCertificate:
+                              seed: int = 0, lifted=None):
     """Certify purity of the local maps at the probe points by the
     factor-through-affine-space route: checked equidimensionality, checked
     base hypothesis, the factorization certificate, a direct splitting
     witness for the finite leg when available, and the flat projection leg
     recorded as a cited fact. `lifted`, one recorded normalization per
-    probe, is passed to `build_factorization` at that probe."""
+    probe, is passed to `build_factorization` at that probe.
+
+    Returns (payload, assumptions): the `strong-purity` certificate, whose
+    "probes" hold one record per probe, and the assumption ledger."""
     if not probes:
         raise ValueError("probes () is empty: need at least one probe point")
     if base_class not in BASE_CLASSES:
@@ -415,12 +400,12 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
     probe_records = []
     for k, probe in enumerate(probes):
         report = verify_equidimensional_at(morphism, probe, probes=[])
-        if not report.certified():
+        if report["verdict"] != "certified-at-probes":
             raise HypothesisFailed("equidimensionality",
-                                   f"verdict {report.verdict} at probe {probe}")
+                                   f"verdict {report['verdict']} at probe {probe}")
         y = rational_point(target, morphism.image_point_coords(probe.coords))
         cands = maximal_points_of_fiber(morphism, y)
-        e = report.e
+        e = report["e"]
         x0 = None
         for pt in cands:
             if pt.comp_dim != e:
@@ -437,8 +422,8 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
                                    lifted=None if lifted is None else lifted[k])
         record = {
             "probe": [str(c) for c in probe.coords],
-            "equidim": report,
-            "factorization": cert,
+            "equidim_verdict": report["verdict"],
+            "factorization": factorization_certificate_obj(cert),
             "finite_leg": None,
         }
         g = cert.induced
@@ -456,14 +441,16 @@ def strong_purity_certificate(morphism: Morphism, base_class: str, probes,
                 raise HypothesisFailed("finite-leg-purity",
                                        "direct splitting witness refuted purity at the image point")
         probe_records.append(record)
-    return StrongPurityCertificate(morphism, base_class, base_evidence,
-                                   probe_records, assumptions)
+    return {"kind": "strong-purity", "morphism": morphism_to_obj(morphism),
+            "base_class": base_class, "base_evidence": base_evidence,
+            "probes": probe_records}, assumptions
 
 
 # -- reports ------------------------------------------------------------------------
 #
 # The report code of the `split`, `pure-at`, `splinter-probe`
-# and `strong-purity` kinds.
+# and `strong-purity` kinds; `strong_purity_certificate` builds the last
+# kind's payload itself.
 
 
 def split_certificate_obj(cert):
@@ -489,35 +476,6 @@ def point_purity_certificate_obj(morphism, p, verdict, witness):
     }
 
 
-def splinter_certificate_obj(report, covers):
-    return {
-        "kind": "splinter-probe",
-        "base": algebra_to_obj(report.base),
-        "covers": [morphism_to_obj(phi) for phi in covers],
-        "verdicts": report.verdicts,
-        "verdict": report.verdict,
-        "witness": report.witness.name if report.witness is not None else None,
-    }
-
-
-def strong_purity_certificate_obj(cert):
-    records = []
-    for r in cert.probe_records:
-        records.append({
-            "probe": r["probe"],
-            "equidim_verdict": r["equidim"].verdict,
-            "factorization": factorization_certificate_obj(r["factorization"]),
-            "finite_leg": r["finite_leg"],
-        })
-    return {
-        "kind": "strong-purity",
-        "morphism": morphism_to_obj(cert.morphism),
-        "base_class": cert.base_class,
-        "base_evidence": cert.base_evidence,
-        "probes": records,
-    }
-
-
 def produce_split(morphism, **_):
     ok, cert = splits(morphism)
     return ("splits" if ok else "does-not-split", EXIT_OK if ok else EXIT_REFUTED,
@@ -532,10 +490,11 @@ def produce_pure_at(morphism, point, **_):
 
 
 def produce_splinter(base, covers, **_):
-    report = splinter_probe(base, covers)
-    ok = report.verdict == "all-probed-covers-split"
-    return (report.verdict, EXIT_OK if ok else EXIT_REFUTED,
-            splinter_certificate_obj(report, covers),
+    verdict, verdicts, witness = splinter_probe(base, covers)
+    cert = {"kind": "splinter-probe", "base": algebra_to_obj(base),
+            "covers": [morphism_to_obj(phi) for phi in covers], "verdicts": verdicts,
+            "verdict": verdict, "witness": witness.name if witness is not None else None}
+    return (verdict, EXIT_REFUTED if witness is not None else EXIT_OK, cert,
             [PSEUDO_PRIME_NOTE,
              {"status": "verified",
               "text": "cover surjectivity evidenced by dominance plus module-finiteness"}])
@@ -543,14 +502,13 @@ def produce_splinter(base, covers, **_):
 
 def produce_strong_purity(morphism, base_class, probes, seed, lifted=None, **_):
     try:
-        cert = strong_purity_certificate(morphism, base_class, probes, seed=seed,
-                                         lifted=lifted)
+        cert, assumptions = strong_purity_certificate(morphism, base_class, probes, seed=seed,
+                                                      lifted=lifted)
     except HypothesisFailed as exc:
         return f"hypothesis-failed: {exc.hypothesis}", EXIT_ERROR, None, []
     except PreconditionFailed as exc:
         return f"precondition-failed: {exc}", EXIT_ERROR, None, []
-    return ("certificate-emitted", EXIT_OK, strong_purity_certificate_obj(cert),
-            cert.assumptions)
+    return "certificate-emitted", EXIT_OK, cert, assumptions
 
 
 def _split_inputs(p):

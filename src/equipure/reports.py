@@ -14,8 +14,12 @@ that fails. A factorization, alone or in a strong-purity probe record, is
 replayed from the normalization it records, which is an input as its seed
 is; which candidate the seeded search reaches first is not re-derived.
 
-This module holds the canonical JSON, the object codecs, `Report`, the
-replay and the report code of the `gb`, `dim`, `fiber-dim`,
+A report entry is the dict `session.run_command` returns and `run --json`
+writes, and a certificate is the payload its producer builds: each field
+has one spelling, with no record class between computation and payload.
+
+This module holds the canonical JSON, the object codecs, the exit classes,
+the replay and the report code of the `gb`, `dim`, `fiber-dim`,
 `equidim-check` and `factorize` commands. The producers, certificate
 builders, payload decoders and identity checks of the purity family
 (`splits`, `pure-at`, `splinter-probe`, `strong-purity`) live in `purity`
@@ -34,7 +38,6 @@ import importlib
 import json
 from fractions import Fraction
 
-from . import __version__
 from .errors import PreconditionFailed
 from .fields import FieldSpec
 from .groebner import is_groebner, normal_form
@@ -210,24 +213,8 @@ def factorization_certificate_obj(cert):
         "lifted": [poly_to_obj(s) for s in cert.lifted],
         "seed": cert.seed,
         "probes": [point_to_obj(p) for p in cert.probes],
-        "predicates": [
-            {"name": p.name, "ok": p.ok, "evidence": p.evidence}
-            for p in cert.predicates
-        ],
+        "predicates": cert.predicates,
         "notes": list(cert.notes),
-    }
-
-
-def equidim_certificate_obj(morphism, x, probes, report):
-    return {
-        "kind": "equidim",
-        "morphism": morphism_to_obj(morphism),
-        "x": point_to_obj(x),
-        "probes": [point_to_obj(p) for p in probes],
-        "e": report.e,
-        "verdict": report.verdict,
-        "evidence": report.evidence,
-        "witness": report.witness,
     }
 
 
@@ -292,11 +279,12 @@ def produce_fiber_dim(morphism, x, **_):
 def produce_equidim(morphism, x, probes=(), **_):
     from .factorization import verify_equidimensional_at
 
-    report = verify_equidimensional_at(morphism, x, probes)
+    cert = dict(verify_equidimensional_at(morphism, x, probes), kind="equidim",
+                morphism=morphism_to_obj(morphism), x=point_to_obj(x),
+                probes=[point_to_obj(p) for p in probes])
     exit_class = {"certified-at-probes": EXIT_OK,
-                  "refuted": EXIT_REFUTED}.get(report.verdict, EXIT_INCONCLUSIVE)
-    return (report.verdict, exit_class,
-            equidim_certificate_obj(morphism, x, probes, report), [PSEUDO_PRIME_NOTE])
+                  "refuted": EXIT_REFUTED}.get(cert["verdict"], EXIT_INCONCLUSIVE)
+    return cert["verdict"], exit_class, cert, [PSEUDO_PRIME_NOTE]
 
 
 def produce_factorization(morphism, y, x0, seed, probes=(), lifted=None, **_):
@@ -454,35 +442,10 @@ def _first_difference(fresh, recorded, path="$"):
     return None
 
 
-# -- reports ------------------------------------------------------------------------
+# -- exit classes -------------------------------------------------------------------
 
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
-
-
-class Report:
-    def __init__(self, command: str, verdict: str, exit_class: int,
-                 certificate=None, assumptions=(), seed: int = 0):
-        self.command = command
-        self.verdict = verdict
-        self.exit_class = exit_class
-        self.certificate = certificate
-        self.assumptions = list(assumptions)
-        self.seed = seed
-
-    def to_obj(self):
-        return {
-            "command": self.command,
-            "verdict": self.verdict,
-            "exit_class": self.exit_class,
-            "certificate": self.certificate,
-            "assumptions": self.assumptions,
-            "tool_version": __version__,
-            "seed": self.seed,
-        }
-
-    def __repr__(self):
-        return f"Report({self.command!r}: {self.verdict})"

@@ -163,6 +163,10 @@ GENERIC = "generic-of-component"
 
 
 class Point:
+    """A point of Spec(algebra). A generic point given with its component
+    has `comp_dim` the component's dimension, computed here, whatever the
+    caller passes; one given without it keeps the `comp_dim` passed."""
+
     def __init__(self, algebra: Algebra, ideal: IdealHandle, kind: str,
                  coords=None, component=None, comp_dim=None, name=""):
         if kind not in (RATIONAL, GENERIC):
@@ -172,7 +176,7 @@ class Point:
         self.kind = kind
         self.coords = tuple(coords) if coords is not None else None
         self.component = component
-        self.comp_dim = comp_dim
+        self.comp_dim = krull_dim(component) if component is not None else comp_dim
         self.name = name
         # every point of Spec(B) must contain the relations; `rational_point`,
         # which builds every rational point, checks them by evaluation
@@ -184,7 +188,7 @@ class Point:
                 raise ValueError("the unit ideal is not a point")
         self.key = (kind, self.coords, ideal.generators,
                     component.generators if component is not None else None,
-                    comp_dim, algebra.key)
+                    self.comp_dim, algebra.key)
 
     def __repr__(self):
         inner = ", ".join(map(str, self.ideal.generators)) or "0"
@@ -205,15 +209,7 @@ def rational_point(algebra: Algebra, coords, name="") -> Point:
 
 
 def generic_point_of(algebra: Algebra, component: IdealHandle, name="") -> Point:
-    env = radical_envelope(component)
-    return Point(
-        algebra,
-        env,
-        GENERIC,
-        component=component,
-        comp_dim=krull_dim(component),
-        name=name,
-    )
+    return Point(algebra, radical_envelope(component), GENERIC, component=component, name=name)
 
 
 # -- component covers -------------------------------------------------------
@@ -541,12 +537,11 @@ class Stratum:
     of the assumed-nonzero coefficients."""
 
     def __init__(self, constraints: IdealHandle, nonzeros, quasi_finite: bool,
-                 fiber_empty: bool, witness):
+                 fiber_empty: bool):
         self.constraints = constraints
         self.nonzeros = tuple(nonzeros)
         self.quasi_finite = quasi_finite
         self.fiber_empty = fiber_empty
-        self.witness = witness
 
     def contains_coords(self, coords) -> bool:
         fld = self.constraints.ring.field
@@ -611,14 +606,11 @@ def finite_locus_strata(morphism: Morphism):
             run(constraint_gens + [b.coeff], nonzeros, depth + 1)
             run(constraint_gens, nonzeros + [b.coeff], depth + 1)
             return
-        empty = param_is_unit(basis)
-        if empty:
-            out.append(Stratum(constraints, nonzeros, True, True, None))
+        if param_is_unit(basis):
+            out.append(Stratum(constraints, nonzeros, True, True))
             return
-        witness = pure_powers(basis, src_idx, GREVLEX)
-        qf = all(i in witness for i in src_idx)
-        out.append(Stratum(constraints, nonzeros, qf, False,
-                           {i: str(w[1]) for i, w in witness.items()}))
+        qf = len(pure_powers(basis, src_idx, GREVLEX)) == len(src_idx)
+        out.append(Stratum(constraints, nonzeros, qf, False))
 
     run(base_constraints, [], 0)
     return out

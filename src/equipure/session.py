@@ -47,6 +47,7 @@ command runs, so `parse_session` compiles none of `reports`,
 
 from __future__ import annotations
 
+from . import __version__
 from .errors import EquipureError
 from .fields import GF, QQ, FieldSpec
 from .ideals import IdealHandle
@@ -606,8 +607,9 @@ COMMANDS = {c.grammar.split()[0]: c for c in (
 
 
 def run_command(session: Session, line: int, command: str):
-    """The `reports.Report` of one command, from the producer
-    `reports.PRODUCERS` names for its head."""
+    """The report entry of one command, the dict `run --json` writes, from
+    the producer `reports.PRODUCERS` names for its head; a command that
+    fails gets an `error: ...` verdict and no certificate."""
     from . import reports
 
     seed = int(session.options.get("seed", 0))
@@ -620,6 +622,7 @@ def run_command(session: Session, line: int, command: str):
         verdict, exit_class, cert, assumptions = reports.producer(head)(
             **entry.resolve(session, command, line), seed=seed, bound=bound)
     except (EquipureError, SessionError, ValueError) as exc:
-        return reports.Report(command, f"error: {exc}", reports.EXIT_ERROR, seed=seed)
-    return reports.Report(command, verdict, exit_class, certificate=cert,
-                          assumptions=assumptions, seed=seed)
+        verdict, exit_class, cert, assumptions = f"error: {exc}", reports.EXIT_ERROR, None, []
+    return {"command": command, "verdict": verdict, "exit_class": exit_class,
+            "certificate": cert, "assumptions": list(assumptions),
+            "tool_version": __version__, "seed": seed}

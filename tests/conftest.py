@@ -15,7 +15,7 @@ def P(ring, text):
 
 
 def run_all(session):
-    """The Report of every command of a parsed session, in order."""
+    """The report entry of every command of a parsed session, in order."""
     return [run_command(session, line, cmd) for line, cmd in session.commands]
 
 

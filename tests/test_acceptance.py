@@ -335,7 +335,7 @@ def test_criterion_3_factorization_certificates(double_cover, line_q,
         pts = maximal_points_of_fiber(phi, y)
         x0 = next(p for p in pts if p.comp_dim == fiber(phi, y).dim())
         cert = build_factorization(phi, y, x0, probes=probes)
-        names = {p.name for p in cert.predicates if p.ok}
+        names = {p["name"] for p in cert.predicates if p["ok"]}
         assert required <= names, names
         ok, failed = verify_certificate(recorded(factorization_certificate_obj(cert)))
         assert ok, failed
@@ -372,13 +372,13 @@ def test_criterion_5_strong_purity(cone_composite, cusp_q):
     src = make_algebra(QQ, ["x", "y", "w"], [], "xyw")
     over_regular = Morphism(tgt, src,
                             [P(src.ring, "x^2"), P(src.ring, "y^2")], "f")
-    cert = strong_purity_certificate(over_regular, "regular-polynomial-ring",
-                                     [origin(src)])
-    assert cert.probe_records[0]["finite_leg"]["pure_at_image"]
+    cert, _ = strong_purity_certificate(over_regular, "regular-polynomial-ring",
+                                        [origin(src)])
+    assert cert["probes"][0]["finite_leg"]["pure_at_image"]
 
-    cert2 = strong_purity_certificate(cone_composite, "normal-Q-hypersurface",
-                                      [origin(cone_composite.source)])
-    assert cert2.probe_records[0]["factorization"].all_ok()
+    cert2, _ = strong_purity_certificate(cone_composite, "normal-Q-hypersurface",
+                                         [origin(cone_composite.source)])
+    assert all(p["ok"] for p in cert2["probes"][0]["factorization"]["predicates"])
 
     bad_src = make_algebra(QQ, ["t", "s"], [], "ts")
     over_cusp = Morphism(cusp_q, bad_src,
@@ -422,21 +422,21 @@ def test_criterion_6_char_p_suite(fermat7, cone7):
                                   plane.ring.one(), 3, ctx)
         assert w.status == TCVerdict.NOT_IN_CLOSURE and w.witness_exponent == 1
     # probes: the cubic is flagged, the plane and the odd-p cone stay clean
-    rep = f_rational_probe(fermat7, [[fermat7.ring.var(0), fermat7.ring.var(1)]],
-                           3, ctx7)
-    assert rep.verdict == "NotFRational" and rep.witness["z"] == "z^2"
+    verdict, _, witness = f_rational_probe(fermat7, [[fermat7.ring.var(0), fermat7.ring.var(1)]],
+                                           3, ctx7)
+    assert verdict == "NotFRational" and witness["z"] == "z^2"
     for p in (3, 7):
         plane = make_algebra(GF(p), ["x", "y"], [], "plane")
-        rep2 = f_rational_probe(plane, [[plane.ring.var(0), plane.ring.var(1)]],
-                                3, FrobeniusContext(plane))
-        assert rep2.clean()
+        verdict, _, _ = f_rational_probe(plane, [[plane.ring.var(0), plane.ring.var(1)]],
+                                         3, FrobeniusContext(plane))
+        assert verdict.startswith("no-counterexample")
     for p in (3, 7):
         ring = PolynomialRing(GF(p), ["x", "y", "z"])
         cone = make_algebra(GF(p), ["x", "y", "z"],
                             [parse_poly(ring, "x*y - z^2")], "cone")
-        rep3 = f_rational_probe(cone, [[cone.ring.var(0), cone.ring.var(1)]],
-                                3, FrobeniusContext(cone))
-        assert rep3.clean()
+        verdict, _, _ = f_rational_probe(cone, [[cone.ring.var(0), cone.ring.var(1)]],
+                                         3, FrobeniusContext(cone))
+        assert verdict.startswith("no-counterexample")
     elapsed = time.time() - started
     assert elapsed < 120, f"criterion 6 took {elapsed:.1f}s"
     report(6, "char-p suite", started)
@@ -445,9 +445,10 @@ def test_criterion_6_char_p_suite(fermat7, cone7):
 def test_criterion_7_descent_harness(veronese7, fermat7):
     started = time.time()
     y = rational_point(veronese7.target, [0, 0, 0])
-    rep = f_rational_descent_check(veronese7, y, [origin(veronese7.source)], 2)
-    assert rep.verdict == "consistent"
-    assert rep.source_report.clean() and rep.target_report.clean()
+    rep, _ = f_rational_descent_check(veronese7, y, [origin(veronese7.source)], 2)
+    assert rep["verdict"] == "consistent"
+    assert (rep["source_verdict"].startswith("no-counterexample")
+            and rep["target_verdict"].startswith("no-counterexample"))
 
     tgt = make_algebra(GF(7), ["u", "v"], [], "uv7")
     src = make_algebra(GF(7), ["u", "x"], [], "ux7")
@@ -481,7 +482,7 @@ def test_criterion_8_determinism_and_verification(tmp_path):
     for _ in range(2):
         session = parse_session(text, {"seed": 17, "frobenius_bound": 3})
         reports = run_all(session)
-        outputs.append(canonical_json([rep.to_obj() for rep in reports]))
+        outputs.append(canonical_json(reports))
     assert outputs[0] == outputs[1], "same seed must give byte-identical reports"
 
     payload = json.loads(outputs[0])

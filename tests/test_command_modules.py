@@ -137,13 +137,11 @@ def test_every_command_names_a_public_producer_of_reports():
 # `verify` loads may define any of it
 FAMILY_CODE = {
     "produce_split", "produce_pure_at", "produce_splinter", "produce_strong_purity",
-    "split_certificate_obj", "point_purity_certificate_obj", "splinter_certificate_obj",
-    "strong_purity_certificate_obj", "_split_inputs", "_pure_at_inputs", "_splinter_inputs",
-    "_strong_purity_inputs", "_sigma_identities", "_witness_identities",
-    "produce_fedder", "produce_tc", "produce_f_rational", "produce_descent",
-    "tc_certificate_obj", "fedder_certificate_obj", "f_rational_certificate_obj",
-    "descent_certificate_obj", "_fedder_inputs", "_tc_inputs", "_f_rational_inputs",
-    "_descent_inputs", "_tc_recheck", "TEST_ELEMENT_NOTE",
+    "split_certificate_obj", "point_purity_certificate_obj", "_split_inputs",
+    "_pure_at_inputs", "_splinter_inputs", "_strong_purity_inputs", "_sigma_identities",
+    "_witness_identities", "produce_fedder", "produce_tc", "produce_f_rational",
+    "produce_descent", "tc_certificate_obj", "fedder_certificate_obj", "_fedder_inputs",
+    "_tc_inputs", "_f_rational_inputs", "_descent_inputs", "_tc_recheck", "TEST_ELEMENT_NOTE",
 }
 
 

@@ -53,9 +53,9 @@ def test_is_groebner_refuses_a_zero_element():
 
 
 def _corpus_groebner_certificate():
-    return next(recorded(rep.certificate) for rep in run_corpus()
-                if rep.certificate and rep.certificate["kind"] == "groebner-basis"
-                and rep.certificate["order"]["kind"] == "grevlex")
+    return next(recorded(rep["certificate"]) for rep in run_corpus()
+                if rep["certificate"] and rep["certificate"]["kind"] == "groebner-basis"
+                and rep["certificate"]["order"]["kind"] == "grevlex")
 
 
 def test_a_basis_that_is_not_groebner_fails_by_name():

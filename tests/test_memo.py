@@ -31,7 +31,6 @@ from equipure.orders import GREVLEX, LEX, block_order
 from equipure.poly import PolynomialRing, parse_poly
 from equipure.reports import (
     canonical_json,
-    equidim_certificate_obj,
     factorization_certificate_obj,
 )
 from equipure.schemes import (
@@ -232,24 +231,23 @@ def test_equidim_and_factorization_hits_equal_fresh_certificates(cone_composite,
                                                                 monkeypatch):
     phi, wO, y = cone_composite, origin(cone_composite.source), origin(cone_q)
     x0 = maximal_points_of_fiber(phi, y)[0]
-    fresh_report = equidim_certificate_obj(
-        phi, wO, [wO], factorization._verify_equidimensional_at(phi, wO, (wO,)))
+    fresh_report = factorization._verify_equidimensional_at(phi, wO, (wO,))
     fresh_cert = factorization_certificate_obj(
         factorization._build_factorization(phi, y, x0, (wO,), 0, None))
     report = verify_equidimensional_at(phi, wO, [wO])
     cert = build_factorization(phi, y, x0, probes=[wO])
-    assert equidim_certificate_obj(phi, wO, [wO], report) == fresh_report
+    assert report == fresh_report
     assert factorization_certificate_obj(cert) == fresh_cert
-    report.evidence[0]["dim"] = 7
-    report.evidence.clear()
-    cert.predicates[0].evidence["images"].append("edited")
+    report["evidence"][0]["dim"] = 7
+    report["evidence"].clear()
+    cert.predicates[0]["evidence"]["images"].append("edited")
     cert.predicates.clear()
     cert.lifted.clear()
     cert.notes.append("edited")
     monkeypatch.setattr(factorization, "_verify_equidimensional_at", _no_recompute)
     monkeypatch.setattr(factorization, "_build_factorization", _no_recompute)
     again = verify_equidimensional_at(phi, wO, [wO])
-    assert equidim_certificate_obj(phi, wO, [wO], again) == fresh_report
+    assert again == fresh_report
     y_copy = rational_point(cone_q, [0, 0, 0], name="another")
     cert = build_factorization(phi, y_copy, x0, probes=(wO,))
     assert factorization_certificate_obj(cert) == fresh_cert
@@ -266,8 +264,7 @@ def test_a_renamed_morphism_shares_name_free_results_but_not_its_factorization(
     twin = Morphism(target, phi.source, phi.images, "twin")
     monkeypatch.setattr(factorization, "_verify_equidimensional_at", _no_recompute)
     shared = verify_equidimensional_at(twin, wO, [wO])
-    assert (shared.e, shared.verdict, shared.evidence, shared.witness) == (
-        report.e, report.verdict, report.evidence, report.witness)
+    assert shared == report
     built, build = [], factorization._build_factorization
     monkeypatch.setattr(factorization, "_build_factorization",
                         lambda morphism, *args: built.append(morphism) or build(morphism, *args))
@@ -303,7 +300,7 @@ def _named_session(*names):
 
 
 def _entries(text, options=None):
-    return {rep.command: canonical_json(rep.to_obj())
+    return {rep["command"]: canonical_json(rep)
             for rep in run_all(parse_session(text, options))}
 
 

@@ -29,7 +29,7 @@ FIBERS = os.path.join(DATA, "fibers.eqp")
 def test_the_canonical_list_is_its_entries_joined(name):
     with open(os.path.join(DATA, name), encoding="utf-8") as fh:
         session = parse_session(fh.read(), {"seed": 1})
-    entries = [rep.to_obj() for rep in run_all(session)]
+    entries = run_all(session)
     for some in (entries, []):
         assert canonical_json(some) == "[" + ",".join(canonical_json(e) for e in some) + "]"
 

@@ -5,7 +5,8 @@ a recorded normalization is rejected, and a normalization the search
 rejected fails by name. The entry's seed is bound to the seed its
 certificate records, and its command head to its certificate kind. A
 recorded rational point is its coordinates: its ideal must be the x_i - c_i
-of them, and neither building nor decoding one runs Buchberger on it. Every
+of them, and neither building nor decoding one runs Buchberger on it. A
+recorded generic point's dimension is not taken as given either. Every
 report here is the seed-1 report of the corpus or of the fibers workload."""
 
 import json
@@ -40,7 +41,7 @@ def sessions(tmp_path_factory):
                 fh.write(_workloads().fibers(1).text)
         with open(path, encoding="utf-8") as fh:
             session = parse_session(fh.read(), {"seed": 1})
-        out[name] = path, json.loads(canonical_json([rep.to_obj() for rep in run_all(session)]))
+        out[name] = path, json.loads(canonical_json(run_all(session)))
     return out
 
 
@@ -210,6 +211,31 @@ def test_a_recorded_rational_point_ideal_must_come_from_its_coordinates(sessions
             "verification error: ValueError: a rational point's ideal is not x_i - c_i "
             "of its coords"])
     assert entry["certificate"]["x"]["ideal"] == ideal
+
+
+def test_an_edited_generic_point_dimension_is_rejected(sessions, monkeypatch):
+    """Each of the 16 generic points of the 8 fibers `factorize` entries,
+    `$.y` and `$.x0`, with its `comp_dim` edited from 2 to 3, fails. A
+    point recorded with its component has the component's dimension,
+    computed when it is decoded, so the replay differs at the edit; x0 is
+    recorded without one, and the factorization refuses it, as the
+    generic fiber has dimension 2."""
+    monkeypatch.setattr(groebner, "_MEMO", {})
+    refused = ("replay-emitted-no-certificate: precondition-failed: x0 has dimension 3, "
+               "the generic fiber has dimension 2")
+    edits = 0
+    for entry in sessions["fibers"][1]:
+        if not entry["command"].startswith("factorize "):
+            continue
+        for key, failure in (("y", "payload-differs-at $.y.comp_dim"), ("x0", refused)):
+            edited = json.loads(json.dumps(entry))
+            point = edited["certificate"][key]
+            assert (point["kind"], point["comp_dim"]) == ("generic-of-component", "2")
+            point["comp_dim"] = "3"
+            ok, failures = verify_certificate(edited)
+            assert not ok and failure in failures, (entry["command"], key, failures)
+            edits += 1
+    assert edits == 16
 
 
 def test_building_or_decoding_a_rational_point_runs_no_buchberger(monkeypatch):

@@ -88,8 +88,8 @@ def test_error_report_for_bad_command():
     session = parse_session("ring R = Q[x];\nideal I = (x) in R;")
     session.commands = [(1, "gb J")]
     reports = run_all(session)
-    assert reports[0].exit_class == 2
-    assert "unknown ideal" in reports[0].verdict
+    assert reports[0]["exit_class"] == 2
+    assert "unknown ideal" in reports[0]["verdict"]
 
 
 def test_descent_of_a_map_that_is_not_module_finite_is_refused():
@@ -98,9 +98,9 @@ def test_descent_of_a_map_that_is_not_module_finite_is_refused():
                             "point a0 = closed(A7 : 0); point b0 = closed(B7 : 0, 0); "
                             "descend-check pr at a0 probes (b0);")
     (rep,) = run_all(session)
-    assert rep.exit_class == 2
-    assert rep.verdict == ("refused: hypothesis failed: partial-purity "
-                           "(no purity witness: the harness requires a module-finite map)")
+    assert rep["exit_class"] == 2
+    assert rep["verdict"] == ("refused: hypothesis failed: partial-purity "
+                              "(no purity witness: the harness requires a module-finite map)")
 
 
 @pytest.mark.parametrize("command", [
@@ -112,37 +112,37 @@ def test_trailing_words_are_rejected(command):
         session = parse_session(fh.read())
     session.commands = [(42, command)]
     (rep,) = run_all(session)
-    assert rep.exit_class == 2
-    assert rep.verdict.startswith("error: line 42: ")
+    assert rep["exit_class"] == 2
+    assert rep["verdict"].startswith("error: line 42: ")
 
 
 def test_corpus_runs_and_exit_classes(corpus_reports):
-    verdicts = {rep.command: rep for rep in corpus_reports}
-    assert verdicts["splits ver"].exit_class == 0
-    assert verdicts["splits nu"].exit_class == 1
-    assert verdicts["pure-at nu at cuspO"].exit_class == 1
-    assert verdicts["pure-at nu at cuspEta"].exit_class == 0
-    assert verdicts["fedder F at fO"].exit_class == 0
-    assert verdicts["tc-member (z^2) in Fxy mult (x^2) in F"].exit_class == 3
-    assert verdicts["descend-check ver7 at m7 probes (s7O)"].exit_class == 0
-    assert verdicts["dim I"].verdict == "0"
+    verdicts = {rep["command"]: rep for rep in corpus_reports}
+    assert verdicts["splits ver"]["exit_class"] == 0
+    assert verdicts["splits nu"]["exit_class"] == 1
+    assert verdicts["pure-at nu at cuspO"]["exit_class"] == 1
+    assert verdicts["pure-at nu at cuspEta"]["exit_class"] == 0
+    assert verdicts["fedder F at fO"]["exit_class"] == 0
+    assert verdicts["tc-member (z^2) in Fxy mult (x^2) in F"]["exit_class"] == 3
+    assert verdicts["descend-check ver7 at m7 probes (s7O)"]["exit_class"] == 0
+    assert verdicts["dim I"]["verdict"] == "0"
 
 
 def test_reports_roundtrip_bit_exactly(corpus_reports):
     for rep in corpus_reports:
-        text = canonical_json(rep.to_obj())
+        text = canonical_json(rep)
         assert canonical_json(json.loads(text)) == text
 
 
 def test_determinism_same_seed_byte_identical(corpus_reports):
     second = run_corpus()
-    first_json = canonical_json([rep.to_obj() for rep in corpus_reports])
-    second_json = canonical_json([rep.to_obj() for rep in second])
+    first_json = canonical_json(corpus_reports)
+    second_json = canonical_json(second)
     assert first_json == second_json
 
 
 def test_integers_serialized_as_decimal_strings(corpus_reports):
-    payload = json.loads(canonical_json(corpus_reports[0].to_obj()))
+    payload = json.loads(canonical_json(corpus_reports[0]))
 
     def walk(node):
         assert not isinstance(node, (int, float)) or isinstance(node, bool)
@@ -159,26 +159,26 @@ def test_integers_serialized_as_decimal_strings(corpus_reports):
 def test_assumption_ledger_completeness(corpus_reports):
     # the literal marker 'assumed' appears exactly where the ledger says
     for rep in corpus_reports:
-        text = canonical_json(rep.to_obj())
+        text = canonical_json(rep)
         count = text.count('"assumed"')
-        ledger = sum(1 for a in rep.assumptions if a.get("status") == "assumed")
+        ledger = sum(1 for a in rep["assumptions"] if a.get("status") == "assumed")
         assert count == ledger
 
 
 def test_every_certificate_verifies(corpus_reports):
     checked = 0
     for rep in corpus_reports:
-        if rep.certificate is None or "kind" not in rep.certificate:
+        if rep["certificate"] is None or "kind" not in rep["certificate"]:
             continue
         checked += 1
-        ok, failures = verify_certificate(recorded(rep.certificate))
-        assert ok, (rep.command, failures)
+        ok, failures = verify_certificate(recorded(rep["certificate"]))
+        assert ok, (rep["command"], failures)
     assert checked >= 15
 
 
 def test_tampered_sigma_fails_by_name(corpus_reports):
-    split_rep = next(rep for rep in corpus_reports if rep.command == "splits ver")
-    cert = json.loads(canonical_json(split_rep.certificate))
+    split_rep = next(rep for rep in corpus_reports if rep["command"] == "splits ver")
+    cert = json.loads(canonical_json(split_rep["certificate"]))
     # flip one coefficient of sigma
     assert cert["sigma"][0][0][1] == "1"
     cert["sigma"][0][0][1] = "2"
@@ -195,8 +195,8 @@ def test_verify_rejects_unknown_and_malformed_payloads():
 
 
 def test_tampered_basis_fails_by_name(corpus_reports):
-    gb_rep = next(rep for rep in corpus_reports if rep.command.startswith("gb Circle"))
-    cert = json.loads(canonical_json(gb_rep.certificate))
+    gb_rep = next(rep for rep in corpus_reports if rep["command"].startswith("gb Circle"))
+    cert = json.loads(canonical_json(gb_rep["certificate"]))
     cert["basis"][0][0][1] = "17"
     ok, failures = verify_certificate(cert)
     assert not ok and failures
@@ -350,8 +350,8 @@ def test_frobenius_bound_over_the_limit_exits_2(tmp_path):
 
 @pytest.mark.parametrize("bound", [5, 10 ** 9])
 def test_edited_frobenius_bound_fails_verify_quickly(corpus_reports, bound):
-    [rep] = [r for r in corpus_reports if r.command.startswith("tc-member (z^2)")]
-    payload = json.loads(canonical_json(rep.certificate))
+    [rep] = [r for r in corpus_reports if r["command"].startswith("tc-member (z^2)")]
+    payload = json.loads(canonical_json(rep["certificate"]))
     assert payload["bound"] == "3"
     payload["bound"] = str(bound)
     started = time.perf_counter()
@@ -403,8 +403,8 @@ def test_deep_parentheses_in_a_command_are_an_error_report():
     session = parse_session(TC_SESSION)
     session.commands = [(7, f"tc-member ({DEEP}) in Fxy mult (x^2) in F")]
     (rep,) = run_all(session)
-    assert rep.exit_class == 2
-    assert rep.verdict == "error: parentheses nested too deeply"
+    assert rep["exit_class"] == 2
+    assert rep["verdict"] == "error: parentheses nested too deeply"
 
 
 def test_root_search_beyond_its_budget_exits_2(tmp_path):
@@ -448,15 +448,15 @@ def _nodes(node):
 
 def test_points_round_trip(corpus_reports):
     fibers = run_all(parse_session(FIBERS))
-    points = [node for rep in corpus_reports + fibers if rep.certificate
-              for node in _nodes(json.loads(canonical_json(rep.certificate)))
+    points = [node for rep in corpus_reports + fibers if rep["certificate"]
+              for node in _nodes(json.loads(canonical_json(rep["certificate"])))
               if isinstance(node, dict) and "comp_dim" in node]
     assert any(p["component"] == [] for p in points)
     for obj in points:
         assert json.loads(canonical_json(point_to_obj(point_from_obj(obj)))) == obj
     for rep in fibers:
-        ok, failures = verify_certificate(recorded(rep.certificate))
-        assert ok, (rep.command, failures)
+        ok, failures = verify_certificate(recorded(rep["certificate"]))
+        assert ok, (rep["command"], failures)
 
 
 def test_exhausted_parametric_budget_is_an_error_report(monkeypatch):
@@ -466,9 +466,9 @@ def test_exhausted_parametric_budget_is_an_error_report(monkeypatch):
     # the declarations' fibers run at the full budget, the factorization at 1
     session = parse_session(FIBERS)
     monkeypatch.setattr(parametric, "PARAM_PAIR_BUDGET", 1)
-    [rep] = [r for r in run_all(session) if r.command.startswith("factorize")]
-    assert rep.exit_class == 2
-    assert rep.verdict == "error: parametric Buchberger budget exceeded"
+    [rep] = [r for r in run_all(session) if r["command"].startswith("factorize")]
+    assert rep["exit_class"] == 2
+    assert rep["verdict"] == "error: parametric Buchberger budget exceeded"
 
 
 # payload paths a replay decodes as the producer's inputs; every other leaf
@@ -504,17 +504,17 @@ def _scalar_leaves(node, path="$"):
 def test_every_output_edit_is_rejected_at_its_path(corpus_reports):
     edits = 0
     for rep in corpus_reports:
-        if rep.certificate is None:
+        if rep["certificate"] is None:
             continue
-        payload = json.loads(canonical_json(rep.certificate))
+        payload = json.loads(canonical_json(rep["certificate"]))
         inputs = re.compile(rf"\$\.(kind|{REPLAY_INPUTS[payload['kind']]})(\.|\[|$)")
         outputs = [leaf for leaf in _scalar_leaves(payload) if not inputs.match(leaf[0])]
-        for path, node, key in random.Random(rep.command).sample(outputs, min(5, len(outputs))):
+        for path, node, key in random.Random(rep["command"]).sample(outputs, min(5, len(outputs))):
             value = node[key]
             node[key] = (not value) if isinstance(value, bool) else (value or "") + "7"
             ok, failures = verify_certificate(payload)
             node[key] = value
-            assert not ok and f"payload-differs-at {path}" in failures, (rep.command, path)
+            assert not ok and f"payload-differs-at {path}" in failures, (rep["command"], path)
             edits += 1
     assert edits >= 60
 
@@ -531,7 +531,7 @@ def test_a_type_only_edit_is_rejected_at_its_path(corpus_reports, kind, key):
     """A leaf, output or recorded input, rewritten as a JSON number with the
     text or truth of its canonical value is an edit: `verify` compares with
     the payload as loaded, not with its canonical form."""
-    payload = next(p for p in (recorded(rep.certificate) for rep in corpus_reports)
+    payload = next(p for p in (recorded(rep["certificate"]) for rep in corpus_reports)
                    if p and p["kind"] == kind and p.get(key) not in (None, False))
     assert verify_certificate(payload) == (True, [])
     edited = dict(payload, **{key: int(payload[key])})
@@ -558,7 +558,7 @@ def _entry_edits(entry):
 
 def test_verify_binds_the_verdict_exit_class_assumptions_and_kind(corpus_reports, tmp_path,
                                                                    capsys):
-    entries = [recorded(rep.to_obj()) for rep in corpus_reports if rep.certificate is not None]
+    entries = [recorded(rep) for rep in corpus_reports if rep["certificate"] is not None]
     assert len(entries) == 16
     for entry in entries:
         assert verify_certificate(entry) == (True, []), entry["command"]
@@ -585,8 +585,8 @@ def test_an_empty_evidence_list_is_an_error_report(command, words):
         session = parse_session(fh.read())
     session.commands = [(60, command)]
     (rep,) = run_all(session)
-    assert rep.exit_class == 2 and rep.certificate is None
-    assert rep.verdict.startswith("error: ") and words in rep.verdict, rep.verdict
+    assert rep["exit_class"] == 2 and rep["certificate"] is None
+    assert rep["verdict"].startswith("error: ") and words in rep["verdict"], rep["verdict"]
 
 
 def test_verify_checks_the_entries_the_benchmark_maps_its_lines_to(tmp_path, capsys,
