@@ -424,25 +424,15 @@ def tc_certificate_obj(verdict, ctx):
     }
 
 
-def fedder_certificate_obj(defining, m, ctx, verdict: bool):
-    return {
-        "kind": "fedder",
-        "ring": ring_to_obj(defining.ring),
-        "defining": poly_to_obj(defining),
-        "point": point_to_obj(m),
-        "p": ctx.p,
-        "f_pure": verdict,
-    }
-
-
 def produce_fedder(algebra, point, **_):
     gb = algebra.relations.groebner()
     if len(gb) != 1:
         raise NotHypersurface("fedder needs a hypersurface ring")
     ctx = FrobeniusContext(algebra)
     f_pure = fedder_f_pure(gb[0], point, ctx)
-    return ("F-pure" if f_pure else "not-F-pure", EXIT_OK if f_pure else EXIT_REFUTED,
-            fedder_certificate_obj(gb[0], point, ctx, f_pure), [])
+    cert = {"kind": "fedder", "ring": ring_to_obj(gb[0].ring), "defining": poly_to_obj(gb[0]),
+            "point": point_to_obj(point), "p": ctx.p, "f_pure": f_pure}
+    return "F-pure" if f_pure else "not-F-pure", EXIT_OK if f_pure else EXIT_REFUTED, cert, []
 
 
 def produce_tc(algebra, z, ideal, multiplier, bound, **_):

@@ -4,17 +4,19 @@ All arithmetic is exact. Prime-field coefficients are ints in [0, p) with
 inverses computed by the extended Euclid built into `pow(a, -1, p)`.
 
 A rational has one canonical form: a Python `int` when it is integral, a
-`fractions.Fraction` (denominator > 1) only when it is not. Every operation
-below returns that form, so integers never pay for Fraction arithmetic, and
-no operation returns a float. This module is the only one that knows the
-representation: the others make rationals through `of` and combine them
-through the arithmetic below. Report bytes do not depend on the form, since
-an int and the Fraction of the same value agree on `==`, `hash` and `str`.
+`Rational` (a pair of coprime ints, denominator > 1) only when it is not.
+Every operation below returns that form, so integers never pay for pair
+arithmetic, and no operation returns a float. This module is the only one
+that knows the representation: the others make rationals through `of` and
+combine them through the arithmetic below. A `Rational` has no arithmetic
+operators, so a raw `+`, `*` or `**` on one raises TypeError. It prints
+`n/d` with the sign on the numerator; it never equals an int, and its hash
+is the hash of its pair of ints, the same under every PYTHONHASHSEED.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -32,9 +34,90 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _canonical(q):
-    """The canonical form of a rational: its numerator when it is integral."""
-    return q.numerator if q.denominator == 1 else q
+class Rational:
+    """A non-integral rational numerator/denominator: coprime ints,
+    denominator > 1. Built only here, by `_ratio` and the arithmetic of
+    `FieldSpec`; it has the order `sorted` needs and no arithmetic."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __str__(self):
+        return f"{self.numerator}/{self.denominator}"
+
+    def __repr__(self):
+        return f"Rational({self.numerator}, {self.denominator})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Rational:
+            return NotImplemented
+        return (self.numerator == other.numerator
+                and self.denominator == other.denominator)
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
+
+    def _cross(self, other):
+        """(self, other) scaled to a common positive denominator, as ints;
+        None when `other` is neither an int nor a Rational."""
+        if other.__class__ is int:
+            return self.numerator, other * self.denominator
+        if other.__class__ is Rational:
+            return (self.numerator * other.denominator,
+                    other.numerator * self.denominator)
+        return None
+
+    def __lt__(self, other):
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] < pair[1]
+
+    def __le__(self, other):
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] <= pair[1]
+
+    def __gt__(self, other):
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] > pair[1]
+
+    def __ge__(self, other):
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] >= pair[1]
+
+
+def _ratio(n: int, d: int):
+    """The canonical form of n/d for ints n and d."""
+    if d < 0:
+        n, d = -n, -d
+    elif not d:
+        raise ZeroDivisionError(f"rational {n}/0")
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return n if d == 1 else Rational(n, d)
+
+
+def _coprime(n: int, d: int):
+    """The canonical form of n/d for coprime ints n and d > 0."""
+    return n if d == 1 else Rational(n, d)
+
+
+def _add(na: int, da: int, nb: int, db: int):
+    """na/da + nb/db for coprime pairs with positive denominators, not
+    both 1 (the method of the standard library's `fractions`: divide out
+    gcd(da, db) first)."""
+    g = gcd(da, db)
+    if g == 1:
+        return Rational(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return Rational(t, s * db)
+    return _coprime(t // g2, s * (db // g2))
 
 
 class FieldSpec:
@@ -56,11 +139,13 @@ class FieldSpec:
     # -- element constructors ------------------------------------------
 
     def of(self, num, den=1):
-        """Coerce num/den into a field element."""
+        """Coerce num/den into a field element. Over Q, num and den may
+        be ints or rationals of any kind with `numerator` and
+        `denominator`, a standard-library Fraction included."""
         if self.char == 0:
-            if den != 1:
-                num = Fraction(num, den)
-            return _canonical(num)
+            if num.__class__ is int and den == 1:
+                return num
+            return _ratio(num.numerator * den.denominator, num.denominator * den.numerator)
         p = self.char
         num = num % p
         if den % p == 0:
@@ -70,38 +155,51 @@ class FieldSpec:
         return num
 
     # -- arithmetic ----------------------------------------------------
-    # over Q an int result is canonical as it stands; only a Fraction
-    # result needs the denominator test
+    # over Q two ints combine as ints; a Rational operand takes the pair
+    # arithmetic, whose result may be integral
 
     def add(self, a, b):
         if self.char:
             return (a + b) % self.char
-        c = a + b
-        return c if c.__class__ is int else _canonical(c)
+        if a.__class__ is int and b.__class__ is int:
+            return a + b
+        return _add(a.numerator, a.denominator, b.numerator, b.denominator)
 
     def sub(self, a, b):
         if self.char:
             return (a - b) % self.char
-        c = a - b
-        return c if c.__class__ is int else _canonical(c)
+        if a.__class__ is int and b.__class__ is int:
+            return a - b
+        return _add(a.numerator, a.denominator, -b.numerator, b.denominator)
 
     def mul(self, a, b):
         if self.char:
             return (a * b) % self.char
-        c = a * b
-        return c if c.__class__ is int else _canonical(c)
+        if a.__class__ is int and b.__class__ is int:
+            return a * b
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        g = gcd(na, db)
+        if g != 1:
+            na //= g
+            db //= g
+        g = gcd(nb, da)
+        if g != 1:
+            nb //= g
+            da //= g
+        return _coprime(na * nb, da * db)
 
     def neg(self, a):
-        return (-a) % self.char if self.char else -a
+        if self.char:
+            return (-a) % self.char
+        return -a if a.__class__ is int else Rational(-a.numerator, a.denominator)
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.char:
             return pow(a, -1, self.char)
-        if a.__class__ is int:
-            return a if a == 1 or a == -1 else Fraction(1, a)
-        return _canonical(Fraction(a.denominator, a.numerator))
+        n, d = a.numerator, a.denominator
+        return _coprime(d, n) if n > 0 else _coprime(-d, -n)
 
     # -- misc ----------------------------------------------------------
 

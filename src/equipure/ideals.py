@@ -336,7 +336,7 @@ def linear_roots(f: Polynomial):
                 roots.append(a)
     else:
         denom_lcm = math.lcm(*(c.denominator for c in coeffs.values()))
-        ints = {k: int(c * denom_lcm) for k, c in coeffs.items()}
+        ints = {k: c.numerator * (denom_lcm // c.denominator) for k, c in coeffs.items()}
         lead = ints[deg]
         const = ints.get(0, 0)
         if const == 0:
@@ -352,8 +352,9 @@ def linear_roots(f: Polynomial):
                         cand = fld.of(sign * pn, qn)
                         if cand in roots:
                             continue
-                        val = sum(c * cand ** k for k, c in ints.items())
-                        if val == 0:
+                        # n/d is a root when sum c_k n^k d^(deg - k) is 0
+                        n, d = cand.numerator, cand.denominator
+                        if not sum(c * n ** k * d ** (deg - k) for k, c in ints.items()):
                             roots.append(cand)
     return i, sorted(set(roots))
 

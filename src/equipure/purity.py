@@ -466,16 +466,6 @@ def split_certificate_obj(cert):
     }
 
 
-def point_purity_certificate_obj(morphism, p, verdict, witness):
-    return {
-        "kind": "pure-at",
-        "morphism": morphism_to_obj(morphism),
-        "point": point_to_obj(p),
-        "pure": verdict,
-        "witness": poly_to_obj(witness) if witness is not None else None,
-    }
-
-
 def produce_split(morphism, **_):
     ok, cert = splits(morphism)
     return ("splits" if ok else "does-not-split", EXIT_OK if ok else EXIT_REFUTED,
@@ -485,8 +475,10 @@ def produce_split(morphism, **_):
 def produce_pure_at(morphism, point, **_):
     witness = witness_outside(morphism, point)
     pure = witness is not None
-    return ("pure" if pure else "not-pure", EXIT_OK if pure else EXIT_REFUTED,
-            point_purity_certificate_obj(morphism, point, pure, witness), [])
+    cert = {"kind": "pure-at", "morphism": morphism_to_obj(morphism),
+            "point": point_to_obj(point), "pure": pure,
+            "witness": poly_to_obj(witness) if pure else None}
+    return "pure" if pure else "not-pure", EXIT_OK if pure else EXIT_REFUTED, cert, []
 
 
 def produce_splinter(base, covers, **_):

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import importlib
 import json
-from fractions import Fraction
 
 from .errors import PreconditionFailed
-from .fields import FieldSpec
+from .fields import FieldSpec, Rational
 from .groebner import is_groebner, normal_form
 from .ideals import IdealHandle, krull_dim
 from .orders import GREVLEX, MonomialOrder
@@ -61,9 +60,7 @@ from .schemes import (
 def _stringify(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
+    if isinstance(obj, (int, Rational)):
         return str(obj)
     if isinstance(obj, dict):
         return {k: _stringify(v) for k, v in obj.items()}

@@ -9,12 +9,13 @@ imports `factorization` only in the producers that use it. So the fiber
 and equidimensionality commands, and their replays, never compile
 `charp`, `purity` or `modules` (nor any purity or char-p report code), a
 `gb` session compiles none of the four, and `verify` never compiles
-`session`. Neither mode imports `argparse` or compiles a regular
-expression from the package's own code. Each check runs in a fresh
-interpreter with `src` on PYTHONPATH; a check of everything one run loads
-pins it to one usable CPU, since a forked worker's imports stay in the
-worker. Whether forked or not, a `run` freezes the heap before its
-command phase."""
+`session`. Neither mode, nor parsing, imports `argparse`, `fractions`,
+`decimal` or `numbers` (the rationals are `fields`' own), and neither mode
+compiles a regular expression from the package's own code. Each check
+runs in a fresh interpreter with `src` on PYTHONPATH; a check of
+everything one run loads pins it to one usable CPU, since a forked
+worker's imports stay in the worker. Whether forked or not, a `run`
+freezes the heap before its command phase."""
 
 import importlib
 import inspect
@@ -52,6 +53,8 @@ COMMAND_MODULES = {"equipure.charp", "equipure.purity", "equipure.modules"}
 # the command layer, which parsing a session never compiles
 COMMAND_LAYER = COMMAND_MODULES | {"equipure.reports", "equipure.factorization",
                                    "equipure.cli"}
+# standard-library modules no parse, `run` or `verify` process imports
+UNLOADED = ("argparse", "decimal", "fractions", "numbers")
 
 
 def _fresh(code):
@@ -84,8 +87,8 @@ re._compiler.compile = compile
 
 
 def _cli(*argv, one_cpu=False):
-    """(exit code, the equipure modules loaded, whether argparse was
-    imported, the patterns compiled from equipure code) of
+    """(exit code, the equipure modules loaded, the modules of UNLOADED
+    that were imported, the patterns compiled from equipure code) of
     `equipure.cli.main(argv)` in a fresh interpreter; with `one_cpu`, the
     interpreter runs on one usable CPU, so that one process runs every
     command."""
@@ -94,9 +97,10 @@ def _cli(*argv, one_cpu=False):
             + "from equipure.cli import main\n"
             f"code = main({list(argv)!r})\n"
             "print(json.dumps([code, sorted(m for m in sys.modules"
-            " if m.startswith('equipure')), 'argparse' in sys.modules, compiled]))")
-    exit_code, modules, argparse, compiled = json.loads(_fresh(code))
-    return exit_code, set(modules), argparse, compiled
+            f" if m.startswith('equipure')), [m for m in {UNLOADED!r} if m in sys.modules],"
+            " compiled]))")
+    exit_code, modules, unloaded, compiled = json.loads(_fresh(code))
+    return exit_code, set(modules), unloaded, compiled
 
 
 @pytest.mark.parametrize("source", ["corpus", "fibers"])
@@ -111,9 +115,10 @@ def test_parsing_a_session_loads_only_the_scheme_layer_and_below(source):
         "from equipure.session import parse_session\n"
         f"session = parse_session({text!r}, {{'seed': 1}})\n"
         "assert session.commands and session.points\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('equipure'))))")))
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('equipure')"
+        f" or m in {UNLOADED!r})))")))
     assert "equipure.schemes" in loaded
-    assert not loaded & COMMAND_LAYER
+    assert not loaded & (COMMAND_LAYER | set(UNLOADED))
 
 
 def test_every_command_names_a_public_producer_of_reports():
@@ -137,11 +142,11 @@ def test_every_command_names_a_public_producer_of_reports():
 # `verify` loads may define any of it
 FAMILY_CODE = {
     "produce_split", "produce_pure_at", "produce_splinter", "produce_strong_purity",
-    "split_certificate_obj", "point_purity_certificate_obj", "_split_inputs",
-    "_pure_at_inputs", "_splinter_inputs", "_strong_purity_inputs", "_sigma_identities",
-    "_witness_identities", "produce_fedder", "produce_tc", "produce_f_rational",
-    "produce_descent", "tc_certificate_obj", "fedder_certificate_obj", "_fedder_inputs",
-    "_tc_inputs", "_f_rational_inputs", "_descent_inputs", "_tc_recheck", "TEST_ELEMENT_NOTE",
+    "split_certificate_obj", "_split_inputs", "_pure_at_inputs", "_splinter_inputs",
+    "_strong_purity_inputs", "_sigma_identities", "_witness_identities", "produce_fedder",
+    "produce_tc", "produce_f_rational", "produce_descent", "tc_certificate_obj",
+    "_fedder_inputs", "_tc_inputs", "_f_rational_inputs", "_descent_inputs", "_tc_recheck",
+    "TEST_ELEMENT_NOTE",
 }
 
 
@@ -167,12 +172,12 @@ def test_fiber_commands_load_no_purity_charp_or_session_modules(tmp_path):
     session = tmp_path / "fibers.eqp"
     session.write_text(FIBER_SESSION, encoding="utf-8")
     report = tmp_path / "fibers.json"
-    code, loaded, _, _ = _cli("run", str(session), "--json", str(report))
-    assert code in (0, 1)
+    code, loaded, unloaded, _ = _cli("run", str(session), "--json", str(report))
+    assert code in (0, 1) and unloaded == []
     assert "equipure.session" in loaded
     assert not loaded & COMMAND_MODULES
-    code, loaded, _, _ = _cli("verify", str(report))
-    assert code == 0
+    code, loaded, unloaded, _ = _cli("verify", str(report))
+    assert code == 0 and unloaded == []
     assert "equipure.reports" in loaded
     assert not loaded & (COMMAND_MODULES | {"equipure.session"})
 
@@ -207,8 +212,8 @@ def test_a_corpus_session_loads_what_it_needs_and_verifies(corpus_processes):
 
 def test_a_corpus_run_and_verify_import_no_argparse_and_compile_no_regex(corpus_processes):
     run, verify = corpus_processes
-    assert run[0] == 1 and (run[2], run[3]) == (False, [])
-    assert verify[0] == 0 and (verify[2], verify[3]) == (False, [])
+    assert run[0] == 1 and (run[2], run[3]) == ([], [])
+    assert verify[0] == 0 and (verify[2], verify[3]) == ([], [])
 
 
 @pytest.mark.parametrize("module", ["cli", "session", "reports", "charp", "purity"])

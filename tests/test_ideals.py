@@ -155,6 +155,20 @@ def test_linear_roots():
     assert roots5 == [1, 4]
 
 
+@pytest.mark.parametrize("text, roots", [
+    ("(2*x - 1)*(3*x + 2)*x^2", ["-2/3", "0", "1/2"]),
+    ("x^3/4 - x/9", ["-2/3", "0", "2/3"]),
+    ("(x - 5/3)^2*(x + 7)*(x^2 + 1)", ["-7", "5/3"]),
+    ("-x^2/6 + 1/3", []),
+])
+def test_linear_roots_over_q_with_rational_coefficients(text, roots):
+    R = PolynomialRing(QQ, ["x", "y"])
+    f = parse_poly(R, text)
+    i, found = linear_roots(f)
+    assert i == 0 and [str(r) for r in found] == roots
+    assert all(f.eval_at((r, 0)) == 0 for r in found)
+
+
 def test_linear_roots_refuses_a_search_cut_by_its_trial_divisor_cap():
     # 2003*2011 has no divisor but 1 up to the cap of 2000: a search cut
     # there finds neither root

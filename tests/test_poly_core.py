@@ -28,7 +28,7 @@ def test_field_arithmetic_exact():
     with pytest.raises(ValueError):
         FieldSpec(6)
     q = QQ
-    assert q.of(1, 3) + q.of(1, 6) == q.of(1, 2)
+    assert q.add(q.of(1, 3), q.of(1, 6)) == q.of(1, 2)
 
 
 def test_parse_and_print_roundtrip():
